@@ -8,8 +8,9 @@ in §6.3).
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 from repro import GraphDatabase, PlannerHints
 from repro.bench import Measurement, Methodology
@@ -56,6 +57,28 @@ class BenchContext:
     db: GraphDatabase
     data: object
     methodology: Methodology
+
+
+def maintenance_cycles(
+    db: GraphDatabase, rel_id: int, methodology: Methodology
+) -> Iterator[tuple[int, dict[str, float], dict[str, float]]]:
+    """Delete ``rel_id`` in one transaction and re-add it in another, once
+    per timed repetition; yields ``(new rel_id, removal report, addition
+    report)`` — the maintainer's per-index seconds of the two commits.
+
+    §6.3 as for queries: untimed warm-up cycles come first (the index set
+    is new to the maintainer, so the first cycle prepares the plans every
+    later commit re-uses) and a garbage collection runs between cycles, not
+    inside a timed commit."""
+    record = db.store.relationship(rel_id)
+    type_name = db.store.types.name_of(record.type_id)
+    for repetition in range(-methodology.warmup_runs, methodology.runs):
+        gc.collect()
+        db.delete_relationship(rel_id)
+        removal = db.maintainer.last_report
+        rel_id = db.create_relationship(record.start_node, record.end_node, type_name)
+        if repetition >= 0:
+            yield rel_id, removal, db.maintainer.last_report
 
 
 def build_correlated(config: Optional[CorrelatedConfig] = None) -> BenchContext:

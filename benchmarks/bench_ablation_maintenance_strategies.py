@@ -12,7 +12,7 @@ traversal-based cannot.
 
 import pytest
 
-from benchmarks._shared import correlated_config
+from benchmarks._shared import correlated_config, maintenance_cycles
 from repro import GraphDatabase, PlannerHints
 from repro.bench import Methodology, write_report
 from repro.bench.reporting import render_table
@@ -30,19 +30,10 @@ def _build(strategy: str):
 
 
 def _cycle_seconds(db, data, methodology) -> float:
-    rel_id = data.y_rels[0]
-    record = db.store.relationship(rel_id)
     total = 0.0
-    for _ in range(methodology.runs):
-        db.delete_relationship(rel_id)
-        total += sum(db.maintainer.last_report.values())
-        rel_id = db.create_relationship(
-            record.start_node,
-            record.end_node,
-            db.store.types.name_of(record.type_id),
-        )
-        total += sum(db.maintainer.last_report.values())
-    data.y_rels[0] = rel_id
+    for rel_id, *reports in maintenance_cycles(db, data.y_rels[0], methodology):
+        data.y_rels[0] = rel_id
+        total += sum(sum(report.values()) for report in reports)
     return total / methodology.runs
 
 

@@ -9,7 +9,11 @@ dominates); short or non-matching ones are cheap.
 
 import pytest
 
-from benchmarks._shared import build_independent, independent_config
+from benchmarks._shared import (
+    build_independent,
+    independent_config,
+    maintenance_cycles,
+)
 from repro.bench import write_report
 from repro.bench.reporting import render_table
 from repro.datasets import IndependentConfig, independent
@@ -44,24 +48,13 @@ def _pick_v_relationship(ctx):
 
 
 def _measure_cycle(ctx, rel_id, sub_name):
-    db = ctx.db
-    record = db.store.relationship(rel_id)
     full_total = 0.0
     sub_total = 0.0
+    for rel_id, *reports in maintenance_cycles(ctx.db, rel_id, ctx.methodology):
+        for report in reports:
+            full_total += report.get("Full", 0.0)
+            sub_total += report.get(sub_name, 0.0) if sub_name else 0.0
     repetitions = ctx.methodology.runs
-    for _ in range(repetitions):
-        db.delete_relationship(rel_id)
-        report = db.maintainer.last_report
-        full_total += report.get("Full", 0.0)
-        sub_total += report.get(sub_name, 0.0) if sub_name else 0.0
-        rel_id = db.create_relationship(
-            record.start_node,
-            record.end_node,
-            db.store.types.name_of(record.type_id),
-        )
-        report = db.maintainer.last_report
-        full_total += report.get("Full", 0.0)
-        sub_total += report.get(sub_name, 0.0) if sub_name else 0.0
     return rel_id, full_total / repetitions, sub_total / repetitions
 
 

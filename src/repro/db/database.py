@@ -101,9 +101,14 @@ class GraphDatabase:
             strategy=maintenance_strategy,
         )
         self.tx_manager.register_applier(self.maintainer)
-        # The §4.1.1 query cache. Maintenance queries bypass it by design
-        # (they plan directly via run_pattern_query).
+        # The §4.1.1 query cache, keyed by query text. Maintenance queries
+        # bypass it by design but no longer re-plan: Algorithms 1 and 2 and
+        # verify_index run prepared pattern queries from the maintainer's
+        # own PlanCache instance, keyed by (pattern, anchor position, hints
+        # incl. forbidden set) — ad-hoc texts cannot evict them, and this
+        # cache's counters keep meaning "query texts".
         self.plan_cache = PlanCache()
+        self.maintenance_plan_cache = self.maintainer.queries.plan_cache
         #: Set by :meth:`open` — the durability engine persisting commits to
         #: a write-ahead log. ``None`` for purely in-memory databases.
         self.durability = None
@@ -442,6 +447,7 @@ class GraphDatabase:
     def _planned(self, query_text: str, hints: Optional[PlannerHints]) -> CachedQuery:
         """Plan a query, consulting the §4.1.1 query cache."""
         key = (query_text, hints)
+        generation = self.plan_cache.generation  # before reading the index set
         # Visible names, not all names: a snapshot reader planning against
         # an index attached after its LSN would read entries it must not
         # see, and a cached plan from the pre-attach window must be
@@ -465,7 +471,7 @@ class GraphDatabase:
             relationship_count=stats.relationship_count,
             index_signature=signature,
         )
-        self.plan_cache.store(key, entry)
+        self.plan_cache.store(key, entry, generation)
         return entry
 
     def explain(
@@ -515,6 +521,7 @@ class GraphDatabase:
         with self.store.mvcc.exclusive_writer():
             index = self.indexes.create(name, pattern, partial=partial)
             index.created_lsn = PENDING
+            self._index_set_changed()
             if self.durability is not None:
                 self.durability.log_ddl(
                     "create_index", name, str(pattern), partial, populate
@@ -526,7 +533,7 @@ class GraphDatabase:
                 )
                 try:
                     stats = initialize_index(
-                        self.store, self.indexes, index, hints, tracker=tracker
+                        self.maintainer.queries, index, hints, tracker=tracker
                     )
                 except BaseException:
                     # A build that blows the memory budget must not leave a
@@ -555,12 +562,20 @@ class GraphDatabase:
     def drop_path_index(self, name: str) -> None:
         # Registry removal under the write lock; in-flight readers holding
         # the index object keep scanning it safely (the tree is untouched),
-        # and the visible-names plan-cache signature invalidates their
-        # cached plans on the next lookup.
+        # and no cached plan naming it survives the DDL.
         with self.store.mvcc.exclusive_writer():
             self.indexes.drop(name)
+            self._index_set_changed()
             if self.durability is not None:
                 self.durability.log_ddl("drop_index", name, "")
+
+    def _index_set_changed(self) -> None:
+        """Index DDL, under the exclusive-writer lock: drop every cached
+        plan and maintenance route. The visible-names signature alone
+        cannot tell a re-created index from the one it replaced, and a
+        compiled artifact holds the index object itself."""
+        self.plan_cache.invalidate_all()
+        self.maintainer.invalidate()
 
     def path_index(self, name: str) -> PathIndex:
         return self.indexes.get(name)
@@ -568,16 +583,12 @@ class GraphDatabase:
     def verify_index(self, name: str) -> bool:
         """Cross-check an index against a fresh traversal of its pattern
         (used by tests and examples; not part of the paper's pipeline)."""
-        from repro.db.patternquery import run_pattern_query
-
         index = self.indexes.get(name)
-        entries, _ = run_pattern_query(
-            self.store,
-            self.indexes,
-            index.pattern,
-            hints=PlannerHints(use_path_indexes=False),
+        expected = set(
+            self.maintainer.queries.run(
+                index.pattern, hints=PlannerHints(use_path_indexes=False)
+            )
         )
-        expected = set(entries)
         if index.supports_full_scan:
             return expected == set(index.scan())
         # A partial index must hold exactly the occurrences of its

@@ -8,6 +8,14 @@ at the anchored position as *arguments*, so the planner is free to pick any
 strategy — expanding outward from the anchor, or prefix-seeking another
 index — exactly the flexibility the paper's approach gains over De Jong's
 self-maintaining translation.
+
+Everything about such a query that does not depend on the anchored
+identifiers — query part, variable kinds, logical plan, codegen artifact —
+is a :class:`PreparedPatternQuery`. :class:`PatternQueries` keeps prepared
+queries in a :class:`~repro.db.plancache.PlanCache` of its own, so a commit
+plans each *(pattern, anchor position, forbidden set)* once and afterwards
+only binds identifiers and runs. :func:`run_pattern_query` is the uncached
+plan-then-run form, for one-off callers and as the tests' oracle.
 """
 
 from __future__ import annotations
@@ -17,6 +25,7 @@ from typing import Iterator, Optional
 
 from repro.cypher import ast
 from repro.cypher.semantics import VariableKind
+from repro.db.plancache import PlanCache
 from repro.pathindex.pattern import PathPattern
 from repro.pathindex.store import PathIndexStore
 from repro.planner import Planner, PlannerHints
@@ -34,6 +43,21 @@ class Anchor:
     rel_id: int
     source_id: int  # node at pattern position `position`
     target_id: int  # node at pattern position `position + 1`
+
+    @classmethod
+    def at(
+        cls,
+        pattern: PathPattern,
+        position: int,
+        rel_id: int,
+        start_id: int,
+        end_id: int,
+    ) -> "Anchor":
+        """Anchor the relationship ``start_id -> end_id`` (data direction)
+        at ``position``, following that step's arrow."""
+        if pattern.relationships[position].forward:
+            return cls(position, rel_id, start_id, end_id)
+        return cls(position, rel_id, end_id, start_id)
 
     def bound_variables(self) -> dict[str, int]:
         return {
@@ -105,6 +129,77 @@ def build_pattern_part(
     return QueryPart(query_graph=graph, projection=projection, is_final=True), kinds
 
 
+ENGINE = "compiled"
+"""Engine of every internal pattern query. Measured on perfbench's
+``write_maintain`` graph with the plan cached: anchored queries (a handful
+of rows) cost the same on all three engines to within noise, while the
+unanchored Algorithm 2 / ``verify_index`` scans are fastest compiled."""
+
+
+@dataclass
+class PreparedPatternQuery:
+    """A planned pattern query; :meth:`run` it once per anchor.
+
+    ``node_count`` / ``relationship_count`` / ``index_signature`` are the
+    plan cache's staleness fields. ``compiled`` is built on first run and
+    shares the entry's lifetime, like ``CachedQuery.compiled``.
+    """
+
+    planned_parts: list  # [(QueryPart, LogicalPlan)]
+    executor: Executor
+    names: tuple[str, ...]
+    node_count: int
+    relationship_count: int
+    index_signature: frozenset[str]
+    compiled: Optional[object] = None
+
+    def run(self, anchor=None) -> tuple[Iterator[tuple[int, ...]], ExecutionProfile]:
+        """Stream the occurrences through ``anchor`` (all, without one) as
+        identifier entries. ``anchor`` must be of the kind and position the
+        query was prepared for."""
+        if ENGINE == "compiled" and self.compiled is None:
+            self.compiled = self.executor.compile_artifact(self.planned_parts)
+        initial = None
+        if anchor is not None:
+            initial = Row(anchor.bound_variables(), anchor.bound_rel_ids())
+        rows, profile = self.executor.execute(
+            self.planned_parts,
+            initial_row=initial,
+            mode=ENGINE,
+            compiled=self.compiled,
+        )
+        names = self.names
+        return (
+            tuple([int(row.values[name]) for name in names]) for row in rows
+        ), profile
+
+
+def prepare_pattern_query(
+    store: GraphStore,
+    index_store: Optional[PathIndexStore],
+    pattern: PathPattern,
+    anchor=None,
+    hints: Optional[PlannerHints] = None,
+) -> PreparedPatternQuery:
+    """Plan ``pattern`` for anchors of ``anchor``'s kind and position."""
+    signature = (
+        frozenset(index_store.visible_names())
+        if index_store is not None
+        else frozenset()
+    )
+    stats = store.statistics_view()
+    part, kinds = build_pattern_part(pattern, anchor)
+    plan = Planner(store, index_store).plan_part(part, hints)
+    return PreparedPatternQuery(
+        planned_parts=[(part, plan)],
+        executor=Executor(store, index_store, kinds),
+        names=tuple(entry_variables(pattern)),
+        node_count=stats.node_count,
+        relationship_count=stats.relationship_count,
+        index_signature=signature,
+    )
+
+
 def run_pattern_query(
     store: GraphStore,
     index_store: Optional[PathIndexStore],
@@ -112,22 +207,53 @@ def run_pattern_query(
     anchor=None,
     hints: Optional[PlannerHints] = None,
 ) -> tuple[Iterator[tuple[int, ...]], ExecutionProfile]:
-    """Stream all pattern occurrences as identifier entries."""
-    part, kinds = build_pattern_part(pattern, anchor)
-    planner = Planner(store, index_store)
-    plan = planner.plan_part(part, hints)
-    executor = Executor(store, index_store, kinds)
-    initial = Row.empty()
-    if anchor is not None:
-        initial = Row(dict(anchor.bound_variables()), anchor.bound_rel_ids())
-    rows, profile = executor.execute([(part, plan)], initial_row=initial)
-    names = entry_variables(pattern)
+    """Plan, then stream all pattern occurrences as identifier entries."""
+    return prepare_pattern_query(store, index_store, pattern, anchor, hints).run(
+        anchor
+    )
 
-    def entries() -> Iterator[tuple[int, ...]]:
-        for row in rows:
-            yield tuple(int(row.values[name]) for name in names)
 
-    return entries(), profile
+class PatternQueries:
+    """Prepared pattern queries of one database, behind their own
+    :class:`PlanCache` — same class and staleness rule as ``db.plan_cache``
+    (visible-index signature, statistics drift, index DDL), separate
+    instance so ad-hoc query texts cannot evict maintenance plans."""
+
+    def __init__(self, store: GraphStore, index_store: PathIndexStore) -> None:
+        self.store = store
+        self.index_store = index_store
+        self.plan_cache = PlanCache()
+
+    def prepare(
+        self,
+        pattern: PathPattern,
+        anchor=None,
+        hints: Optional[PlannerHints] = None,
+    ) -> PreparedPatternQuery:
+        key = (pattern, type(anchor), getattr(anchor, "position", None), hints)
+        cache = self.plan_cache
+        generation = cache.generation  # before the index set is looked at
+        stats = self.store.statistics_view()
+        prepared = cache.lookup(
+            key,
+            stats.node_count,
+            stats.relationship_count,
+            frozenset(self.index_store.visible_names()),
+        )
+        if prepared is None:
+            prepared = prepare_pattern_query(
+                self.store, self.index_store, pattern, anchor, hints
+            )
+            cache.store(key, prepared, generation)
+        return prepared
+
+    def run(
+        self,
+        pattern: PathPattern,
+        anchor=None,
+        hints: Optional[PlannerHints] = None,
+    ) -> Iterator[tuple[int, ...]]:
+        return self.prepare(pattern, anchor, hints).run(anchor)[0]
 
 
 def anchors_for_relationship(
@@ -140,11 +266,7 @@ def anchors_for_relationship(
     end_labels: frozenset[str],
 ) -> list[Anchor]:
     """All pattern positions where the given relationship could occur."""
-    anchors = []
-    for position in pattern.step_positions_for(type_name, start_labels, end_labels):
-        step = pattern.relationships[position]
-        if step.forward:
-            anchors.append(Anchor(position, rel_id, start_id, end_id))
-        else:
-            anchors.append(Anchor(position, rel_id, end_id, start_id))
-    return anchors
+    return [
+        Anchor.at(pattern, position, rel_id, start_id, end_id)
+        for position in pattern.step_positions_for(type_name, start_labels, end_labels)
+    ]

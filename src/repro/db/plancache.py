@@ -1,14 +1,28 @@
 """The query (plan) cache of the pipeline (§4.1.1).
 
-Neo4j caches executable plans per query string; the paper's maintenance
-queries had to *bypass* it ("otherwise we had no control over which indexes
-would be used in the maintenance queries"). This reproduction does the same:
-:meth:`GraphDatabase.execute` consults the cache, while the anchored pattern
-queries of Algorithm 1 go straight to the planner.
+Neo4j caches executable plans per query *string*; the paper's maintenance
+queries had to bypass it ("otherwise we had no control over which indexes
+would be used in the maintenance queries"). That bypass of the text-keyed
+cache is kept — :meth:`GraphDatabase.execute` is the only user of
+``db.plan_cache`` — but re-planning is not: the anchored pattern queries of
+Algorithm 1 (and Algorithm 2, and ``verify_index``) go through a *second
+instance of this same class*, owned by the maintainer and keyed by
+``(pattern, anchor kind, anchor position, hints)``
+(:class:`repro.db.patternquery.PatternQueries`). The hints carry the
+Algorithm-1 forbidden set, so control over index usage lives in the key.
 
-Entries are keyed by (query text, hints) and invalidated when the index set
-changes or the graph statistics drift beyond a threshold — a plan chosen for
-very different cardinalities is likely stale.
+Entries are invalidated when the index set changes or the graph statistics
+drift beyond a threshold — a plan chosen for very different cardinalities is
+likely stale. An entry needs only the three staleness fields
+(``node_count``, ``relationship_count``, ``index_signature``);
+:class:`CachedQuery` is the text-keyed cache's entry type.
+
+The signature compares index *names*, which cannot see ``DROP P`` followed
+by ``CREATE P`` on another pattern, so index DDL also calls
+:meth:`PlanCache.invalidate_all` under the store's exclusive-writer lock.
+That bumps :attr:`PlanCache.generation`; a planner that read the generation
+before it looked at the index set passes it to :meth:`PlanCache.store`, and
+a plan that raced the DDL is dropped instead of cached.
 
 The cache is thread-safe (a single lock guards the LRU map and its
 counters) so the concurrent query service can share one database across
@@ -70,6 +84,8 @@ class PlanCache:
         self.misses = 0
         self.invalidations = 0
         self.evictions = 0
+        #: Bumped by :meth:`invalidate_all`; see :meth:`store`.
+        self.generation = 0
         self._subscribers: list[Callable[[str], None]] = []
 
     def lookup(
@@ -78,7 +94,7 @@ class PlanCache:
         node_count: int,
         relationship_count: int,
         index_signature: frozenset[str],
-    ) -> Optional[CachedQuery]:
+    ):
         """A fresh cached entry for ``key``, or None (stale entries are
         evicted on sight)."""
         events: list[str] = []
@@ -103,9 +119,14 @@ class PlanCache:
         self._emit(events)
         return entry
 
-    def store(self, key, entry: CachedQuery) -> None:
+    def store(self, key, entry, generation: Optional[int] = None) -> None:
+        """Cache ``entry``. ``generation`` is :attr:`generation` as read
+        before planning; if index DDL ran since, the plan may name a
+        replaced index and is not cached."""
         events: list[str] = []
         with self._lock:
+            if generation is not None and generation != self.generation:
+                return
             self._entries[key] = entry
             self._entries.move_to_end(key)
             while len(self._entries) > self.capacity:
@@ -138,9 +159,35 @@ class PlanCache:
         with self._lock:
             self._entries.clear()
 
+    def invalidate_all(self) -> None:
+        """Index DDL: every entry is stale, whatever its signature says."""
+        with self._lock:
+            dropped = len(self._entries)
+            self._entries.clear()
+            self.invalidations += dropped
+            self.generation += 1
+        self._emit(["invalidation"] * dropped)
+
+    def counters(self) -> dict[str, int]:
+        """The figures metrics snapshots and STATUS report per cache."""
+        with self._lock:
+            return {
+                "hits": self.hits,
+                "misses": self.misses,
+                "invalidations": self.invalidations,
+                "evictions": self.evictions,
+                "size": len(self._entries),
+                "capacity": self.capacity,
+            }
+
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
+
+    def items(self) -> list[tuple]:
+        """``(key, entry)`` pairs, least recently used first (inspection)."""
+        with self._lock:
+            return list(self._entries.items())
 
     def _emit(self, events: list[str]) -> None:
         if not events:
@@ -154,7 +201,7 @@ class PlanCache:
             for event in events:
                 callback(event)
 
-    def _drifted(self, entry: CachedQuery, nodes: int, relationships: int) -> bool:
+    def _drifted(self, entry, nodes: int, relationships: int) -> bool:
         return _drift(entry.node_count, nodes) > self.drift_threshold or _drift(
             entry.relationship_count, relationships
         ) > self.drift_threshold

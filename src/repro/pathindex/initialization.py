@@ -14,12 +14,10 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.db.patternquery import run_pattern_query
+from repro.db.patternquery import PatternQueries
 from repro.pathindex.index import PathIndex
-from repro.pathindex.store import PathIndexStore
 from repro.planner import PlannerHints
 from repro.resources import KEY_BYTES, NULL_TRACKER
-from repro.storage.graphstore import GraphStore
 
 
 @dataclass(frozen=True)
@@ -34,13 +32,13 @@ class InitializationStats:
 
 
 def initialize_index(
-    store: GraphStore,
-    index_store: PathIndexStore,
+    queries: PatternQueries,
     index: PathIndex,
     hints: Optional[PlannerHints] = None,
     tracker=None,
 ) -> InitializationStats:
-    """Populate ``index`` by querying its pattern (Algorithm 2).
+    """Populate ``index`` by querying its pattern (Algorithm 2) through the
+    database's prepared pattern queries.
 
     ``tracker`` (a :class:`repro.resources.MemoryTracker`) accounts the
     transient build cost against the memory pool: one :data:`KEY_BYTES`
@@ -52,7 +50,7 @@ def initialize_index(
     tracker = tracker if tracker is not None else NULL_TRACKER
     hints = (hints or PlannerHints()).forbidding(index.name)
     started = time.perf_counter()
-    entries, _ = run_pattern_query(store, index_store, index.pattern, hints=hints)
+    entries = queries.run(index.pattern, hints=hints)
     label = f"index build: {index.name}"
     for entry in entries:
         tracker.charge(label, KEY_BYTES)

@@ -23,14 +23,10 @@ alternative strategy and for differential testing.
 from __future__ import annotations
 
 import time
+from contextlib import nullcontext
 from typing import TYPE_CHECKING, Iterator, Optional
 
-from repro.db.patternquery import (
-    Anchor,
-    NodeAnchor,
-    anchors_for_relationship,
-    run_pattern_query,
-)
+from repro.db.patternquery import Anchor, NodeAnchor, PatternQueries
 from repro.pathindex.index import PathIndex
 from repro.pathindex.pattern import PathPattern
 from repro.pathindex.store import PathIndexStore
@@ -44,6 +40,13 @@ if TYPE_CHECKING:  # pragma: no cover
 
 QUERY_BASED = "query"
 TRAVERSAL_BASED = "traversal"
+
+_ROUTE_LIMIT = 4096
+"""Memoized routes are dropped wholesale past this many label combinations."""
+
+Route = list[tuple[PathIndex, list[int]]]
+"""Affected indexes, small to large (Algorithm 1, lines 4–5), each with the
+pattern positions the update can occupy."""
 
 
 class PathIndexMaintainer(TransactionApplier):
@@ -64,6 +67,14 @@ class PathIndexMaintainer(TransactionApplier):
         self.tx_manager = tx_manager
         self.strategy = strategy
         self.hints = hints or PlannerHints()
+        #: The anchored queries of Algorithm 1, planned once per (pattern,
+        #: anchor position, hints incl. forbidden set) and then only re-bound.
+        self.queries = PatternQueries(store, index_store)
+        # Which indexes an update touches depends only on its type and
+        # endpoint labels (resp. its label), so it is worked out once per
+        # combination and index set, not once per pending change.
+        self._relationship_routes: dict[tuple, Route] = {}
+        self._label_routes: dict[int, Route] = {}
         self.last_report: dict[str, float] = {}
         self.last_entry_counts: dict[str, int] = {}
         self.last_changes: list[tuple[str, str, tuple[int, ...]]] = []
@@ -71,6 +82,13 @@ class PathIndexMaintainer(TransactionApplier):
         with op "add"/"remove" — only updates that actually changed an index.
         The durability engine logs these verbatim so recovery can restore
         index contents without re-running Algorithm 1."""
+
+    def invalidate(self) -> None:
+        """The index set changed (DDL, under the exclusive-writer lock):
+        prepared queries and routes were worked out for the old one."""
+        self.queries.plan_cache.invalidate_all()
+        self._relationship_routes.clear()
+        self._label_routes.clear()
 
     # ------------------------------------------------------------------
     # Applier phases
@@ -82,44 +100,27 @@ class PathIndexMaintainer(TransactionApplier):
         self.last_changes = []
         if len(self.index_store) == 0:
             return
-        removals: list[tuple[PathIndex, tuple[int, ...]]] = []
+        anchored: list[tuple[PathIndex, object]] = []
         for pending in state.deleted_relationships:
-            type_name = self.store.types.name_of(pending.type_id)
-            start_labels = self._label_names(pending.start_node)
-            end_labels = self._label_names(pending.end_node)
-            affected = self.index_store.affected_by_relationship(
-                type_name, start_labels, end_labels
-            )
-            for index in affected:
-                anchors = anchors_for_relationship(
-                    index.pattern,
+            anchored.extend(
+                self._relationship_anchors(
                     pending.rel_id,
-                    type_name,
+                    pending.type_id,
                     pending.start_node,
                     pending.end_node,
-                    start_labels,
-                    end_labels,
                 )
-                for anchor in anchors:
-                    for entry in self._timed_entries(index, anchor):
-                        removals.append((index, entry))
+            )
         for pending in state.removed_labels:
-            label = self.store.labels.name_of(pending.label_id)
-            for index in self.index_store.affected_by_label(label):
-                for position, pattern_label in enumerate(index.pattern.labels):
-                    if pattern_label != label:
-                        continue
-                    anchor = NodeAnchor(position, pending.node_id)
-                    for entry in self._timed_entries(index, anchor):
-                        removals.append((index, entry))
-        for index, entry in removals:
-            started = time.perf_counter()
-            if index.remove(entry):
-                self.last_entry_counts[index.name] = (
-                    self.last_entry_counts.get(index.name, 0) + 1
-                )
-                self.last_changes.append(("remove", index.name, entry))
-            self._charge(index.name, time.perf_counter() - started)
+            anchored.extend(self._label_anchors(pending.label_id, pending.node_id))
+        if not anchored:
+            return
+        with self._detached():
+            removals = [
+                (index, self._timed_entries(index, anchor, self.hints))
+                for index, anchor in anchored
+            ]
+        for index, entries in removals:
+            self._apply("remove", index, entries)
 
     def after_apply(self, state: TransactionState, store: GraphStore) -> None:
         if len(self.index_store) == 0:
@@ -129,114 +130,153 @@ class PathIndexMaintainer(TransactionApplier):
             return
         # Global small-to-large order over every index affected by any
         # addition; queries may only use indexes updated earlier in the order.
-        affected_names: list[str] = []
-        for index, _ in additions:
-            if index.name not in affected_names:
-                affected_names.append(index.name)
-        affected_names.sort(
-            key=lambda name: (
-                self.index_store.get(name).pattern.length,
-                name,
-            )
+        order = sorted(
+            additions.values(),
+            key=lambda item: (item[0].pattern.length, item[0].name),
         )
-        for position, name in enumerate(affected_names):
-            index = self.index_store.get(name)
-            not_yet_updated = affected_names[position:]
-            hints = self.hints.forbidding(*not_yet_updated)
-            for anchor_index, anchor in additions:
-                if anchor_index.name != name:
-                    continue
-                for entry in self._timed_entries(index, anchor, hints):
-                    started = time.perf_counter()
-                    if index.add(entry):
-                        self.last_entry_counts[index.name] = (
-                            self.last_entry_counts.get(index.name, 0) + 1
-                        )
-                        self.last_changes.append(("add", index.name, entry))
-                    self._charge(index.name, time.perf_counter() - started)
+        with self._detached():
+            for position, (index, anchors) in enumerate(order):
+                not_yet_updated = [later.name for later, _ in order[position:]]
+                hints = self.hints.forbidding(*not_yet_updated)
+                for anchor in anchors:
+                    entries = self._timed_entries(index, anchor, hints)
+                    self._apply("add", index, entries)
 
     # ------------------------------------------------------------------
     # Collection helpers
     # ------------------------------------------------------------------
 
-    def _collect_additions(self, state: TransactionState):
-        additions: list[tuple[PathIndex, object]] = []
+    def _collect_additions(
+        self, state: TransactionState
+    ) -> dict[str, tuple[PathIndex, list]]:
+        """Anchors of every addition, grouped by affected index."""
+        anchored: list[tuple[PathIndex, object]] = []
         for rel_id in state.created_relationships:
             if not self.store.relationship_exists(rel_id):
                 continue  # created and deleted within the same transaction
             record = self.store.relationship(rel_id)
-            type_name = self.store.types.name_of(record.type_id)
-            start_labels = self._label_names(record.start_node)
-            end_labels = self._label_names(record.end_node)
-            for index in self.index_store.affected_by_relationship(
-                type_name, start_labels, end_labels
-            ):
-                for anchor in anchors_for_relationship(
-                    index.pattern,
-                    rel_id,
-                    type_name,
-                    record.start_node,
-                    record.end_node,
-                    start_labels,
-                    end_labels,
-                ):
-                    additions.append((index, anchor))
+            anchored.extend(
+                self._relationship_anchors(
+                    rel_id, record.type_id, record.start_node, record.end_node
+                )
+            )
         for node_id, label_id in state.added_labels:
             if not self.store.node_exists(node_id):
                 continue
             if label_id not in self.store.node_labels(node_id):
                 continue  # label re-removed within the same transaction
-            label = self.store.labels.name_of(label_id)
-            for index in self.index_store.affected_by_label(label):
-                for position, pattern_label in enumerate(index.pattern.labels):
-                    if pattern_label == label:
-                        additions.append((index, NodeAnchor(position, node_id)))
+            anchored.extend(self._label_anchors(label_id, node_id))
+        additions: dict[str, tuple[PathIndex, list]] = {}
+        for index, anchor in anchored:
+            additions.setdefault(index.name, (index, []))[1].append(anchor)
         return additions
 
-    def _label_names(self, node_id: int) -> frozenset[str]:
-        return frozenset(
-            self.store.labels.name_of(label_id)
-            for label_id in self.store.node_labels(node_id)
+    def _relationship_anchors(
+        self, rel_id: int, type_id: int, start_node: int, end_node: int
+    ) -> Iterator[tuple[PathIndex, Anchor]]:
+        """Every (index, anchor) the relationship can occupy."""
+        for index, positions in self._relationship_route(
+            type_id, start_node, end_node
+        ):
+            for position in positions:
+                yield index, Anchor.at(
+                    index.pattern, position, rel_id, start_node, end_node
+                )
+
+    def _label_anchors(
+        self, label_id: int, node_id: int
+    ) -> Iterator[tuple[PathIndex, NodeAnchor]]:
+        """Every (index, anchor) the labelled node can occupy."""
+        for index, positions in self._label_route(label_id):
+            for position in positions:
+                yield index, NodeAnchor(position, node_id)
+
+    def _relationship_route(
+        self, type_id: int, start_node: int, end_node: int
+    ) -> Route:
+        key = (
+            type_id,
+            self.store.node_labels(start_node),
+            self.store.node_labels(end_node),
         )
+        route = self._relationship_routes.get(key)
+        if route is None:
+            name_of = self.store.labels.name_of
+            type_name = self.store.types.name_of(type_id)
+            start_labels = frozenset(name_of(label_id) for label_id in key[1])
+            end_labels = frozenset(name_of(label_id) for label_id in key[2])
+            route = [
+                (
+                    index,
+                    index.pattern.step_positions_for(
+                        type_name, start_labels, end_labels
+                    ),
+                )
+                for index in self.index_store.affected_by_relationship(
+                    type_name, start_labels, end_labels
+                )
+            ]
+            if len(self._relationship_routes) >= _ROUTE_LIMIT:
+                self._relationship_routes.clear()
+            self._relationship_routes[key] = route
+        return route
+
+    def _label_route(self, label_id: int) -> Route:
+        route = self._label_routes.get(label_id)
+        if route is None:
+            label = self.store.labels.name_of(label_id)
+            route = [
+                (
+                    index,
+                    [
+                        position
+                        for position, pattern_label in enumerate(index.pattern.labels)
+                        if pattern_label == label
+                    ],
+                )
+                for index in self.index_store.affected_by_label(label)
+            ]
+            self._label_routes[label_id] = route
+        return route
 
     # ------------------------------------------------------------------
     # Entry computation per strategy
     # ------------------------------------------------------------------
 
+    def _detached(self):
+        """The paper's work-around, once per phase: detach the committing
+        transaction's state while the maintenance queries run (Algorithm 1,
+        lines 6–7 and 19)."""
+        if self.tx_manager is None:
+            return nullcontext()
+        return self.tx_manager.suspended()
+
     def _timed_entries(
-        self,
-        index: PathIndex,
-        anchor,
-        hints: Optional[PlannerHints] = None,
+        self, index: PathIndex, anchor, hints: PlannerHints
     ) -> list[tuple[int, ...]]:
         started = time.perf_counter()
-        entries = list(self._entries(index.pattern, anchor, hints))
+        if self.strategy == TRAVERSAL_BASED:
+            entries = list(traverse_pattern(self.store, index.pattern, anchor))
+        else:
+            entries = list(self.queries.run(index.pattern, anchor, hints))
         self._charge(index.name, time.perf_counter() - started)
         return entries
 
-    def _entries(
-        self,
-        pattern: PathPattern,
-        anchor,
-        hints: Optional[PlannerHints],
-    ) -> Iterator[tuple[int, ...]]:
-        if self.strategy == TRAVERSAL_BASED:
-            yield from traverse_pattern(self.store, pattern, anchor)
+    def _apply(self, op: str, index: PathIndex, entries: list[tuple[int, ...]]) -> None:
+        """Add/remove one query's entries, recording those that changed the
+        index; the batch is charged as one."""
+        if not entries:
             return
-        effective = hints if hints is not None else self.hints
-        if self.tx_manager is not None:
-            # The paper's work-around: detach the committing transaction's
-            # state while the maintenance query runs (Algorithm 1, lines 6–7).
-            with self.tx_manager.suspended():
-                entries, _ = run_pattern_query(
-                    self.store, self.index_store, pattern, anchor, effective
-                )
-                yield from entries
-        else:
-            entries, _ = run_pattern_query(
-                self.store, self.index_store, pattern, anchor, effective
+        started = time.perf_counter()
+        change = index.add if op == "add" else index.remove
+        changed = [entry for entry in entries if change(entry)]
+        if changed:
+            name = index.name
+            self.last_entry_counts[name] = self.last_entry_counts.get(name, 0) + len(
+                changed
             )
-            yield from entries
+            self.last_changes.extend((op, name, entry) for entry in changed)
+        self._charge(index.name, time.perf_counter() - started)
 
     def _charge(self, index_name: str, seconds: float) -> None:
         self.last_report[index_name] = self.last_report.get(index_name, 0.0) + seconds

@@ -31,6 +31,8 @@ class PathIndexStore:
     ) -> None:
         self._page_cache = page_cache
         self._clock = clock
+        # Replaced, never mutated: lock-free readers iterate the registry
+        # while DDL (under the store write lock) creates and drops.
         self._indexes: dict[str, PathIndex] = {}
 
     # ------------------------------------------------------------------
@@ -59,13 +61,15 @@ class PathIndexStore:
             )
         else:
             index = PathIndex(name, pattern, self._page_cache, clock=self._clock)
-        self._indexes[name] = index
+        self._indexes = {**self._indexes, name: index}
         return index
 
     def drop(self, name: str) -> None:
         if name not in self._indexes:
             raise PathIndexError(f"no path index {name!r}")
-        del self._indexes[name]
+        self._indexes = {
+            other: index for other, index in self._indexes.items() if other != name
+        }
 
     def get(self, name: str) -> PathIndex:
         index = self._indexes.get(name)

@@ -258,6 +258,8 @@ class Server:
             "published_lsn": db.store.mvcc.published,
             "sessions": self.sessions_open,
             "draining": self._draining,
+            "plan_cache": db.plan_cache.counters(),
+            "maintenance_plan_cache": db.maintenance_plan_cache.counters(),
         }
         if self.fenced_by is not None:
             fields["fenced_by"] = self.fenced_by

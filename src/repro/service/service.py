@@ -454,16 +454,13 @@ class QueryService:
     def metrics_snapshot(self) -> dict:
         """Counters + histogram summaries + live cache/service gauges."""
         snapshot = self.metrics.snapshot()
-        plan_cache = self.db.plan_cache
         page_stats = self.db.page_cache.stats
-        snapshot["plan_cache"] = {
-            "hits": plan_cache.hits,
-            "misses": plan_cache.misses,
-            "invalidations": plan_cache.invalidations,
-            "evictions": plan_cache.evictions,
-            "size": len(plan_cache),
-            "capacity": plan_cache.capacity,
-        }
+        snapshot["plan_cache"] = self.db.plan_cache.counters()
+        # Commits that re-plan Algorithm 1 show up here as misses or
+        # invalidations per commit instead of hits.
+        snapshot["maintenance_plan_cache"] = (
+            self.db.maintenance_plan_cache.counters()
+        )
         snapshot["page_cache"] = {
             "hits": page_stats.hits,
             "misses": page_stats.misses,

@@ -255,12 +255,17 @@ class Shell:
                     f"  {name}: n={summary['count']} "
                     f"mean={summary['mean']:.1f} max={summary['max']:.0f}"
                 )
-        plan_cache = snapshot["plan_cache"]
-        self.println(
-            f"plan cache: {plan_cache['hits']} hits, {plan_cache['misses']} "
-            f"misses, {plan_cache['evictions']} evictions, "
-            f"{plan_cache['size']}/{plan_cache['capacity']} entries"
-        )
+        for title, key in (
+            ("plan cache", "plan_cache"),
+            ("maintenance plan cache", "maintenance_plan_cache"),
+        ):
+            cache = snapshot[key]
+            self.println(
+                f"{title}: {cache['hits']} hits, {cache['misses']} misses, "
+                f"{cache['invalidations']} invalidations, "
+                f"{cache['evictions']} evictions, "
+                f"{cache['size']}/{cache['capacity']} entries"
+            )
         page_cache = snapshot["page_cache"]
         self.println(
             f"page cache: {page_cache['hits']} hits, {page_cache['misses']} "

@@ -459,6 +459,29 @@ def test_commit_lsn_none_for_non_durable_db():
             assert client.execute("CREATE (:P {k: 1})").commit_lsn is None
 
 
+def test_status_reports_both_plan_caches():
+    """An operator can tell "commits are slow because maintenance is
+    re-planning" from STATUS alone: hits mean it is not."""
+    db = GraphDatabase()
+    for _ in range(10):  # enough data that three more paths are no drift
+        db.create_relationship(db.create_node(["A"]), db.create_node(["B"]), "X")
+    db.create_path_index("ab", "(:A)-[:X]->(:B)")
+    with running_server(db) as (server, service):
+        host, port = server.address
+        with Client(host, port) as client:
+            for _ in range(3):
+                client.execute("CREATE (:A)-[:X]->(:B)")
+            status = client.status()
+    maintenance = status["maintenance_plan_cache"]
+    assert set(maintenance) == set(status["plan_cache"]) == {
+        "hits", "misses", "invalidations", "evictions", "size", "capacity",
+    }
+    assert maintenance["hits"] >= 2 and maintenance["size"] >= 1
+    assert status["plan_cache"]["hits"] == 2
+    assert status["plan_cache"] == service.metrics_snapshot()["plan_cache"]
+    assert maintenance == service.metrics_snapshot()["maintenance_plan_cache"]
+
+
 # ----------------------------------------------------------------------
 # Drain
 # ----------------------------------------------------------------------

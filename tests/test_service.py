@@ -71,6 +71,26 @@ def test_write_query_through_service(small_db):
         assert snapshot["counters"]["service.write_queries"] == 1
 
 
+def test_metrics_snapshot_reports_the_maintenance_plan_cache(small_db):
+    for _ in range(10):  # enough relationships that three more are no drift
+        small_db.create_relationship(
+            small_db.create_node(["P"]), small_db.create_node(["Q"]), "R"
+        )
+    small_db.create_path_index("pq", "(:P)-[:R]->(:Q)")
+    with QueryService(small_db) as service:
+        for _ in range(3):
+            service.execute("CREATE (:P)-[:R]->(:Q)")
+        snapshot = service.metrics_snapshot()
+        maintenance = snapshot["maintenance_plan_cache"]
+        assert maintenance == small_db.maintenance_plan_cache.counters()
+        assert set(maintenance) == set(snapshot["plan_cache"])
+        # Planned by the first commit, re-bound by the other two.
+        assert maintenance["hits"] >= 2
+        # The text-keyed cache's counters keep their meaning.
+        assert snapshot["plan_cache"]["hits"] == 2
+        assert snapshot["counters"]["plan_cache.hit"] == 2
+
+
 def test_submit_is_asynchronous(small_db):
     with QueryService(small_db) as service:
         ticket = service.submit("MATCH (n:P) RETURN n.i AS i")

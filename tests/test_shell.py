@@ -84,6 +84,25 @@ def test_stats_command():
     assert "nodes: 1" in output
 
 
+def test_metrics_command_shows_both_plan_caches():
+    db = GraphDatabase()
+    for _ in range(10):  # enough data that two more paths are no drift
+        db.create_relationship(db.create_node(["A"]), db.create_node(["B"]), "X")
+    output = run_shell(
+        ":create-index ab (:A)-[:X]->(:B)\n"
+        "CREATE (:A)-[:X]->(:B);\n"
+        "CREATE (:A)-[:X]->(:B);\n"
+        ":metrics\n",
+        db=db,
+    )
+    assert "\nplan cache: 1 hits, 1 misses, 0 invalidations, 0 evictions, 1/128" in output
+    # Algorithm 2 planned once, Algorithm 1 once, and the second commit hit.
+    assert (
+        "\nmaintenance plan cache: 1 hits, 2 misses, 0 invalidations, "
+        "0 evictions, 2/128 entries"
+    ) in output
+
+
 def test_save_and_load_commands(tmp_path):
     db = GraphDatabase()
     db.create_node(["P"])

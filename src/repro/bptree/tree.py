@@ -167,8 +167,12 @@ class BPlusTree:
             if run_length:
                 self.pager.touch_run(run_start, run_length)
 
-    def scan_from(self, lower: Sequence[int]) -> Iterator[tuple[int, ...]]:
-        """Entries ≥ ``lower`` in ascending order (seek then scan)."""
+    def scan_from(
+        self, lower: Sequence[int], upper: Optional[tuple[int, ...]] = None
+    ) -> Iterator[tuple[int, ...]]:
+        """Entries ≥ ``lower`` (and < ``upper``, when given) in ascending
+        order (seek then scan). The upper end is found by one bisection in
+        the leaf that crosses it, not by a comparison per entry."""
         lower_tuple = validate_key(lower, self.key_width)
         # _descend already reports the first leaf to the page cache; only
         # subsequent leaves of the chain walk are touched here.
@@ -176,8 +180,14 @@ class BPlusTree:
         index = bisect.bisect_left(leaf.keys, lower_tuple)
         while leaf is not None:
             keys = leaf.keys
-            for position in range(index, len(keys)):
+            end = len(keys)
+            last = upper is not None and end > 0 and keys[-1] >= upper
+            if last:
+                end = bisect.bisect_left(keys, upper, index)
+            for position in range(index, end):
                 yield keys[position]
+            if last:
+                return
             leaf = leaf.next_leaf
             index = 0
             if leaf is not None:
@@ -185,11 +195,7 @@ class BPlusTree:
 
     def scan_prefix(self, prefix: Sequence[int]) -> Iterator[tuple[int, ...]]:
         """Entries whose key starts with ``prefix`` (logarithmic seek)."""
-        lower, upper = prefix_range(prefix, self.key_width)
-        for key in self.scan_from(lower):
-            if key >= upper:
-                return
-            yield key
+        return self.scan_from(*prefix_range(prefix, self.key_width))
 
     def count_prefix(self, prefix: Sequence[int]) -> int:
         """Number of entries sharing ``prefix`` (exact cardinality lookup).

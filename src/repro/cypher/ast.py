@@ -168,6 +168,34 @@ def contains_aggregate(expression: "Expression") -> bool:
     return False
 
 
+def id_equality(expression: "Expression") -> Optional[tuple[str, int]]:
+    """``id(v) = k`` or ``k = id(v)`` with ``k`` a non-negative integer
+    literal → ``(v, k)``; anything else → None.
+
+    The one place that decides which literals can name an entity: the
+    planner's NodeByIdSeek, its selectivity estimate and the path-index
+    scan bound all ask here, so everything they decline — ``TRUE`` (a bool
+    is an ``int`` to Python, not to Cypher), floats, strings, NULL,
+    negative numbers — stays an ordinary predicate with the evaluator's
+    semantics.
+    """
+    if not isinstance(expression, Comparison) or expression.op is not ComparisonOp.EQ:
+        return None
+    call, literal = expression.left, expression.right
+    if isinstance(call, Literal):
+        call, literal = literal, call
+    if not (
+        isinstance(call, FunctionCall)
+        and call.name == "id"
+        and isinstance(call.argument, Variable)
+        and isinstance(literal, Literal)
+        and type(literal.value) is int
+        and literal.value >= 0
+    ):
+        return None
+    return call.argument.name, literal.value
+
+
 @dataclass(frozen=True)
 class HasLabel(Expression):
     """`var:Label` used as a predicate (also produced by semantic analysis)."""

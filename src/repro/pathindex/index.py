@@ -16,9 +16,11 @@ a half-applied B+-tree split.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Sequence
+import bisect
+from typing import Callable, Iterator, Optional, Sequence
 
 from repro.bptree import BPlusTree
+from repro.bptree.keys import prefix_range
 from repro.errors import PathIndexError
 from repro.pathindex.pattern import PathPattern
 from repro.storage.pagecache import PageCache
@@ -197,10 +199,15 @@ class PathIndex:
         self,
         tree_iter: Iterator[tuple[int, ...]],
         overlay: dict[tuple[int, ...], bool],
+        adds: Optional[Sequence[tuple[int, ...]]] = None,
+        position: int = 0,
     ) -> Iterator[tuple[int, ...]]:
-        """Sorted merge of a tree scan with an overlay dict."""
-        adds = sorted(entry for entry, alive in overlay.items() if alive)
-        position, count = 0, len(adds)
+        """Sorted merge of a tree scan with an overlay; ``adds`` are the
+        overlay's live entries, sorted (worked out here when not given),
+        of which the scanned key range starts at ``position``."""
+        if adds is None:
+            adds = sorted(entry for entry, alive in overlay.items() if alive)
+        count = len(adds)
         for entry in tree_iter:
             while position < count and adds[position] < entry:
                 yield adds[position]
@@ -222,26 +229,38 @@ class PathIndex:
     def scan_prefix(self, prefix: Sequence[int]) -> Iterator[tuple[int, ...]]:
         if not self._deltas:
             return self.tree.scan_prefix(prefix)
-        prefix_tuple = tuple(prefix)
-        return self._merged(
-            self.tree.scan_prefix(prefix_tuple),
-            self._overlay_at(self._reading_lsn(), prefix_tuple),
-        )
+        return self.seeker(prefix)(prefix_range(prefix, self.pattern.key_width)[0])
 
     def prepare_prefix(self, prefix: Sequence[int], store) -> None:
         """Hook invoked before a prefix seek; partial indexes materialize the
         bound start node here. Fully materialized indexes need nothing."""
 
-    def scan_from(self, lower: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    def seeker(
+        self, prefix: Sequence[int] = ()
+    ) -> Callable[[Sequence[int]], Iterator[tuple[int, ...]]]:
+        """``seek(lower)``: the entries ≥ ``lower`` that start with
+        ``prefix``, in key order — one run of a (bounded) skip-scan, §5.1.2.
+
+        The reader's overlay is resolved here, once per run; each seek only
+        slices it by bisection. A skip-scan restarts its seek per violating
+        subtree and must not re-merge the delta list per restart.
+        """
+        tree_scan = self.tree.scan_from
+        upper = prefix_range(prefix, self.pattern.key_width)[1] if prefix else None
         if not self._deltas:
-            return self.tree.scan_from(lower)
-        lower_tuple = tuple(lower)
-        overlay = {
-            entry: alive
-            for entry, alive in self._overlay_at(self._reading_lsn()).items()
-            if entry >= lower_tuple
-        }
-        return self._merged(self.tree.scan_from(lower_tuple), overlay)
+            if upper is None:
+                return tree_scan
+            return lambda lower: tree_scan(lower, upper)
+        overlay = self._overlay_at(self._reading_lsn(), tuple(prefix))
+        adds = sorted(entry for entry, alive in overlay.items() if alive)
+
+        def seek(lower: Sequence[int]) -> Iterator[tuple[int, ...]]:
+            lower = tuple(lower)
+            return self._merged(
+                tree_scan(lower, upper), overlay, adds, bisect.bisect_left(adds, lower)
+            )
+
+        return seek
 
     def count_prefix(self, prefix: Sequence[int]) -> int:
         prefix_tuple = tuple(prefix)

@@ -174,11 +174,7 @@ class PartialPathIndex(PathIndex):
     def scan_materialized(self) -> Iterator[tuple[int, ...]]:
         """Everything currently materialized (diagnostics/tests); merges
         unfolded overlay deltas at the reader's LSN."""
-        if not self._deltas:
-            return self.tree.scan()
-        return self._merged(
-            self.tree.scan(), self._overlay_at(self._reading_lsn())
-        )
+        return PathIndex.scan(self)
 
     def __repr__(self) -> str:
         return (

@@ -14,7 +14,9 @@ Model (per Neo4j 3.5's assumption-of-independence estimator):
   ``est(L_start, T, L_end) / (|start| × |end|)`` where
   ``est = min(count(:L_start-[:T]->), count(-[:T]->:L_end))``;
 * predicate selectivities use fixed defaults (equality 0.1, inequality 0.9,
-  range 0.3, label predicate |L|/N).
+  range 0.3, label predicate |L|/N) — except ``id(x) = k``, which names one
+  entity and so selects ``1 / |x|`` of the pattern node or relationship it
+  is about.
 
 Estimates are a function of the *solved sub-pattern*, so plans solving the
 same part of the query graph always get the same cardinality — a requirement
@@ -135,7 +137,7 @@ class CardinalityEstimator:
             rel = query_graph.relationships[name]
             estimate *= self.relationship_selectivity(query_graph, rel)
         for selection in selections:
-            estimate *= self.predicate_selectivity(selection)
+            estimate *= self.predicate_selectivity(selection, query_graph)
         return max(estimate, 0.0)
 
     def relationship_selectivity(
@@ -156,21 +158,27 @@ class CardinalityEstimator:
             )
         return min(count / denominator, 1.0)
 
-    def predicate_selectivity(self, expression: ast.Expression) -> float:
-        """Fixed default selectivities for WHERE predicates."""
+    def predicate_selectivity(
+        self, expression: ast.Expression, query_graph: Optional[QueryGraph] = None
+    ) -> float:
+        """Fixed default selectivities for WHERE predicates; an ``id(x) = k``
+        over a variable of ``query_graph`` selects one of its candidates."""
         if isinstance(expression, ast.HasLabel):
             return self.label_selectivity(expression.label)
         if isinstance(expression, ast.Comparison):
             if expression.op is ast.ComparisonOp.EQ:
+                candidates = self._id_candidates(expression, query_graph)
+                if candidates is not None:
+                    return 1.0 / max(candidates, 1.0)
                 return DEFAULT_EQUALITY_SELECTIVITY
             if expression.op is ast.ComparisonOp.NEQ:
                 return 1.0 - DEFAULT_EQUALITY_SELECTIVITY
             return DEFAULT_RANGE_SELECTIVITY
         if isinstance(expression, ast.Not):
-            return 1.0 - self.predicate_selectivity(expression.operand)
+            return 1.0 - self.predicate_selectivity(expression.operand, query_graph)
         if isinstance(expression, ast.BooleanOp):
-            left = self.predicate_selectivity(expression.left)
-            right = self.predicate_selectivity(expression.right)
+            left = self.predicate_selectivity(expression.left, query_graph)
+            right = self.predicate_selectivity(expression.right, query_graph)
             if expression.op == "AND":
                 return left * right
             if expression.op == "OR":
@@ -181,6 +189,26 @@ class CardinalityEstimator:
     # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
+
+    def _id_candidates(
+        self, expression: ast.Expression, query_graph: Optional[QueryGraph]
+    ) -> Optional[float]:
+        """How many entities ``x`` ranges over when ``expression`` is
+        ``id(x) = k`` on a pattern variable; None for any other predicate."""
+        match = ast.id_equality(expression)
+        if match is None or query_graph is None:
+            return None
+        node = query_graph.nodes.get(match[0])
+        if node is not None:
+            return self.node_cardinality(node.labels)
+        rel = query_graph.relationships.get(match[0])
+        if rel is not None:
+            return self.relationship_count_estimate(
+                self._labels_of(query_graph, rel.start),
+                rel.types,
+                self._labels_of(query_graph, rel.end),
+            )
+        return None
 
     @staticmethod
     def _labels_of(query_graph: QueryGraph, node_name: str) -> frozenset[str]:

@@ -43,6 +43,10 @@ class CostModel:
     def node_by_label_scan(self, cardinality: float) -> float:
         return cardinality * COST_PER_ROW_LABEL_SCAN
 
+    def node_by_id_seek(self) -> float:
+        # One record fetch, whatever the label's size.
+        return COST_PER_ROW_SCAN
+
     def relationship_by_type_scan(self, cardinality: float) -> float:
         # §6.1: "the same per-row cost as NodeByLabelScan".
         return cardinality * COST_PER_ROW_LABEL_SCAN

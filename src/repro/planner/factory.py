@@ -26,6 +26,7 @@ from repro.planner.plans import (
     PlanExpand,
     PlanFilter,
     PlanLimit,
+    PlanNodeByIdSeek,
     PlanNodeByLabelScan,
     PlanNodeHashJoin,
     PlanPathIndexFilteredScan,
@@ -161,9 +162,29 @@ class PlanFactory:
         )
 
     def node_leaf(self, node_name: str) -> LogicalPlan:
-        """Cheapest scan producing ``node_name`` (label scan if labelled)."""
+        """Cheapest leaf producing ``node_name``: a seek when a selection
+        names its id, else a label scan if labelled, else all nodes."""
         node = self.query_graph.nodes[node_name]
         available = frozenset({node_name}) | self.arguments
+        for position in self.ready_selections(available, frozenset()):
+            match = ast.id_equality(self.selections[position])
+            if match is not None and match[0] == node_name:
+                applied = frozenset({position})
+                seek = PlanNodeByIdSeek(
+                    children=(),
+                    available=available,
+                    solved_rels=frozenset(),
+                    applied_selections=applied,
+                    cardinality=self._estimate(available, frozenset(), applied),
+                    cost=self.cost.node_by_id_seek(),
+                    indexes_used=frozenset(),
+                    node=node_name,
+                    node_id=match[1],
+                    post_labels=tuple(
+                        (node_name, label) for label in sorted(node.labels)
+                    ),
+                )
+                return self.with_filters(seek)
         cardinality = self.estimator.node_cardinality(node.labels)
         if node.labels:
             # Scan the most selective label, check the rest while scanning.
@@ -392,7 +413,7 @@ class PlanFactory:
             selectivity = 1.0
             for position in ready:
                 selectivity *= self.estimator.predicate_selectivity(
-                    self.selections[position]
+                    self.selections[position], self.query_graph
                 )
             cardinality = base_cardinality * selectivity
         predicates = tuple(self.selections[i] for i in sorted(ready))
@@ -560,7 +581,9 @@ class PlanFactory:
         """A Filter for predicates outside the selection list (WITH ... WHERE)."""
         selectivity = 1.0
         for predicate in predicates:
-            selectivity *= self.estimator.predicate_selectivity(predicate)
+            selectivity *= self.estimator.predicate_selectivity(
+                predicate, self.query_graph
+            )
         return PlanFilter(
             children=(child,),
             available=child.available,

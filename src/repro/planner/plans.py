@@ -9,8 +9,8 @@ them into iterator pipelines.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from functools import cached_property
 
 from repro.cypher import ast
 from repro.storage.graphstore import Direction
@@ -35,6 +35,12 @@ class LogicalPlan:
     def describe(self) -> str:
         """One-line description used in plan renderings."""
         return self.operator_name
+
+    @cached_property
+    def description(self) -> str:
+        """``describe()``, built once per node: every execution's profile
+        labels its operators with it, and plans are cached and immutable."""
+        return self.describe()
 
     def render(self, indent: int = 0, with_estimates: bool = True) -> str:
         """Multi-line tree rendering (the paper's Figure 6/10 style)."""
@@ -92,11 +98,17 @@ class PlanNodeByLabelScan(LogicalPlan):
 
 @dataclass(frozen=True)
 class PlanNodeByIdSeek(LogicalPlan):
+    """Fetch the one node an ``id(node) = k`` selection names: at most one
+    row — none when the id is unused, deleted, invisible to the reader's
+    snapshot, or lacks one of the pattern's labels (``post_labels``)."""
+
     node: str = ""
-    node_id_expr: Optional[ast.Expression] = None
+    node_id: int = 0
+    post_labels: tuple[tuple[str, str], ...] = ()
 
     def describe(self) -> str:
-        return f"NodeByIdSeek({self.node} = {self.node_id_expr})"
+        labels = "".join(f"; {var}:{label}" for var, label in self.post_labels)
+        return f"NodeByIdSeek({self.node} = {self.node_id}{labels})"
 
 
 @dataclass(frozen=True)

@@ -328,7 +328,7 @@ class MemoryTracker:
 
     @staticmethod
     def _describe(op) -> str:
-        return op if isinstance(op, str) else op.describe()
+        return op if isinstance(op, str) else op.description
 
     def charge(self, op, nbytes: int) -> None:
         """Account ``nbytes`` against ``op``; may raise

@@ -67,6 +67,7 @@ from repro.planner.plans import (
     PlanExpand,
     PlanFilter,
     PlanLimit,
+    PlanNodeByIdSeek,
     PlanNodeByLabelScan,
     PlanNodeHashJoin,
     PlanPathIndexFilteredScan,
@@ -89,6 +90,8 @@ from repro.runtime.operators import (
     _hashable,
     _label_ids,
     _labels_ok,
+    _leading_prefix,
+    _node_id_seeker,
     _resolve_type_ids,
     _skip_target,
     _sort_key,
@@ -217,6 +220,8 @@ def _compile(
         return _all_nodes_scan(plan, ctx, layout, morsel_size)
     if isinstance(plan, PlanNodeByLabelScan):
         return _node_by_label_scan(plan, ctx, layout, morsel_size)
+    if isinstance(plan, PlanNodeByIdSeek):
+        return _node_by_id_seek(plan, ctx, layout)
     if isinstance(plan, PlanRelationshipByTypeScan):
         return _relationship_by_type_scan(plan, ctx, layout, morsel_size)
     if isinstance(plan, PlanExpand):
@@ -320,6 +325,21 @@ def _node_by_label_scan(
                 append = out.append
         if out:
             yield out
+
+    return run
+
+
+def _node_by_id_seek(
+    plan: PlanNodeByIdSeek, ctx: RuntimeContext, layout: SlotLayout
+) -> BatchRunFn:
+    slot = layout.slot_of(plan.node)
+    found = _node_id_seeker(plan, ctx)
+
+    def run(arg: list) -> Iterator[list]:
+        if found(arg[slot]):
+            row = arg[:]
+            row[slot] = plan.node_id
+            yield [row]
 
     return run
 
@@ -677,11 +697,14 @@ def _path_index_scan(
         raise ReproError("PathIndexScan requires a path index store")
     index = ctx.index_store.get(plan.index_name)
     bind = _slot_entry_binder(plan, ctx, layout)
+    entry_slots = [layout.slot_of(var) for var in plan.entry_vars]
+    unknown = (None,) * len(entry_slots)
 
     def run(arg: list) -> Iterator[list]:
         out: list = []
         append = out.append
-        for entry in index.scan():
+        prefix = _leading_prefix(unknown, [arg[slot] for slot in entry_slots])
+        for entry in index.scan_prefix(prefix) if prefix else index.scan():
             row = bind(entry, arg)
             if row is not None:
                 append(row)
@@ -705,20 +728,29 @@ def _path_index_filtered_scan(
         raise ReproError("PathIndexFilteredScan requires a path index store")
     index = ctx.index_store.get(plan.index_name)
     bind = _slot_entry_binder(plan, ctx, layout)
-    width = len(plan.entry_vars)
-    must_differ, must_equal, residual = _filtered_scan_constraints(plan)
+    entry_slots = [layout.slot_of(var) for var in plan.entry_vars]
+    width = len(entry_slots)
+    constraints = _filtered_scan_constraints(plan)
+    must_differ, must_equal = constraints.must_differ, constraints.must_equal
+    checks = constraints.checks
     predicates = [
         compile_predicate(predicate, layout.slot_of, ctx.eval_ctx)
-        for predicate in residual
+        for predicate in constraints.residual
     ]
 
     def run(arg: list) -> Iterator[list]:
         out: list = []
         append = out.append
-        lower = (0,) * width
+        prefix = _leading_prefix(
+            constraints.constants, [arg[slot] for slot in entry_slots]
+        )
+        seek = index.seeker(prefix)
+        lower = prefix + (0,) * (width - len(prefix))
         while True:
             restart: Optional[tuple[int, ...]] = None
-            for entry in index.scan_from(lower):
+            for entry in seek(lower):
+                if any(entry[position] != value for position, value in checks):
+                    continue
                 violation = _skip_target(entry, must_differ, must_equal, width)
                 if violation is not None:
                     restart = violation

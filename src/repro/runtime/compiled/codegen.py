@@ -71,6 +71,7 @@ from repro.planner.plans import (
     PlanExpand,
     PlanFilter,
     PlanLimit,
+    PlanNodeByIdSeek,
     PlanNodeByLabelScan,
     PlanNodeHashJoin,
     PlanPathIndexFilteredScan,
@@ -94,6 +95,8 @@ from repro.runtime.operators import (
     _filtered_scan_constraints,
     _hashable,
     _label_ids,
+    _leading_prefix,
+    _node_id_seeker,
     _resolve_type_ids,
     _skip_target,
     _sort_key,
@@ -398,6 +401,19 @@ def _p_node_by_label_scan(
             consume(scope.binding(**{plan.node: node}))
 
 
+def _p_node_by_id_seek(comp: PartCompiler, plan: PlanNodeByIdSeek, consume) -> None:
+    scope = comp.initial_scope
+    found = comp.add_env("found", _node_id_seeker(plan, comp.ctx))
+    # A one-iteration loop so downstream `continue` has a loop to target.
+    comp.emit("for _ in (0,):")
+    with comp.block():
+        comp.emit(f"if not {found}({comp.ref(scope, plan.node)}):")
+        with comp.block():
+            comp.emit("continue")
+        comp.count_and_check(plan)
+        consume(scope.binding(**{plan.node: repr(plan.node_id)}))
+
+
 def _p_relationship_by_type_scan(
     comp: PartCompiler, plan: PlanRelationshipByTypeScan, consume
 ) -> None:
@@ -696,15 +712,28 @@ def _p_filter(comp: PartCompiler, plan: PlanFilter, consume) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _emit_leading_prefix(comp: PartCompiler, plan, constants) -> str:
+    """Emit the run's key prefix (see ``_leading_prefix``) into a local."""
+    prefix_of = comp.add_env(
+        "pfx", lambda bound, constants=constants: _leading_prefix(constants, bound)
+    )
+    bound = ", ".join(comp.ref(comp.initial_scope, var) for var in plan.entry_vars)
+    prefix = comp.fresh("pf")
+    comp.emit(f"{prefix} = {prefix_of}(({bound},))")
+    return prefix
+
+
 def _p_path_index_scan(comp: PartCompiler, plan: PlanPathIndexScan, consume) -> None:
     ctx = comp.ctx
     if ctx.index_store is None:
         raise CompiledUnsupported("PathIndexScan without an index store")
     index = ctx.index_store.get(plan.index_name)
     scan = comp.add_env("iscan", index.scan)
+    scan_prefix = comp.add_env("ipfx", index.scan_prefix)
     bind = comp.add_env("bind", _slot_entry_binder(plan, ctx, comp.layout))
+    prefix = _emit_leading_prefix(comp, plan, (None,) * len(plan.entry_vars))
     entry, row = comp.fresh("en"), comp.fresh("rw")
-    comp.emit(f"for {entry} in {scan}():")
+    comp.emit(f"for {entry} in {scan_prefix}({prefix}) if {prefix} else {scan}():")
     with comp.block():
         comp.tick()
         comp.emit(f"{row} = {bind}({entry}, _arg)")
@@ -722,32 +751,38 @@ def _p_path_index_filtered_scan(
     if ctx.index_store is None:
         raise CompiledUnsupported("PathIndexFilteredScan without an index store")
     index = ctx.index_store.get(plan.index_name)
-    scan_from = comp.add_env("isf", index.scan_from)
+    seeker = comp.add_env("isk", index.seeker)
     bind = comp.add_env("bind", _slot_entry_binder(plan, ctx, comp.layout))
     width = len(plan.entry_vars)
-    must_differ, must_equal, residual = _filtered_scan_constraints(plan)
+    constraints = _filtered_scan_constraints(plan)
     skip = comp.add_env(
         "skip",
-        lambda entry, d=must_differ, e=must_equal, w=width: _skip_target(
-            entry, d, e, w
+        lambda entry, d=constraints.must_differ, e=constraints.must_equal, w=width: (
+            _skip_target(entry, d, e, w)
         ),
     )
     predicates = [
         comp.add_env(
             "p", compile_predicate(predicate, comp.layout.slot_of, ctx.eval_ctx)
         )
-        for predicate in residual
+        for predicate in constraints.residual
     ]
-    lower, again = comp.fresh("lo"), comp.fresh("go")
+    prefix = _emit_leading_prefix(comp, plan, constraints.constants)
+    seek, lower, again = comp.fresh("sk"), comp.fresh("lo"), comp.fresh("go")
     entry, row, violation = comp.fresh("en"), comp.fresh("rw"), comp.fresh("vi")
-    comp.emit(f"{lower} = (0,) * {width}")
+    comp.emit(f"{seek} = {seeker}({prefix})")
+    comp.emit(f"{lower} = {prefix} + (0,) * ({width} - len({prefix}))")
     comp.emit(f"{again} = True")
     comp.emit(f"while {again}:")
     with comp.block():
         comp.emit(f"{again} = False")
-        comp.emit(f"for {entry} in {scan_from}({lower}):")
+        comp.emit(f"for {entry} in {seek}({lower}):")
         with comp.block():
             comp.tick()
+            for position, value in constraints.checks:
+                comp.emit(f"if {entry}[{position}] != {value}:")
+                with comp.block():
+                    comp.emit("continue")
             comp.emit(f"{violation} = {skip}({entry})")
             comp.emit(f"if {violation} is not None:")
             with comp.block():
@@ -1061,6 +1096,7 @@ PRODUCERS: dict[type, Callable] = {
     PlanArgument: _p_argument,
     PlanAllNodesScan: _p_all_nodes_scan,
     PlanNodeByLabelScan: _p_node_by_label_scan,
+    PlanNodeByIdSeek: _p_node_by_id_seek,
     PlanRelationshipByTypeScan: _p_relationship_by_type_scan,
     PlanExpand: _p_expand,
     PlanNodeHashJoin: _p_node_hash_join,

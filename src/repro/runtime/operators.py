@@ -13,12 +13,14 @@ a function ``run(argument_row) -> Iterator[Row]``. Every operator:
 entry violates an entry-internal constraint (repeated relationship, a
 ``x <> y`` predicate over entry variables, or a binding inconsistency), the
 scan seeks past the whole violating subtree instead of stepping entry by
-entry.
+entry. Identifiers the scan knows before it starts — ``id(v) = k`` literals
+and variables bound by the argument row — bound the scan itself for as long
+as they form a leading key prefix: it starts at the prefix and ends with it.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from repro.cypher import ast
 from repro.errors import ReproError
@@ -33,6 +35,7 @@ from repro.planner.plans import (
     PlanExpand,
     PlanFilter,
     PlanLimit,
+    PlanNodeByIdSeek,
     PlanNodeByLabelScan,
     PlanNodeHashJoin,
     PlanPathIndexFilteredScan,
@@ -78,7 +81,7 @@ class OperatorProfile:
         key = id(plan)
         self.rows[key] = self.rows.get(key, 0) + count
         if key not in self.descriptions:
-            self.descriptions[key] = plan.describe()
+            self.descriptions[key] = plan.description
 
     def record_memory(self, key, peak: int, spills: int, description: str) -> None:
         self.peak_bytes[key] = max(self.peak_bytes.get(key, 0), peak)
@@ -186,6 +189,8 @@ def _compile(plan: LogicalPlan, ctx: RuntimeContext) -> RunFn:
         return _all_nodes_scan(plan, ctx)
     if isinstance(plan, PlanNodeByLabelScan):
         return _node_by_label_scan(plan, ctx)
+    if isinstance(plan, PlanNodeByIdSeek):
+        return _node_by_id_seek(plan, ctx)
     if isinstance(plan, PlanRelationshipByTypeScan):
         return _relationship_by_type_scan(plan, ctx)
     if isinstance(plan, PlanExpand):
@@ -287,6 +292,46 @@ def _node_by_label_scan(plan: PlanNodeByLabelScan, ctx: RuntimeContext) -> RunFn
             if post and not _labels_ok(ctx, node_id, post):
                 continue
             yield arg_row.extended({node_var: node_id})
+
+    return run
+
+
+def _node_id_seeker(
+    plan: PlanNodeByIdSeek, ctx: RuntimeContext
+) -> Callable[[object], bool]:
+    """``found(bound)`` for all three engines: does ``plan.node_id`` name a
+    node the reader can see — the same record version a label scan would
+    have produced — that carries the pattern's labels and agrees with
+    ``bound``, the argument row's binding of the variable (None: unbound)?"""
+    node_id = plan.node_id
+    try_read = ctx.store.nodes.try_read
+    id_of = ctx.store.labels.id_of
+    label_names = [label for _, label in plan.post_labels]
+    label_ids = [id_of(label) for label in label_names]
+
+    def found(bound: object) -> bool:
+        if bound is not None and bound != node_id:
+            return False
+        record = try_read(node_id)
+        if record is None:
+            return False
+        # Re-resolved while incomplete: an earlier part of the same query
+        # may have created the label (parts compile before rows flow).
+        required = (
+            label_ids if None not in label_ids else [id_of(label) for label in label_names]
+        )
+        return all(label_id in record.labels for label_id in required)
+
+    return found
+
+
+def _node_by_id_seek(plan: PlanNodeByIdSeek, ctx: RuntimeContext) -> RunFn:
+    node_var = plan.node
+    found = _node_id_seeker(plan, ctx)
+
+    def run(arg_row: Row) -> Iterator[Row]:
+        if found(arg_row.values.get(node_var)):
+            yield arg_row.extended({node_var: plan.node_id})
 
     return run
 
@@ -535,14 +580,36 @@ def _entry_binder(
     return bind
 
 
+def _leading_prefix(
+    constants: Sequence[Optional[int]], bound: Sequence[object]
+) -> tuple[int, ...]:
+    """The key prefix a scan can be confined to: per entry position the id
+    an ``id(v) = k`` literal fixes, else the argument row's binding of the
+    variable, for as long as there is one. A later known id is no bound —
+    seeking to it per entry is a tree descent per entry, slower than the
+    sequential read — and stays a per-entry check."""
+    prefix: list[int] = []
+    for constant, value in zip(constants, bound):
+        if constant is None:
+            constant = value
+        if type(constant) is not int or constant < 0:
+            break
+        prefix.append(constant)
+    return tuple(prefix)
+
+
 def _path_index_scan(plan: PlanPathIndexScan, ctx: RuntimeContext) -> RunFn:
     if ctx.index_store is None:
         raise ReproError("PathIndexScan requires a path index store")
     index = ctx.index_store.get(plan.index_name)
     bind = _entry_binder(plan, ctx)
+    entry_vars = plan.entry_vars
+    unknown = (None,) * len(entry_vars)
 
     def run(arg_row: Row) -> Iterator[Row]:
-        for entry in index.scan():
+        get = arg_row.values.get
+        prefix = _leading_prefix(unknown, [get(var) for var in entry_vars])
+        for entry in index.scan_prefix(prefix) if prefix else index.scan():
             row = bind(entry, arg_row)
             if row is not None:
                 yield row
@@ -557,14 +624,24 @@ def _path_index_filtered_scan(
         raise ReproError("PathIndexFilteredScan requires a path index store")
     index = ctx.index_store.get(plan.index_name)
     bind = _entry_binder(plan, ctx)
-    width = len(plan.entry_vars)
-    must_differ, must_equal, residual_predicates = _filtered_scan_constraints(plan)
+    entry_vars = plan.entry_vars
+    width = len(entry_vars)
+    constraints = _filtered_scan_constraints(plan)
+    must_differ, must_equal = constraints.must_differ, constraints.must_equal
+    checks = constraints.checks
 
     def run(arg_row: Row) -> Iterator[Row]:
-        lower = (0,) * width
+        get = arg_row.values.get
+        prefix = _leading_prefix(
+            constraints.constants, [get(var) for var in entry_vars]
+        )
+        seek = index.seeker(prefix)
+        lower = prefix + (0,) * (width - len(prefix))
         while True:
             restart: Optional[tuple[int, ...]] = None
-            for entry in index.scan_from(lower):
+            for entry in seek(lower):
+                if any(entry[position] != value for position, value in checks):
+                    continue
                 violation = _skip_target(entry, must_differ, must_equal, width)
                 if violation is not None:
                     restart = violation
@@ -574,7 +651,7 @@ def _path_index_filtered_scan(
                     continue
                 if all(
                     is_true(predicate, row, ctx.eval_ctx)
-                    for predicate in residual_predicates
+                    for predicate in constraints.residual
                 ):
                     yield row
             if restart is None:
@@ -584,18 +661,29 @@ def _path_index_filtered_scan(
     return run
 
 
-def _filtered_scan_constraints(
-    plan: PlanPathIndexFilteredScan,
-) -> tuple[
-    list[tuple[int, int]], list[tuple[int, int]], list[ast.Expression]
-]:
-    """Skip-scan constraints (§5.1.2), shared by both engines.
+class ScanConstraints(NamedTuple):
+    """What a PathIndexFilteredScan checks on the entry tuple itself."""
 
-    Returns ``(must_differ, must_equal, residual_predicates)``: pairs of
-    entry positions that must differ (relationship uniqueness and top-level
-    ``x <> y`` predicates over two entry variables), pairs that must be equal
-    (repeated variables), and the predicates the skip-scan cannot absorb.
-    """
+    must_differ: list[tuple[int, int]]
+    """Position pairs that must differ: relationship uniqueness and
+    top-level ``x <> y`` predicates over two entry variables."""
+    must_equal: list[tuple[int, int]]
+    """Position pairs that must be equal (repeated variables)."""
+    constants: tuple[Optional[int], ...]
+    """Per position, the ``k`` of an ``id(v) = k`` predicate on its variable
+    (None: no such predicate); its leading run bounds the scan."""
+    checks: list[tuple[int, int]]
+    """``(position, k)`` for the constants behind that leading run."""
+    residual: list[ast.Expression]
+    """The predicates none of the above absorbs, evaluated per bound row."""
+
+
+def _filtered_scan_constraints(plan: PlanPathIndexFilteredScan) -> ScanConstraints:
+    """Skip-scan constraints (§5.1.2), shared by all engines and kept on
+    the (immutable, cached) plan node they were derived from."""
+    cached = plan.__dict__.get("_scan_constraints")
+    if cached is not None:
+        return cached
     entry_vars = plan.entry_vars
     width = len(entry_vars)
     position_of: dict[str, int] = {}
@@ -618,15 +706,39 @@ def _filtered_scan_constraints(
     for position, var in enumerate(entry_vars):
         if position % 2 == 0 and position_of[var] != position:
             must_equal.append((position_of[var], position))
+    id_of_var: dict[str, int] = {}
     for predicate in plan.predicates:
         pair = _neq_entry_pair(predicate, position_of)
+        fixed = ast.id_equality(predicate)
         if pair is not None:
             must_differ.append(pair)
+        elif (
+            fixed is not None
+            and fixed[0] in position_of
+            and fixed[0] not in id_of_var
+        ):
+            id_of_var[fixed[0]] = fixed[1]
         else:
+            # Including a second ``id(v) = k'`` on the same variable: it is
+            # evaluated against the one entry range the first leaves.
             residual_predicates.append(predicate)
     must_differ.sort(key=lambda pair: pair[1])
     must_equal.sort(key=lambda pair: pair[1])
-    return must_differ, must_equal, residual_predicates
+    constants = tuple(id_of_var.get(var) for var in entry_vars)
+    bounded = len(_leading_prefix(constants, constants))
+    constraints = ScanConstraints(
+        must_differ,
+        must_equal,
+        constants,
+        [
+            (position, value)
+            for position, value in enumerate(constants)
+            if value is not None and position >= bounded
+        ],
+        residual_predicates,
+    )
+    plan.__dict__["_scan_constraints"] = constraints
+    return constraints
 
 
 def _skip_target(entry, differ, equal, width) -> Optional[tuple[int, ...]]:

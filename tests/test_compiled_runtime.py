@@ -359,6 +359,194 @@ def test_random_graphs_agree_across_plan_families(seed):
 
 
 # ----------------------------------------------------------------------
+# Sargable id(v) = k: bounded scans and NodeByIdSeek vs the unindexed plan
+# ----------------------------------------------------------------------
+
+NO_INDEXES = PlannerHints(allowed_indexes=frozenset())
+
+SARGABLE_MATCHES = [
+    # (pattern text, its variables in path order: node, rel, node, ...)
+    ("MATCH (a:A)-[x:X]->(b:B)", ("a", "x", "b")),
+    ("MATCH (a:A)-[x:X]->(b)-[y:Y]->(c:A)", ("a", "x", "b", "y", "c")),
+    ("MATCH (a:A)-[x:X]->(b)-[y:X]->(c)", ("a", "x", "b", "y", "c")),
+]
+
+
+def row_key(row):
+    return tuple(sorted(row.items()))
+
+
+def run_three_cached(db, query, hints):
+    """``run_three``; the second and third execution must come from the
+    plan cache (the bound is part of the cached plan, not of a re-plan)."""
+    hits = db.plan_cache.hits
+    rows = run_three(db, query, hints)
+    assert db.plan_cache.hits - hits >= 2, query
+    return sorted(rows, key=row_key)
+
+
+def check_id_equalities(db, rng):
+    """Every pattern x every entry position (leading, middle, trailing;
+    node and relationship) x both operand orders x every plan family: the
+    three engines agree on rows and per-operator profiles, and every plan
+    agrees with the one that may use no index."""
+    missing = 10_000
+    for match, variables in SARGABLE_MATCHES:
+        everything = db.execute(f"{match} RETURN *", NO_INDEXES).to_list()
+        for position, variable in enumerate(variables):
+            candidates = sorted({row[variable] for row in everything})
+            known = rng.choice(candidates) if candidates else missing
+            for k in (known, missing):
+                equality = (
+                    f"id({variable}) = {k}" if position % 2 else f"{k} = id({variable})"
+                )
+                texts = [f"{match} WHERE {equality} RETURN *"]
+                if position == 1:
+                    # A relationship constant joins the bound only when the
+                    # node before it is fixed too.
+                    start = next(
+                        (r[variables[0]] for r in everything if r[variable] == k), 0
+                    )
+                    texts.append(
+                        f"{match} WHERE id({variables[0]}) = {start} AND "
+                        f"{equality} RETURN *"
+                    )
+                for text in texts:
+                    expected = sorted(
+                        (
+                            row
+                            for row in everything
+                            if row[variable] == k
+                            and ("AND" not in text or row[variables[0]] == start)
+                        ),
+                        key=row_key,
+                    )
+                    assert run_three_cached(db, text, NO_INDEXES) == expected, text
+                    assert run_three_cached(db, text, None) == expected, text
+                    for name in INDEX_PATTERNS:
+                        try:
+                            rows = run_three_cached(db, text, forced(name))
+                        except PlannerError:
+                            continue  # index does not embed into this query
+                        assert rows == expected, (text, name)
+    assert fallback_counts() == {}
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10_000))
+def test_id_equality_agrees_across_engines_and_plans(seed):
+    db = build_random_db(seed)
+    for name, pattern in INDEX_PATTERNS.items():
+        db.create_path_index(name, pattern)
+    check_id_equalities(db, random.Random(seed))
+
+
+def test_id_equality_agrees_under_memory_budget():
+    """The 8 MiB budget / 8 KiB grant variant CI runs the suite under."""
+    rng = random.Random(11)
+    db = GraphDatabase(memory_budget=8 << 20, memory_grant=8192)
+    nodes = [db.create_node(rng.sample(LABELS, rng.randrange(0, 3))) for _ in range(9)]
+    for _ in range(17):
+        db.create_relationship(rng.choice(nodes), rng.choice(nodes), rng.choice(TYPES))
+    for name, pattern in INDEX_PATTERNS.items():
+        db.create_path_index(name, pattern)
+    check_id_equalities(db, rng)
+
+
+def engine_rows(db, text, hints=None):
+    """Sorted rows per engine; asserts the three agree."""
+    per_engine = [
+        sorted(
+            db.execute(text, hints, execution_mode=mode).to_list(), key=row_key
+        )
+        for mode in ("row", "batched", "compiled")
+    ]
+    assert per_engine[0] == per_engine[1] == per_engine[2], text
+    return per_engine[0]
+
+
+def id_texts(k):
+    """(sargable text, the same predicate written so that nothing can seek
+    it) for a node seek, a bounded scan and a trailing per-entry check."""
+    shapes = [
+        ("MATCH (a:A) WHERE {} RETURN id(a) AS a", "a"),
+        ("MATCH (a:A)-[x:X]->(b:B) WHERE {} RETURN id(a) AS a, id(b) AS b", "a"),
+        ("MATCH (a:A)-[x:X]->(b:B) WHERE {} RETURN id(a) AS a, id(b) AS b", "b"),
+    ]
+    return [
+        (shape.format(f"id({v}) = {k}"), shape.format(f"id({v}) + 0 = {k}"))
+        for shape, v in shapes
+    ]
+
+
+def chain_pairs_db(pairs=6):
+    db = GraphDatabase()
+    ids = []
+    for _ in range(pairs):
+        a, b = db.create_node(["A"]), db.create_node(["B"])
+        ids.append((a, b, db.create_relationship(a, b, "X")))
+    db.create_path_index("ix_x", "(:A)-[:X]->(:B)")
+    return db, ids
+
+
+def test_id_equality_visibility_matches_scan_and_filter():
+    """Missing, deleted, beyond-the-snapshot and in-transaction ids: the
+    seek and the bounded scan see exactly what scan + filter sees."""
+    db, ids = chain_pairs_db()
+    a0, b0, x0 = ids[0]
+    for hints in (None, NO_INDEXES, forced("ix_x")):
+        for k in (a0, b0, 10_000):  # hit, wrong-label hit, beyond high water
+            for sargable, oracle in id_texts(k):
+                try:
+                    assert engine_rows(db, sargable, hints) == engine_rows(
+                        db, oracle, NO_INDEXES
+                    ), (sargable, hints)
+                except PlannerError:
+                    assert hints is not None and "-[x:X]->" not in sargable
+    # Pinned before the writes below: sees none of them, at any time.
+    clock = db.store.mvcc
+    pinned = clock.acquire()
+    try:
+        new_a, new_b = db.create_node(["A"]), db.create_node(["B"])
+        db.create_relationship(new_a, new_b, "X")
+        db.delete_relationship(x0)
+        db.execute(f"MATCH (a:A) WHERE id(a) = {a0} DELETE a")  # id not reused
+        assert db.path_index("ix_x").delta_count() > 0  # read through the overlay
+        for hints in (None, forced("ix_x")):
+            assert engine_rows(db, id_texts(a0)[1][0], hints) == []
+            assert engine_rows(db, id_texts(new_a)[1][0], hints) == [
+                {"a": new_a, "b": new_b}
+            ]
+            with clock.reading(pinned):
+                assert engine_rows(db, id_texts(a0)[1][0], hints) == [
+                    {"a": a0, "b": b0}
+                ]
+                assert engine_rows(db, id_texts(new_a)[1][0], hints) == []
+                assert engine_rows(db, id_texts(new_b)[2][0], hints) == []
+        assert engine_rows(db, id_texts(a0)[0][0]) == []
+        with clock.reading(pinned):
+            assert engine_rows(db, id_texts(a0)[0][0]) == [{"a": a0}]
+            assert engine_rows(db, id_texts(new_a)[0][0]) == []
+    finally:
+        clock.release(pinned)
+    # The open transaction's own writes: creates are eager, deletes are
+    # deferred to commit — for the seek exactly as for scan + filter.
+    a1 = ids[1][0]
+    with db.begin() as tx:
+        created = tx.create_node([db.label("A")])
+        tx.delete_relationship(ids[1][2])
+        tx.delete_node(a1)
+        for k in (created, a1):
+            sargable, oracle = id_texts(k)[0]
+            assert engine_rows(db, sargable) == engine_rows(db, oracle) == [{"a": k}]
+        tx.success()
+    for k, expected in ((created, [{"a": created}]), (a1, [])):
+        sargable, oracle = id_texts(k)[0]
+        assert engine_rows(db, sargable) == engine_rows(db, oracle) == expected
+    assert fallback_counts() == {}
+
+
+# ----------------------------------------------------------------------
 # Transparent fallback to the batched engine
 # ----------------------------------------------------------------------
 

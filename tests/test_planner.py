@@ -395,3 +395,200 @@ def test_estimator_misprediction_on_correlated_data():
     assert actual == 10
     # The estimator assumes every R is equally likely to precede an S.
     assert estimate > actual * 3
+
+
+# ---------------------------------------------------------------------------
+# Sargable id(x) = k: NodeByIdSeek, its estimate, and the benchmark's plans
+# ---------------------------------------------------------------------------
+
+
+def test_id_equality_plans_node_by_id_seek(chain_db):
+    from repro.planner.plans import PlanFilter, PlanNodeByIdSeek
+
+    for text in (
+        "MATCH (a:A)-[r:R]->(b:B) WHERE id(a) = 3 RETURN b",
+        "MATCH (a:A)-[r:R]->(b:B) WHERE 3 = id(a) RETURN b",
+    ):
+        (plan,) = planned(chain_db, text)
+        seek = find_op(plan, PlanNodeByIdSeek)
+        assert seek is not None, plan.render()
+        assert (seek.node, seek.node_id, seek.post_labels) == ("a", 3, (("a", "A"),))
+        assert seek.cardinality == pytest.approx(1.0)
+        assert seek.description == "NodeByIdSeek(a = 3; a:A)"
+        operators = plan_operators(plan)
+        assert "PlanNodeByLabelScan" not in operators
+        assert find_op(plan, PlanFilter) is None  # the seek applied it
+    (plan,) = planned(chain_db, "MATCH (n) WHERE id(n) = 3 RETURN n")
+    assert find_op(plan, PlanNodeByIdSeek).description == "NodeByIdSeek(n = 3)"
+
+
+@pytest.mark.parametrize(
+    "predicate",
+    [
+        "id(a) = TRUE",  # a bool is an int to Python, not to Cypher
+        "id(a) = 3.0",
+        "id(a) = '3'",
+        "id(a) = NULL",
+        "id(a) = -3",
+        "id(a) = id(b)",
+        "id(a) + 0 = 3",
+        "id(a) <> 3",
+    ],
+)
+def test_non_id_literals_stay_ordinary_predicates(chain_db, predicate):
+    from repro.planner.plans import PlanNodeByIdSeek
+
+    (plan,) = planned(
+        chain_db, f"MATCH (a:A)-[r:R]->(b:B) WHERE {predicate} RETURN b"
+    )
+    assert find_op(plan, PlanNodeByIdSeek) is None, plan.render()
+
+
+def test_second_id_equality_on_a_variable_stays_a_filter(chain_db):
+    from repro.planner.plans import PlanFilter, PlanNodeByIdSeek
+
+    text = "MATCH (a:A) WHERE id(a) = 0 AND id(a) = 3 RETURN a"
+    (plan,) = planned(chain_db, text)
+    assert find_op(plan, PlanNodeByIdSeek).node_id == 0
+    assert [str(p) for p in find_op(plan, PlanFilter).predicates] == ["id(a) = 3"]
+    assert chain_db.execute(text).to_list() == []
+    assert len(chain_db.execute("MATCH (a:A) WHERE id(a) = 0 AND id(a) = 0 RETURN a").to_list()) == 1
+
+
+def test_id_equality_selectivity_is_one_candidate(chain_db):
+    from repro.cypher import analyze, parse
+    from repro.planner import CardinalityEstimator
+    from repro.querygraph import build_query_parts
+
+    (part,) = build_query_parts(
+        analyze(
+            parse(
+                "MATCH (a:A)-[r:R]->(b:B) "
+                "WHERE id(a) = 3 AND id(r) = 1 AND a.v = 1 RETURN b"
+            )
+        )
+    )
+    by_id, by_rel, by_property = part.query_graph.selections
+    est = CardinalityEstimator(
+        chain_db.store.statistics, chain_db.store.labels, chain_db.store.types
+    )
+    assert est.predicate_selectivity(by_id, part.query_graph) == pytest.approx(1 / 20)
+    assert est.predicate_selectivity(by_rel, part.query_graph) == pytest.approx(1 / 20)
+    # Everything else — and an id-equality whose variable is unknown — keeps
+    # the paper's defaults.
+    assert est.predicate_selectivity(by_property, part.query_graph) == 0.1
+    assert est.predicate_selectivity(by_id) == 0.1
+
+
+def _perfbench():
+    """The benchmark's own workload classes, so the golden plans below are
+    the plans of the texts it runs — not of a copy of them."""
+    import os
+    import sys
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    if not os.path.isdir(os.path.join(root, "perfbench")):
+        pytest.skip("perfbench/ is not part of this checkout")
+    if root not in sys.path:
+        sys.path.insert(0, root)
+    import perfbench
+    from perfbench import embedded
+
+    return perfbench, embedded
+
+
+def _shapes(db, texts_and_hints):
+    import re
+
+    return [
+        re.sub(
+            r"= \d+",
+            "= k",
+            "\n".join(
+                plan.render(with_estimates=False)
+                for plan in planned(db, text, hints)
+            ),
+        )
+        for text, hints in texts_and_hints
+    ]
+
+
+def test_golden_plans_of_perfbench_index_read(tmp_path):
+    """``index_read`` fails its run when PathIndexScan, PathIndexFilteredScan
+    or PathIndexPrefixSeek drops out of these five plans; a cost change that
+    flips one is caught here first."""
+    perfbench, embedded = _perfbench()
+    workload = embedded.IndexRead(
+        perfbench.DEFAULT_SEED, perfbench.FULL, str(tmp_path), False
+    )
+    workload.setup()
+    try:
+        assert workload.missing_operators == []
+        shapes = _shapes(workload.db, [(r.text, r.hints) for r in workload.reads])
+    finally:
+        workload.db.close()
+    star = "Projection(a AS a, w AS w, b AS b, x AS x, c AS c, y AS y, d AS d, z AS z, e AS e)\n"
+    assert shapes == [
+        star + "  PathIndexScan(Full: a, w, b, x, c, y, d, z, e)",
+        star + "  PathIndexFilteredScan(Full: a, w, b, x, c, y, d, z, e; a <> e)",
+        "Projection(id(a) AS a, id(d) AS d)\n"
+        "  PathIndexPrefixSeek(Sub4: [b] -> x, c, y, d)\n"
+        "    Expand(All)((a)-[w:X]->(b))\n"
+        "      NodeByIdSeek(a = k; a:A)",
+        "Projection(id(d) AS d)\n"
+        "  PathIndexFilteredScan(Sub7: a, y, d; id(a) = k)",
+        "Projection(id(d) AS d)\n"
+        "  PathIndexFilteredScan(Sub1: a, w, b, x, c, y, d; id(a) = k)",
+    ]
+
+
+def test_golden_plans_of_perfbench_adhoc_families(tmp_path):
+    perfbench, embedded = _perfbench()
+    workload = embedded.AdhocPlan(
+        perfbench.DEFAULT_SEED, perfbench.FULL, str(tmp_path), False
+    )
+    workload.setup()
+    try:
+        texts = [
+            workload.text(workload.graph, workload.order, n)
+            for n in range(len(workload.FAMILIES))
+        ]
+        shapes = _shapes(workload.db, [(text, None) for text in texts])
+    finally:
+        workload.db.close()
+    limit = "Limit(skip=0, limit=1)\n"
+    full = "    PathIndexFilteredScan(Full: a, w, b, x, c, y, d, z, e; id(e) = k)"
+    assert shapes == [
+        limit + "  Projection(id(a) AS a)\n" + full,
+        limit + "  Projection(id(e) AS e)\n"
+        "    PathIndexFilteredScan(Sub2: b, x, c, y, d, z, e; id(b) = k)",
+        limit + "  Projection(id(a) AS a)\n"
+        "    PathIndexFilteredScan(Sub1: a, w, b, x, c, y, d; id(d) = k)",
+        limit + "  Projection(id(d) AS d)\n"
+        "    PathIndexFilteredScan(Sub4: b, x, c, y, d; id(b) = k)",
+        limit + "  Projection(id(e) AS e)\n"
+        "    PathIndexFilteredScan(Sub8: d, z, e; id(d) = k)",
+        limit + "  Projection(id(b) AS b, id(c) AS c)\n" + full,
+    ]
+
+
+def test_plans_without_id_equality_keep_their_estimates(chain_db):
+    """The paper's formulas, bit for bit, for texts without an id-equality
+    (values rendered by the parent of the change that made it sargable)."""
+    chain_db.create_path_index("full", "(:A)-[:R]->(:B)-[:S]->(:C)")
+    assert chain_db.explain(
+        "MATCH (a:A)-[r:R]->(b:B)-[s:S]->(c:C) WHERE a <> c AND b.v = 1 RETURN a"
+    ) == (
+        "Projection(a)  [card≈2, cost≈3]\n"
+        "  PathIndexFilteredScan(full: a, r, b, s, c; a <> c AND b.v = 1)"
+        "  [card≈2, cost≈3]"
+    )
+    assert chain_db.explain(
+        "MATCH (a:A)-[r:R]->(b:B) WHERE id(a) < 7 RETURN b",
+        PlannerHints(use_path_indexes=False),
+    ) == (
+        "Projection(b)  [card≈6, cost≈56]\n"
+        "  Expand(All)((a)-[r:R]->(b))  [card≈6, cost≈55]\n"
+        "    Filter(id(a) < 7)  [card≈6, cost≈40]\n"
+        "      NodeByLabelScan(a:A)  [card≈20, cost≈20]"
+    )

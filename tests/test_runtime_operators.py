@@ -222,3 +222,177 @@ def test_scan_consistency_with_repeated_variable():
     plan, rows, _ = run_forced(db, query, "diamond")
     assert len(rows) == 1
     assert rows[0].values["a"] == a1
+
+
+# ---------------------------------------------------------------------------
+# Known ids bound the scan: id(v) = k literals and argument-bound variables
+# ---------------------------------------------------------------------------
+
+ENGINES = ("row", "batched", "compiled")
+
+
+def build_fan_db():
+    """Four (:A) sources with three X-targets each, indexed on one step."""
+    db = GraphDatabase()
+    sources = [db.create_node(["A"]) for _ in range(4)]
+    rels = {}
+    for source in sources:
+        for _ in range(3):
+            target = db.create_node(["A"])
+            rels[db.create_relationship(source, target, "X")] = (source, target)
+    db.create_path_index("one", "(:A)-[:X]->(:A)")
+    return db, sources, rels
+
+
+def traced_seeks(db, name, monkeypatch):
+    """Record ``(prefix, lower)`` of every seek a scan issues on ``name``."""
+    index = db.path_index(name)
+    calls = []
+    original = index.seeker
+
+    def seeker(prefix=()):
+        seek = original(prefix)
+
+        def traced(lower):
+            calls.append((tuple(prefix), tuple(lower)))
+            return seek(lower)
+
+        return traced
+
+    monkeypatch.setattr(index, "seeker", seeker)
+    return calls
+
+
+FORCED_ONE = PlannerHints(
+    required_indexes=frozenset({"one"}), allowed_indexes=frozenset({"one"})
+)
+
+
+@pytest.mark.parametrize("mode", ENGINES)
+def test_leading_id_equality_bounds_the_scan(mode, monkeypatch):
+    db, sources, rels = build_fan_db()
+    calls = traced_seeks(db, "one", monkeypatch)
+    source = sources[2]
+    result = db.execute(
+        f"MATCH (a:A)-[x:X]->(b:A) WHERE id(a) = {source} RETURN id(b) AS b",
+        FORCED_ONE,
+        execution_mode=mode,
+    )
+    rows = result.to_list()
+    assert sorted(r["b"] for r in rows) == sorted(
+        target for s, target in rels.values() if s == source
+    )
+    assert calls == [((source,), (source, 0, 0))]
+    # 3 rows examined for 3 rows returned: the scan produced nothing else.
+    (scan_rows,) = [
+        count
+        for description, count in result.profile.rows_by_operator()
+        if description.startswith("PathIndexFilteredScan(one: a, x, b; id(a) =")
+    ]
+    assert scan_rows == 3
+
+
+@pytest.mark.parametrize("mode", ENGINES)
+def test_relationship_id_joins_the_bound_only_behind_a_fixed_start(mode, monkeypatch):
+    db, sources, rels = build_fan_db()
+    calls = traced_seeks(db, "one", monkeypatch)
+    rel, (source, target) = sorted(rels.items())[4]
+    both = (
+        f"MATCH (a:A)-[x:X]->(b:A) WHERE id(x) = {rel} AND {source} = id(a) "
+        "RETURN id(b) AS b"
+    )
+    assert db.execute(both, FORCED_ONE, execution_mode=mode).to_list() == [{"b": target}]
+    assert calls == [((source, rel), (source, rel, 0))]
+    del calls[:]
+    alone = f"MATCH (a:A)-[x:X]->(b:A) WHERE id(x) = {rel} RETURN id(b) AS b"
+    assert db.execute(alone, FORCED_ONE, execution_mode=mode).to_list() == [{"b": target}]
+    assert calls == [((), (0, 0, 0))]  # a per-entry check, not a bound
+
+
+@pytest.mark.parametrize("mode", ENGINES)
+def test_trailing_constant_keeps_skip_scan_restarts(mode, monkeypatch):
+    db, nodes = build_triangle_db()
+    calls = traced_seeks(db, "two", monkeypatch)
+    last = nodes[-1]
+    query = (
+        "MATCH (a:A)-[r:X]->(b:A)-[s:X]->(c:A) "
+        f"WHERE a <> c AND id(c) = {last} RETURN id(a) AS a, id(b) AS b"
+    )
+    hints = PlannerHints(
+        required_indexes=frozenset({"two"}), allowed_indexes=frozenset({"two"})
+    )
+    rows = db.execute(query, hints, execution_mode=mode).to_list()
+    assert len(rows) == 5 * 4  # a, b among the other five, a <> b
+    assert all(prefix == () for prefix, _ in calls)
+
+
+@pytest.mark.parametrize("mode", ENGINES)
+def test_argument_bound_leading_variables_bound_the_scan(mode, monkeypatch):
+    """Algorithm 1 binds rel + both endpoints as arguments; at pattern
+    position 0 they are a key prefix for the removal-phase scan."""
+    from repro.db.patternquery import Anchor, build_pattern_part
+
+    db, nodes = build_triangle_db()
+    index = db.path_index("two")
+    source, target = nodes[2], nodes[4]
+    (rel,) = [
+        r.id for r in db.store.relationships_of(source) if r.end_node == target
+    ]
+    anchor = Anchor(0, rel, source, target)
+    part, kinds = build_pattern_part(index.pattern, anchor)
+    prefixes = []
+    scan_prefix, scan = index.scan_prefix, index.scan
+    monkeypatch.setattr(
+        index, "scan_prefix", lambda p: (prefixes.append(tuple(p)), scan_prefix(p))[1]
+    )
+    monkeypatch.setattr(index, "scan", lambda: (prefixes.append(()), scan())[1])
+    hints = PlannerHints(
+        required_indexes=frozenset({"two"}), allowed_indexes=frozenset({"two"})
+    )
+    plan = Planner(db.store, db.indexes).plan_part(part, hints)
+    assert find_op(plan, PlanPathIndexScan) is not None
+    rows, _ = Executor(db.store, db.indexes, kinds).execute(
+        [(part, plan)],
+        initial_row=Row(anchor.bound_variables(), anchor.bound_rel_ids()),
+        mode=mode,
+    )
+    entries = [tuple(r.values[v] for v in ("n0", "r0", "n1", "r1", "n2")) for r in rows]
+    assert len(entries) == 5  # on to every node but target
+    assert all(entry[:3] == (source, rel, target) for entry in entries)
+    assert prefixes == [(source, rel, target)]
+
+
+def test_overlay_is_resolved_once_per_bounded_run(monkeypatch):
+    """A skip-scan restarts its seek per violating subtree; the reader's
+    overlay must be merged once per operator run, not once per restart."""
+    db, nodes = build_triangle_db()
+    index = db.path_index("two")
+    extra = db.create_node(["A"])
+    added = db.create_relationship(nodes[0], extra, "X")
+    removed = next(
+        rel.id for rel in db.store.relationships_of(nodes[0]) if rel.end_node == nodes[1]
+    )
+    db.delete_relationship(removed)
+    assert index.delta_count() > 0  # written, not checkpointed: unfolded deltas
+    merges = []
+    original = index._overlay_at
+    monkeypatch.setattr(
+        index, "_overlay_at", lambda *args: (merges.append(args), original(*args))[1]
+    )
+    query = (
+        "MATCH (a:A)-[r:X]->(b:A)-[s:X]->(c:A) "
+        f"WHERE a <> c AND id(a) = {nodes[0]} RETURN id(b) AS b, id(c) AS c"
+    )
+    hints = PlannerHints(
+        required_indexes=frozenset({"two"}), allowed_indexes=frozenset({"two"})
+    )
+    expected = sorted(
+        db.execute(query, PlannerHints(use_path_indexes=False)).to_list(),
+        key=lambda row: (row["b"], row["c"]),
+    )
+    assert added is not None and {row["b"] for row in expected} == set(nodes[2:])
+    for mode in ENGINES:
+        del merges[:]
+        rows = db.execute(query, hints, execution_mode=mode).to_list()
+        assert sorted(rows, key=lambda row: (row["b"], row["c"])) == expected
+        assert len(merges) == 1, mode

@@ -96,9 +96,15 @@ def writer(index, router, kill_leader_at, killed, failures):
                 if index == 0 and i == kill_leader_at:
                     killed.set()
                 if not killed.is_set():
-                    client.execute(
-                        f"CREATE (:S {{owner: {index}, i: {i}}})", retries=2
-                    )
+                    try:
+                        client.execute(
+                            f"CREATE (:S {{owner: {index}, i: {i}}})", retries=2
+                        )
+                    except (ReproError, OSError):
+                        # Writer 0 sets ``killed`` before the leader dies, so
+                        # a write the kill interrupted finds it set by now.
+                        if not killed.is_set():
+                            raise
                     continue
                 try:
                     client.execute(

@@ -320,10 +320,9 @@ def _extend(store, pattern, left, right, node_ids, rel_ids):
         type_id = _type_id(store, step.type)
         if step.type is not None and type_id is None:
             return
-        for rel in store.relationships_of(node_ids[0], direction, type_id):
+        for rel, neighbour in store.expand(node_ids[0], direction, type_id):
             if rel.id in rel_ids:
                 continue
-            neighbour = rel.other_node(node_ids[0])
             if not _node_matches(store, pattern, left - 1, neighbour):
                 continue
             yield from _extend(
@@ -341,10 +340,9 @@ def _extend(store, pattern, left, right, node_ids, rel_ids):
         type_id = _type_id(store, step.type)
         if step.type is not None and type_id is None:
             return
-        for rel in store.relationships_of(node_ids[-1], direction, type_id):
+        for rel, neighbour in store.expand(node_ids[-1], direction, type_id):
             if rel.id in rel_ids:
                 continue
-            neighbour = rel.other_node(node_ids[-1])
             if not _node_matches(store, pattern, right + 1, neighbour):
                 continue
             yield from _extend(

@@ -101,11 +101,6 @@ from repro.runtime.operators import (
     _skip_target,
     _sort_key,
 )
-from repro.runtime.compiled.fastpath import (
-    make_expander,
-    make_label_checker,
-    make_label_scanner,
-)
 from repro.runtime.row import Row
 
 CHECK_STRIDE = 1024
@@ -354,7 +349,7 @@ def _emit_post_label_checks(comp: PartCompiler, post, value: str) -> bool:
     """
     if not post:
         return True
-    checker = comp.add_env("hasl", make_label_checker(comp.ctx.store))
+    checker = comp.add_env("hasl", comp.ctx.store.has_label)
     for label_id in post:
         if label_id is None:
             comp.emit("continue")
@@ -371,7 +366,7 @@ def _p_node_by_label_scan(
     scope = comp.initial_scope
     ctx = comp.ctx
     store = ctx.store
-    scan = comp.add_env("lscan", make_label_scanner(store))
+    scan = comp.add_env("lscan", store.nodes_with_label)
     label_id = comp.fresh("lid")
     static = store.labels.id_of(plan.label)
     if static is not None:
@@ -471,9 +466,7 @@ def _p_relationship_by_type_scan(
                     # An unknown label can never match (batched parity).
                     comp.emit("continue")
                     return
-                has_label = comp.add_env(
-                    "hasl", make_label_checker(ctx.store)
-                )
+                has_label = comp.add_env("hasl", ctx.store.has_label)
                 comp.emit(
                     f"if {value} is None or "
                     f"not {has_label}(int({value}), {label_id}):"
@@ -509,7 +502,7 @@ def _p_relationship_by_type_scan(
 
 def _p_expand(comp: PartCompiler, plan: PlanExpand, consume) -> None:
     ctx = comp.ctx
-    expand = comp.add_env("expand", make_expander(ctx.store))
+    expand = comp.add_env("expand", ctx.store.expand)
     direction = comp.add_env("dir", plan.direction)
     post = [lid for _, lid in _label_ids(ctx, plan.post_labels)]
 
@@ -559,10 +552,10 @@ def _p_expand(comp: PartCompiler, plan: PlanExpand, consume) -> None:
             target = comp.fresh("tb")
             comp.emit(f"{target} = {comp.ref(scope, plan.to_node)}")
         rels = scope.rels
-        rel_id, neighbour = comp.fresh("ri"), comp.fresh("nb")
-        rel_type = comp.fresh("rt")
+        rel, neighbour = comp.fresh("rr"), comp.fresh("nb")
+        rel_id = comp.fresh("ri")
         comp.emit(
-            f"for {rel_id}, {neighbour}, {rel_type} in "
+            f"for {rel}, {neighbour} in "
             f"{expand}(int({from_id}), {direction}, {single_type}):"
         )
         with comp.block():
@@ -570,10 +563,11 @@ def _p_expand(comp: PartCompiler, plan: PlanExpand, consume) -> None:
             if type_set is not None:
                 comp.emit(
                     f"if {type_set} is not None "
-                    f"and {rel_type} not in {type_set}:"
+                    f"and {rel}.type_id not in {type_set}:"
                 )
                 with comp.block():
                     comp.emit("continue")
+            comp.emit(f"{rel_id} = {rel}.id")
             comp.emit(f"if {bound_rel} is not None and {bound_rel} != {rel_id}:")
             with comp.block():
                 comp.emit("continue")

@@ -322,20 +322,23 @@ class GraphStore:
         return self.nodes.ids_in_use()
 
     def nodes_with_label(self, label_id: int) -> Iterator[int]:
-        """Scan node ids via the built-in label index (NodeByLabelScan)."""
+        """Scan node ids via the built-in label index (NodeByLabelScan),
+        touching each member's node-record page like the real scan store
+        would. Membership is the index's, resolved at the ambient snapshot;
+        the record itself is not read."""
         bucket = self._label_index.get(label_id)
         if bucket is None:
-            return iter(())
-
-        # Touch the node records like the real scan store would.
-        def generate() -> Iterator[int]:
-            lsn = self.mvcc.reading_lsn()
-            for node_id in bucket.keys():
-                if bucket.value_at(node_id, lsn, False):
-                    self.nodes.read(node_id)
-                    yield node_id
-
-        return generate()
+            return
+        nodes = self.nodes
+        name, record_size = nodes.name, nodes.record_size
+        page_size = self.page_cache.page_size
+        touch_page = self.page_cache.touch_page
+        value_at = bucket.value_at
+        lsn = self.mvcc.reading_lsn()
+        for node_id in bucket.keys():
+            if value_at(node_id, lsn, False):
+                touch_page(name, node_id * record_size // page_size)
+                yield node_id
 
     def degree(
         self,
@@ -357,39 +360,27 @@ class GraphStore:
                 raise RecordNotFoundError(f"no node {node_id}")
             return self._degrees.value_at(node_id, self.mvcc.reading_lsn(), 0)
         record = self.nodes.read(node_id)
-        if record.dense:
-            if type_id is not None:
-                if self.mvcc.reading_lsn() is None:
-                    group_id = self._group_lookup.get(node_id, {}).get(type_id)
-                    if group_id is None:
-                        return 0
-                    return self._group_degree(self.groups.read(group_id), direction)
-                # Snapshot readers walk the (versioned) group chain from
-                # the node record: the writer-side lookup dict is neither
-                # versioned nor stable across node deletion.
-                group_ptr = record.first_rel
-                while group_ptr != NO_ID:
-                    group = self.groups.read(group_ptr)
-                    if group.type_id == type_id:
-                        return self._group_degree(group, direction)
-                    group_ptr = group.next_group
+        if not record.dense:
+            heads = (record.first_rel,)
+            return sum(1 for _ in self._walk(node_id, direction, type_id, heads))
+        if type_id is None:
+            groups = self._groups(record.first_rel)
+            return sum(self._group_degree(group, direction) for group in groups)
+        if self.mvcc.reading_lsn() is None:
+            group_id = self._group_lookup.get(node_id, {}).get(type_id)
+            if group_id is None:
                 return 0
-            total = 0
-            group_ptr = record.first_rel
-            while group_ptr != NO_ID:
-                group = self.groups.read(group_ptr)
-                total += self._group_degree(group, direction)
-                group_ptr = group.next_group
-            return total
-        return sum(1 for _ in self.relationships_of(node_id, direction, type_id))
+            return self._group_degree(self.groups.read(group_id), direction)
+        # Snapshot readers walk the (versioned) group chain from the node
+        # record: the writer-side lookup dict is neither versioned nor
+        # stable across node deletion.
+        for group in self._groups(record.first_rel):
+            if group.type_id == type_id:
+                return self._group_degree(group, direction)
+        return 0
 
     def _chain_length(self, head: int, node_id: int) -> int:
-        count = 0
-        rel_ptr = head
-        while rel_ptr != NO_ID:
-            count += 1
-            rel_ptr = self.relationships.read(rel_ptr).chain_next(node_id)
-        return count
+        return sum(1 for _ in self._walk(node_id, Direction.BOTH, None, (head,)))
 
     @staticmethod
     def _group_degree(group: RelationshipGroupRecord, direction: Direction) -> int:
@@ -473,21 +464,8 @@ class GraphStore:
         direction: Direction = Direction.BOTH,
         type_id: Optional[int] = None,
     ) -> Iterator[RelationshipRecord]:
-        """Iterate relationships incident to ``node_id``.
-
-        For dense nodes, a ``type_id`` filter only walks the matching group's
-        chains; sparse nodes walk their single chain and filter.
-        """
-        record = self.nodes.read(node_id)
-        if record.dense:
-            yield from self._dense_relationships(node_id, record, direction, type_id)
-            return
-        rel_ptr = record.first_rel
-        while rel_ptr != NO_ID:
-            rel = self.relationships.read(rel_ptr)
-            if self._matches(rel, node_id, direction, type_id):
-                yield rel
-            rel_ptr = rel.chain_next(node_id)
+        """Iterate relationships incident to ``node_id`` (see :meth:`expand`)."""
+        return (rel for rel, _ in self._walk(node_id, direction, type_id))
 
     def expand(
         self,
@@ -495,9 +473,78 @@ class GraphStore:
         direction: Direction,
         type_id: Optional[int] = None,
     ) -> Iterator[tuple[RelationshipRecord, int]]:
-        """Yield ``(relationship, neighbour_id)`` pairs for an Expand step."""
-        for rel in self.relationships_of(node_id, direction, type_id):
-            yield rel, rel.other_node(node_id)
+        """Yield ``(relationship, neighbour_id)`` pairs for an Expand step.
+
+        For dense nodes, a ``type_id`` filter only walks the matching group's
+        chains; sparse nodes walk their single chain and filter. Loops are
+        incident in every direction and their neighbour is ``node_id``.
+        """
+        return self._walk(node_id, direction, type_id)
+
+    def _walk(
+        self,
+        node_id: int,
+        direction: Direction,
+        type_id: Optional[int],
+        heads: Optional[Iterable[int]] = None,
+    ) -> Iterator[tuple[RelationshipRecord, int]]:
+        """The store's one relationship-chain walk; every reader of a chain
+        — all engines, Algorithm 1, degrees, densify, restore — goes here.
+
+        Walks the chains starting at ``heads`` (default: the node's own
+        chain, or its matching group chains when dense). Each record
+        resolves with :meth:`RecordStore.try_read`'s visibility rule against
+        the ambient snapshot, sampled once per walk. Page ids are collected
+        and issued as one :meth:`PageCache.touch_pages` batch, flushed before
+        every yield, every raise and every group read, so the cache sees the
+        same ``(file, page)`` sequence as one ``read`` per record — even when
+        the consumer stops early.
+        """
+        if heads is None:
+            record = self.nodes.read(node_id)
+            heads = (
+                self._group_heads(record.first_rel, direction, type_id)
+                if record.dense
+                else (record.first_rel,)
+            )
+        store = self.relationships
+        slots = store._records
+        name = store.name
+        record_size = store.record_size
+        page_size = self.page_cache.page_size
+        touch_pages = self.page_cache.touch_pages
+        lsn = self.mvcc.reading_lsn()
+        out_ok = direction is not Direction.INCOMING
+        in_ok = direction is not Direction.OUTGOING
+        for pointer in heads:
+            pages: list[int] = []
+            while pointer != NO_ID:
+                slot = slots[pointer] if pointer < len(slots) else None
+                rel = None
+                if slot is not None:
+                    pages.append(pointer * record_size // page_size)
+                    if lsn is None or slot[0] <= lsn:
+                        rel = slot[1]
+                    else:
+                        rel = store.historic(pointer, lsn)
+                if rel is None:
+                    touch_pages(name, pages)
+                    raise RecordNotFoundError(f"{name}: no record {pointer}")
+                start = rel.start_node
+                if node_id == start:
+                    pointer = rel.start_next
+                    neighbour = rel.end_node
+                    wanted = out_ok or neighbour == start
+                else:
+                    pointer = rel.end_next
+                    neighbour = start
+                    wanted = in_ok
+                if wanted and (type_id is None or rel.type_id == type_id):
+                    touch_pages(name, pages)
+                    pages = []
+                    yield rel, neighbour
+            if pages:
+                touch_pages(name, pages)
 
     # ------------------------------------------------------------------
     # Properties
@@ -701,45 +748,25 @@ class GraphStore:
             self._set_chain_prev(nxt, node_id, prev_id)
             self.relationships.write(next_id, nxt)
 
-    def _dense_relationships(
-        self,
-        node_id: int,
-        record: NodeRecord,
-        direction: Direction,
-        type_id: Optional[int],
-    ) -> Iterator[RelationshipRecord]:
-        group_ptr = record.first_rel
+    def _groups(self, group_ptr: int) -> Iterator[RelationshipGroupRecord]:
+        """A dense node's group records, read one by one as consumed."""
         while group_ptr != NO_ID:
             group = self.groups.read(group_ptr)
-            if type_id is None or group.type_id == type_id:
-                heads = []
-                if direction in (Direction.OUTGOING, Direction.BOTH):
-                    heads.append(group.first_out)
-                if direction in (Direction.INCOMING, Direction.BOTH):
-                    heads.append(group.first_in)
-                heads.append(group.first_loop)
-                for head in heads:
-                    rel_ptr = head
-                    while rel_ptr != NO_ID:
-                        rel = self.relationships.read(rel_ptr)
-                        yield rel
-                        rel_ptr = rel.chain_next(node_id)
+            yield group
             group_ptr = group.next_group
 
-    @staticmethod
-    def _matches(
-        rel: RelationshipRecord,
-        node_id: int,
-        direction: Direction,
-        type_id: Optional[int],
-    ) -> bool:
-        if type_id is not None and rel.type_id != type_id:
-            return False
-        if direction is Direction.BOTH or rel.start_node == rel.end_node:
-            return True
-        if direction is Direction.OUTGOING:
-            return rel.start_node == node_id
-        return rel.end_node == node_id
+    def _group_heads(
+        self, first_group: int, direction: Direction, type_id: Optional[int]
+    ) -> Iterator[int]:
+        """Heads of a dense node's chains that can hold matches: per group
+        of the wanted type, the out and/or in chain plus the loop chain."""
+        for group in self._groups(first_group):
+            if type_id is None or group.type_id == type_id:
+                if direction is not Direction.INCOMING:
+                    yield group.first_out
+                if direction is not Direction.OUTGOING:
+                    yield group.first_in
+                yield group.first_loop
 
     # ------------------------------------------------------------------
     # Property chains

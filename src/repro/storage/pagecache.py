@@ -155,17 +155,21 @@ class PageCache:
             return False
 
     def touch_run(self, file_name: str, first_page: int, count: int) -> int:
-        """Record accesses to ``count`` contiguous pages from ``first_page``.
+        """Record accesses to ``count`` contiguous pages from ``first_page``
+        (sequential scans: B+-tree leaf chains, record-store sweeps).
+        Returns the number of hits in the run."""
+        return self.touch_pages(file_name, range(first_page, first_page + count))
 
-        Equivalent to ``count`` :meth:`touch_page` calls in ascending page
-        order but takes the lock once for the whole run, which is what
-        sequential scans (B+-tree leaf chains, record-store sweeps) use to
-        cut lock traffic. Returns the number of hits in the run.
+    def touch_pages(self, file_name: str, pages) -> int:
+        """Record accesses to the page ids in ``pages``, in order.
+
+        Equivalent to one :meth:`touch_page` call per page — same hits,
+        misses, evictions and LRU order — but takes the lock once for the
+        whole batch, which is what relationship-chain walks use to cut lock
+        traffic. Returns the number of hits in the batch.
         """
-        if count <= 0:
-            return 0
         if not self.enabled:
-            return count
+            return len(pages)
         hits = 0
         with self._lock:
             state = self._files.get(file_name)
@@ -176,7 +180,7 @@ class PageCache:
             stats = self.stats
             resident = state.resident
             capacity = self.capacity_pages
-            for page_id in range(first_page, first_page + count):
+            for page_id in pages:
                 key = (file_name, page_id)
                 if key in lru:
                     lru.move_to_end(key)

@@ -59,8 +59,11 @@ class RecordStore(Generic[R]):
         self.name = name
         self.record_size = record_size
         self._page_cache = page_cache
+        self._page_size = page_cache.page_size
+        self._touch_page = page_cache.touch_page
         page_cache.register_file(name)
         self.clock = clock if clock is not None else VersionClock()
+        self._view = self.clock.view
         # Slot: None = never allocated; (lsn, record) = current version;
         # (lsn, None) = tombstone (freed at lsn).
         self._records: list[Optional[tuple]] = []
@@ -140,19 +143,25 @@ class RecordStore(Generic[R]):
 
         Resolves against the thread's ambient snapshot when one is
         installed; otherwise returns the newest version (including the
-        writer's own pending work).
+        writer's own pending work). One page touch, no helper frames: this
+        is the read every point lookup pays.
         """
-        if record_id < 0 or record_id >= len(self._records):
+        records = self._records
+        if record_id < 0 or record_id >= len(records):
             return None
-        slot = self._records[record_id]
+        slot = records[record_id]
         if slot is None:
             return None
-        self._touch(record_id)
-        lsn = self.clock.reading_lsn()
-        if lsn is None:
+        self._touch_page(self.name, record_id * self.record_size // self._page_size)
+        snapshot = self._view.snapshot
+        if snapshot is None or slot[0] <= snapshot.lsn:
             return slot[1]
-        if slot[0] <= lsn:
-            return slot[1]
+        return self.historic(record_id, snapshot.lsn)
+
+    def historic(self, record_id: int, lsn: int) -> Optional[R]:
+        """The newest *historic* version of ``record_id`` at or below
+        ``lsn`` (None: unallocated or freed then). Snapshot resolution's
+        slow half, for readers whose pin predates the current slot."""
         history = self._history.get(record_id)
         if history is not None:
             for version_lsn, record in reversed(history):
@@ -193,17 +202,10 @@ class RecordStore(Generic[R]):
         slot = self._records[record_id]
         if slot is None:
             return False
-        lsn = self.clock.reading_lsn()
-        if lsn is None:
+        snapshot = self._view.snapshot
+        if snapshot is None or slot[0] <= snapshot.lsn:
             return slot[1] is not None
-        if slot[0] <= lsn:
-            return slot[1] is not None
-        history = self._history.get(record_id)
-        if history is not None:
-            for version_lsn, record in reversed(history):
-                if version_lsn <= lsn:
-                    return record is not None
-        return False
+        return self.historic(record_id, snapshot.lsn) is not None
 
     def ids_in_use(self) -> Iterator[int]:
         """All live record ids in id order (a sequential store scan).
@@ -217,29 +219,17 @@ class RecordStore(Generic[R]):
         record_size = self.record_size
         touch_run = self._page_cache.touch_run
         lsn = self.clock.reading_lsn()
-        history = self._history
         run_start = -1
         run_end = -1  # exclusive
         try:
             for record_id, slot in enumerate(self._records):
                 if slot is None:
                     continue
-                if lsn is None:
+                if lsn is None or slot[0] <= lsn:
                     if slot[1] is None:
                         continue
-                elif slot[0] <= lsn:
-                    if slot[1] is None:
-                        continue
-                else:
-                    chain = history.get(record_id)
-                    record = None
-                    if chain is not None:
-                        for version_lsn, candidate in reversed(chain):
-                            if version_lsn <= lsn:
-                                record = candidate
-                                break
-                    if record is None:
-                        continue
+                elif self.historic(record_id, lsn) is None:
+                    continue
                 page_id = record_id * record_size // page_size
                 if page_id >= run_end:
                     if page_id == run_end:
@@ -267,7 +257,7 @@ class RecordStore(Generic[R]):
         return len(self._records) * self.record_size
 
     def _touch(self, record_id: int) -> None:
-        self._page_cache.touch(self.name, record_id * self.record_size)
+        self._touch_page(self.name, record_id * self.record_size // self._page_size)
 
     # -- MVCC publish / GC -------------------------------------------------
 

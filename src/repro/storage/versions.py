@@ -61,14 +61,26 @@ class Snapshot:
         return f"Snapshot(lsn={self.lsn})"
 
 
+class _ReadView(threading.local):
+    """Per-thread ambient read view. ``snapshot`` defaults to None (latest
+    mode) at class level, so the per-record lookup on read paths is a plain
+    attribute load, never a missing-attribute fallback."""
+
+    snapshot: Optional[Snapshot] = None
+
+
 class VersionClock:
-    """The storage layer's commit clock and live-snapshot registry."""
+    """The storage layer's commit clock and live-snapshot registry.
+
+    ``view.snapshot`` is this thread's ambient snapshot (None = latest
+    mode); record stores read it directly on their hot paths.
+    """
 
     def __init__(self) -> None:
         self._published = 0
         self._live: dict[int, int] = {}  # snapshot token -> pinned lsn
         self._tokens = itertools.count(1)
-        self._local = threading.local()
+        self.view = _ReadView()
         self._folding = False
         # Writers serialize with writers (and with checkpoint/DDL/GC)
         # through this lock; readers never take it.
@@ -117,11 +129,11 @@ class VersionClock:
         return _AmbientReader(self, snapshot)
 
     def ambient(self) -> Optional[Snapshot]:
-        return getattr(self._local, "snapshot", None)
+        return self.view.snapshot
 
     def reading_lsn(self) -> Optional[int]:
         """The ambient snapshot LSN, or None for latest-mode reads."""
-        snapshot = getattr(self._local, "snapshot", None)
+        snapshot = self.view.snapshot
         return None if snapshot is None else snapshot.lsn
 
     # -- GC / fold coordination --------------------------------------------
@@ -164,13 +176,13 @@ class _AmbientReader:
         self._snapshot = snapshot
 
     def __enter__(self) -> Snapshot:
-        local = self._clock._local
-        self._previous = getattr(local, "snapshot", None)
-        local.snapshot = self._snapshot
+        view = self._clock.view
+        self._previous = view.snapshot
+        view.snapshot = self._snapshot
         return self._snapshot
 
     def __exit__(self, *exc) -> None:
-        self._clock._local.snapshot = self._previous
+        self._clock.view.snapshot = self._previous
 
 
 class VersionedChainMap:

@@ -172,13 +172,12 @@ class Transaction:
     def delete_node(self, node_id: int) -> None:
         """Defer node deletion; refused unless the node ends up disconnected."""
         self._check_open()
-        live_degree = self._store.degree(node_id)
         pending = self.state.pending_deleted_rel_ids()
-        for rel in self._store.relationships_of(node_id):
-            if rel.id in pending:
-                live_degree -= 1
-                if rel.start_node == rel.end_node:
-                    pass  # a loop contributes one to our degree counter
+        # A loop contributes one to the degree counter and appears once in
+        # the walk, so subtracting the pending deletions is exact.
+        live_degree = self._store.degree(node_id) - sum(
+            1 for rel in self._store.relationships_of(node_id) if rel.id in pending
+        )
         if live_degree > 0:
             raise ConstraintViolationError(
                 f"cannot delete node {node_id}: it still has relationships"

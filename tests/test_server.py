@@ -358,12 +358,25 @@ def test_deadline_applies_to_remote_queries():
         assert counters(service)["service.timeouts"] == 1
 
 
-def test_admission_control_sheds_remote_overload():
+def test_admission_control_sheds_remote_overload(monkeypatch):
     db = GraphDatabase()
     for i in range(400):
         db.create_node(["P"], {"i": i})
     service_config = ServiceConfig(max_concurrency=1, max_pending=1)
     with running_server(db, service_config=service_config) as (server, service):
+        # Hold the single worker inside the first cross product until the
+        # test has fired its overload, whatever the query costs: the worker
+        # and the single queue slot are then provably taken.
+        entered, release = threading.Event(), threading.Event()
+        execute = service._execute_with_retry
+
+        def gated(ticket, *args):
+            if ticket.query == CROSS_QUERY:
+                entered.set()
+                release.wait(60)
+            return execute(ticket, *args)
+
+        monkeypatch.setattr(service, "_execute_with_retry", gated)
         host, port = server.address
         clients = [Client(host, port) for _ in range(3)]
         try:
@@ -378,8 +391,9 @@ def test_admission_control_sheds_remote_overload():
             threads = [
                 threading.Thread(target=run, args=(index,)) for index in range(2)
             ]
-            for thread in threads:
-                thread.start()
+            threads[0].start()
+            assert entered.wait(30), "first query never reached the worker"
+            threads[1].start()
             deadline = time.monotonic() + 30
             while (
                 counters(service).get("service.queries_submitted", 0) < 2
@@ -392,12 +406,15 @@ def test_admission_control_sheds_remote_overload():
                     clients[2].execute("MATCH (n:P) RETURN n.i AS i")
                 except ServiceOverloadedError as exc:
                     shed.append(exc)
+            release.set()
             for thread in threads:
                 thread.join(timeout=120)
-            assert shed, "overload never shed remote queries"
+            assert len(shed) == 10, "overload did not shed every remote query"
             assert all(exc.retryable for exc in shed)
             assert not any(isinstance(value, Exception) for value in results.values())
+            assert [len(results[index].rows) for index in range(2)] == [160_000] * 2
         finally:
+            release.set()
             for client in clients:
                 client.close()
 

@@ -1,19 +1,17 @@
-"""Row vs. batched vs. compiled engine comparison.
+"""Row vs. compiled engine comparison.
 
-Times the same warm-cache queries under all three execution modes on the
+Times the same warm-cache queries on both execution engines on the
 correlated dataset: a label scan, a one-step expand, a two-step chain, and
-an aggregation. All engines run the identical cached plan, so the deltas
-isolate interpretation overhead — the batched engine amortizes profile
-accounting, cancellation checks, and attribute lookups over ~1024-row
-morsels and replaces dict rows with fixed-width slot rows; the compiled
-engine additionally fuses each pipeline into one generated Python loop
-nest, removing the per-operator generator frames entirely.
+an aggregation. Both engines run the identical cached plan, so the deltas
+isolate interpretation overhead — the compiled engine fuses each pipeline
+into one generated Python loop nest over slot rows, removing the
+per-operator generator frames and dict rows of the row engine. The plan is
+compiled before timing starts (in production a plan compiles on its second
+execution), so the numbers are the generated code's steady state.
 
-Two results artifacts are written:
-``benchmarks/results/runtime_batching.{txt,json}`` (row vs. batched, the
-original comparison) and ``benchmarks/results/runtime_compiled.{txt,json}``
-(all three engines, with the compiled-over-batched speedup and its geomean
-over the scan/expand/chain shapes).
+The results artifact is ``benchmarks/results/runtime_compiled.{txt,json}``
+(both engines, the compiled-over-row speedup and its geomean over the
+scan/expand/chain shapes).
 
 Run standalone with ``--smoke`` (used by CI) for a seconds-long pass on a
 tiny graph that also asserts the engines return the same number of rows.
@@ -27,9 +25,8 @@ from benchmarks._shared import BASELINE_HINTS, correlated_config
 from repro import GraphDatabase
 from repro.bench.reporting import render_table, write_report
 from repro.datasets import CorrelatedConfig, generate_correlated
-from repro.runtime.compiled import fallback_counts, reset_fallback_counts
 
-MODES = ("row", "batched", "compiled")
+MODES = ("row", "compiled")
 
 SHAPES = (
     ("scan", "MATCH (a:A) RETURN a"),
@@ -38,10 +35,17 @@ SHAPES = (
     ("aggregate", "MATCH (a:A)-[x:X]->(b:A) RETURN count(*) AS c"),
 )
 
-#: Shapes whose compiled-over-batched speedups form the headline geomean.
+#: Shapes whose compiled-over-row speedups form the headline geomean.
 GEOMEAN_SHAPES = ("scan", "expand", "chain")
 
 SMOKE_CONFIG = CorrelatedConfig(paths=60, noise_factor=6)
+
+
+def _run(db, query, mode) -> int:
+    result = db.execute(query, BASELINE_HINTS, execution_mode=mode)
+    rows = len(result.to_list())
+    assert result.profile.engine == mode, (mode, query)
+    return rows
 
 
 def _measure_shape(db, query, runs: int) -> dict:
@@ -53,18 +57,13 @@ def _measure_shape(db, query, runs: int) -> dict:
     (which a per-mode block with a mean would).
     """
     timings = {mode: [] for mode in MODES}
-    counts = {}
-    for mode in MODES:  # warm plan cache, page cache, and codegen artifact
-        counts[mode] = len(
-            db.execute(query, BASELINE_HINTS, execution_mode=mode).to_list()
-        )
+    db.compiled_source(query, BASELINE_HINTS)  # warm plan and codegen artifact
+    counts = {mode: _run(db, query, mode) for mode in MODES}  # and page cache
     for _ in range(runs):
         for mode in MODES:
             gc.collect()
             started = time.perf_counter()
-            rows = len(
-                db.execute(query, BASELINE_HINTS, execution_mode=mode).to_list()
-            )
+            rows = _run(db, query, mode)
             timings[mode].append(time.perf_counter() - started)
             assert rows == counts[mode]
     cell = {f"{mode}_seconds": min(timings[mode]) for mode in MODES}
@@ -75,50 +74,29 @@ def _measure_shape(db, query, runs: int) -> dict:
 def _run_table(smoke: bool = False) -> dict:
     db = GraphDatabase()
     generate_correlated(db, SMOKE_CONFIG if smoke else correlated_config())
-    reset_fallback_counts()
-    batching_rows = []
-    compiled_rows = []
+    rows = []
     data = {"smoke": smoke, "shapes": {}}
     for name, query in SHAPES:
         cell = {"query": query}
         cell.update(_measure_shape(db, query, runs=3 if smoke else 5))
-        assert (
-            cell["row_rows"] == cell["batched_rows"] == cell["compiled_rows"]
-        ), f"{name}: engines disagree on row count"
-        cell["speedup"] = (
-            cell["row_seconds"] / cell["batched_seconds"]
-            if cell["batched_seconds"] > 0
-            else float("inf")
+        assert cell["row_rows"] == cell["compiled_rows"], (
+            f"{name}: engines disagree on row count"
         )
         cell["compiled_speedup"] = (
-            cell["batched_seconds"] / cell["compiled_seconds"]
+            cell["row_seconds"] / cell["compiled_seconds"]
             if cell["compiled_seconds"] > 0
             else float("inf")
         )
         data["shapes"][name] = cell
-        batching_rows.append(
+        rows.append(
             (
                 name,
                 f"{cell['row_seconds'] * 1e3:,.1f} ms",
-                f"{cell['batched_seconds'] * 1e3:,.1f} ms",
-                f"{cell['speedup']:.2f}x",
-                f"{cell['row_rows']:,}",
-            )
-        )
-        compiled_rows.append(
-            (
-                name,
-                f"{cell['row_seconds'] * 1e3:,.1f} ms",
-                f"{cell['batched_seconds'] * 1e3:,.1f} ms",
                 f"{cell['compiled_seconds'] * 1e3:,.1f} ms",
                 f"{cell['compiled_speedup']:.2f}x",
                 f"{cell['row_rows']:,}",
             )
         )
-    data["fallbacks"] = fallback_counts()
-    assert data["fallbacks"] == {}, (
-        f"paper shapes must compile fully, got fallbacks {data['fallbacks']}"
-    )
     geomean = math.exp(
         sum(
             math.log(data["shapes"][name]["compiled_speedup"])
@@ -127,49 +105,34 @@ def _run_table(smoke: bool = False) -> dict:
         / len(GEOMEAN_SHAPES)
     )
     data["compiled_geomean"] = geomean
-    batching_table = render_table(
-        "Runtime batching — row vs. batched engine, correlated dataset"
+    table = render_table(
+        "Compiled pipelines — row vs. compiled engine, correlated dataset"
         + (" (smoke)" if smoke else ""),
-        ("Shape", "Row engine", "Batched engine", "Speedup", "Rows"),
-        batching_rows,
+        ("Shape", "Row", "Compiled", "Comp/Row", "Rows"),
+        rows,
         note=(
-            "Same cached plans in both modes; warm page cache. The batched "
-            "engine's gain is pure interpretation overhead removed: slot "
-            "rows instead of dict rows, and per-morsel instead of per-row "
-            "profile/cancellation bookkeeping."
+            "Same cached plans on both engines; warm page cache and codegen "
+            "artifact. 'Comp/Row' is the compiled engine's speedup over the "
+            f"row engine; geomean over {'/'.join(GEOMEAN_SHAPES)}: "
+            f"{geomean:.2f}x. Both engines walk relationship chains through "
+            "the same store walk, so this is the fused loop nest's gain alone."
         ),
     )
-    write_report("runtime_batching", batching_table, data)
-    compiled_table = render_table(
-        "Compiled pipelines — row vs. batched vs. compiled engine, "
-        "correlated dataset" + (" (smoke)" if smoke else ""),
-        ("Shape", "Row", "Batched", "Compiled", "Comp/Batched", "Rows"),
-        compiled_rows,
-        note=(
-            "Same cached plans in all modes; warm page cache and codegen "
-            "artifact. 'Comp/Batched' is the compiled engine's speedup over "
-            f"batched; geomean over {'/'.join(GEOMEAN_SHAPES)}: "
-            f"{geomean:.2f}x. All three engines walk relationship chains "
-            "through the same store walk, so this is the fused loop nest's "
-            "gain alone. Zero batched fallbacks on these shapes."
-        ),
-    )
-    write_report("runtime_compiled", compiled_table, data)
+    write_report("runtime_compiled", table, data)
     return data
 
 
 def test_runtime_batching_report(benchmark):
-    # Gated like --smoke: every engine returns the same rows and the paper
-    # shapes compile without fallback. The speedups are reported, not
-    # gated — all engines share the store's chain walk and record reads, so
-    # a cheaper store moves every engine and says nothing about the
-    # interpretation overhead a ratio floor was meant to pin.
+    # Gated like --smoke: both engines return the same rows, and the timed
+    # compiled runs are generated code. The speedups are reported, not
+    # gated — both engines share the store's chain walk and record reads, so
+    # a cheaper store moves both and says nothing about the interpretation
+    # overhead a ratio floor was meant to pin.
     data = benchmark.pedantic(_run_table, rounds=1, iterations=1)
     shapes = data["shapes"]
     assert set(shapes) == {name for name, _ in SHAPES}
     for cell in shapes.values():
-        assert cell["row_rows"] == cell["batched_rows"] == cell["compiled_rows"]
-    assert data["fallbacks"] == {}
+        assert cell["row_rows"] == cell["compiled_rows"]
 
 
 if __name__ == "__main__":

@@ -74,18 +74,16 @@ class GraphDatabase:
         miss_latency_s: float = DEFAULT_MISS_LATENCY_S,
         dense_node_threshold: int = DEFAULT_DENSE_NODE_THRESHOLD,
         maintenance_strategy: str = QUERY_BASED,
-        execution_mode: Optional[str] = None,
+        execution_mode: str = "compiled",
         memory_budget: Optional[int] = None,
         memory_grant: Optional[int] = None,
     ) -> None:
-        if execution_mode is None:
-            execution_mode = os.environ.get("REPRO_EXECUTION_MODE", "batched")
-        if execution_mode not in ("row", "batched", "compiled"):
+        if execution_mode not in ("row", "compiled"):
             raise ReproError(f"unknown execution mode {execution_mode!r}")
-        #: Default engine for :meth:`execute` — "batched" (morsel-at-a-time
-        #: over slot rows), "compiled" (data-centric Python codegen), or
-        #: "row" (the legacy tuple-at-a-time pipeline). Defaults to the
-        #: ``REPRO_EXECUTION_MODE`` environment variable, then "batched".
+        #: Default engine for :meth:`execute` — "compiled" (data-centric
+        #: Python codegen for plans that run a second time; a plan's first
+        #: execution runs on the row engine) or "row" (the tuple-at-a-time
+        #: pipeline, the reference the compiled engine is tested against).
         self.execution_mode = execution_mode
         self.page_cache = PageCache(page_cache_pages, page_size, miss_latency_s)
         self.store = GraphStore(self.page_cache, dense_node_threshold)
@@ -224,8 +222,8 @@ class GraphDatabase:
     def snapshot(self) -> Iterator[Snapshot]:
         """Pin the current committed state for lock-free reading.
 
-        Inside the block, every read on this thread — queries on any of
-        the three engines, direct store reads, index scans, statistics —
+        Inside the block, every read on this thread — queries on either
+        engine, direct store reads, index scans, statistics —
         resolves at the snapshot's commit LSN, untouched by concurrent
         writers. Acquiring a snapshot takes no lock; writers never wait
         for readers and readers never wait for writers.
@@ -346,13 +344,15 @@ class GraphDatabase:
         Read-only queries stream lazily; update queries apply their writes
         (committing an implicit transaction unless one is already open) and
         return materialized rows. ``token`` is an optional cooperative
-        cancellation token (``repro.service.CancellationToken``) checked at
-        row/morsel boundaries; a cancelled/timed-out write rolls back.
+        cancellation token (``repro.service.CancellationToken``) checked
+        while rows flow; a cancelled/timed-out write rolls back.
         ``prepared`` (from :meth:`prepare`) skips the plan-cache lookup —
         the service layer uses it so planning is looked up and timed
         exactly once. ``execution_mode`` selects the engine per call
-        ("batched", "compiled" or "row"), defaulting to the database-wide
-        :attr:`execution_mode`. ``tracker`` is an optional
+        ("compiled" or "row"), defaulting to the database-wide
+        :attr:`execution_mode`; ``result.profile.engine`` says which ran
+        (a compiled-mode plan's first execution runs on the row engine,
+        later ones on the code it then generates). ``tracker`` is an optional
         :class:`~repro.resources.MemoryTracker` whose grant the caller
         already reserved (the service layer); without one, the query
         reserves its own grant from :attr:`memory_pool` and releases it
@@ -363,13 +363,12 @@ class GraphDatabase:
         """
         submitted = time.perf_counter()
         mode = execution_mode if execution_mode is not None else self.execution_mode
-        if mode not in ("row", "batched", "compiled"):
+        if mode not in ("row", "compiled"):
             raise ReproError(f"unknown execution mode {mode!r}")
         cached = prepared if prepared is not None else self._planned(query_text, hints)
         executor = Executor(
             self.store, self.indexes, cached.analyzed.variable_kinds
         )
-        compiled = self._compiled(cached, executor) if mode == "compiled" else None
         own_tracker = tracker is None
         if own_tracker:
             tracker = self.memory_pool.tracker(
@@ -381,7 +380,6 @@ class GraphDatabase:
                     cached.planned_parts,
                     token=token,
                     mode=mode,
-                    compiled=compiled,
                     tracker=tracker,
                 )
             except BaseException:
@@ -401,7 +399,6 @@ class GraphDatabase:
                     transaction=tx,
                     token=token,
                     mode=mode,
-                    compiled=compiled,
                     tracker=tracker,
                 )
                 materialized = list(rows)
@@ -417,26 +414,17 @@ class GraphDatabase:
             result.commit_lsn = durability.captured_lsn()
         return result
 
-    def _compiled(self, cached: CachedQuery, executor: Executor):
-        """The cached codegen artifact for ``cached``, compiling on first
-        use. The artifact lives on the plan-cache entry, so statistics
-        drift or index changes invalidate both together."""
-        artifact = cached.compiled
-        if artifact is None:
-            artifact = executor.compile_artifact(cached.planned_parts)
-            cached.compiled = artifact
-        return artifact
-
     def compiled_source(
         self, query_text: str, hints: Optional[PlannerHints] = None
     ) -> str:
         """The generated Python pipeline source for a query (the shell's
-        ``:source`` meta-command), compiling and caching the artifact."""
+        ``:source`` meta-command). Compiles the cached plan now, so its
+        next compiled-mode execution runs the generated code."""
         cached = self._planned(query_text, hints)
         executor = Executor(
             self.store, self.indexes, cached.analyzed.variable_kinds
         )
-        return self._compiled(cached, executor).source()
+        return executor.compile(cached.planned_parts).source()
 
     def prepare(self, query_text: str, hints: Optional[PlannerHints] = None) -> CachedQuery:
         """Analyze and plan a query (through the plan cache) without running

@@ -59,10 +59,6 @@ class CachedQuery:
     node_count: int
     relationship_count: int
     index_signature: frozenset[str]
-    #: Codegen artifact (``repro.runtime.compiled.CompiledQuery``), built
-    #: lazily on the first compiled-mode execution. It shares this entry's
-    #: lifetime, so plan invalidation drops the generated code too.
-    compiled: Optional[object] = None
 
 
 class PlanCache:

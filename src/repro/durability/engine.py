@@ -196,10 +196,11 @@ class DurabilityEngine:
         injector = injector if injector is not None else FaultInjector()
         db_kwargs = {
             "page_cache_pages": page_cache_pages,
-            "execution_mode": execution_mode,
             "memory_budget": memory_budget,
             "memory_grant": memory_grant,
         }
+        if execution_mode is not None:
+            db_kwargs["execution_mode"] = execution_mode
         if miss_latency_s is not None:
             db_kwargs["miss_latency_s"] = miss_latency_s
         if maintenance_strategy is not None:

@@ -2,7 +2,7 @@
 
 See :mod:`repro.resources.pool` for the budget/grant protocol and
 :mod:`repro.resources.spill` for the order-exact spillable buffers the
-three execution engines share.
+two execution engines share.
 """
 
 from repro.resources.pool import (

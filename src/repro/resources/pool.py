@@ -3,7 +3,7 @@
 Production engines bound query memory with a two-level scheme (Neo4j's
 per-transaction memory tracker, Umbra-style morsel engines): a process-wide
 *pool* holds the budget; each query receives a *grant* that doubles as its
-spill threshold. This module reproduces that scheme for the three execution
+spill threshold. This module reproduces that scheme for the two execution
 engines of this repo:
 
 * :class:`MemoryPool` — the budget. ``None`` means unbounded: charges are
@@ -378,7 +378,7 @@ class MemoryTracker:
         meaningful share of it.
 
         Both conditions depend only on the engine-independent charge
-        sequence, so the three engines still make identical spill
+        sequence, so both engines still make identical spill
         decisions. The per-operator share stops a resident upstream buffer
         (e.g. aggregation states that live until the query ends) from
         forcing a downstream sort to flush a run per row.

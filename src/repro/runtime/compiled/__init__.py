@@ -2,32 +2,26 @@
 
 ``compile_query`` turns a planned query into a :class:`CompiledQuery`: one
 exec-compiled Python pipeline function per query part (see
-:mod:`repro.runtime.compiled.codegen`), with ``None`` marking parts that
-fell back to the batched engine because a plan node has no compiled form.
-The artifact is cached on the plan-cache entry, so it shares the plan's
-invalidation (statistics drift, index set changes).
-
-Fallbacks are recorded in a process-wide counter keyed by reason —
-:func:`fallback_counts` — so benchmarks and tests can assert that the
-paper's query shapes compile fully.
+:mod:`repro.runtime.compiled.codegen`). Every plan-node type has a
+producer, so every plan compiles. The artifact is kept on the plan
+itself (see ``repro.runtime.executor.ARTIFACT``), so it shares the plan's
+invalidation (statistics drift, index set changes, eviction).
 """
 
 from __future__ import annotations
 
 import threading
-from collections import Counter
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.planner.plans import LogicalPlan
-from repro.runtime.batched import SlotLayout
 from repro.runtime.compiled.codegen import (
     CHECK_STRIDE,
     PRODUCERS,
-    CompiledUnsupported,
     PartCompiler,
     generate_part_source,
 )
+from repro.runtime.compiled.slots import SlotLayout
 from repro.runtime.operators import RuntimeContext
 
 __all__ = [
@@ -35,32 +29,9 @@ __all__ = [
     "PRODUCERS",
     "CompiledPart",
     "CompiledQuery",
-    "CompiledUnsupported",
     "compile_query",
-    "fallback_counts",
-    "reset_fallback_counts",
     "PartCompiler",
 ]
-
-_fallback_lock = threading.Lock()
-_fallbacks: Counter = Counter()
-
-
-def record_fallback(reason: str) -> None:
-    """Count one batched-engine fallback with its reason."""
-    with _fallback_lock:
-        _fallbacks[reason] += 1
-
-
-def fallback_counts() -> dict[str, int]:
-    """Snapshot of fallback reasons → occurrence counts."""
-    with _fallback_lock:
-        return dict(_fallbacks)
-
-
-def reset_fallback_counts() -> None:
-    with _fallback_lock:
-        _fallbacks.clear()
 
 
 @dataclass
@@ -71,8 +42,8 @@ class CompiledPart:
     :class:`~repro.runtime.row.Row` objects when ``row_sink`` is set,
     full slot rows otherwise. ``plans`` lists the plan nodes in counter
     order for ``flush``. ``lock`` guards the shared layout's runtime slot
-    allocation (``row_from``) because the artifact — unlike the batched
-    engine's per-execution layouts — is reused across executions.
+    allocation (``row_from``) because the artifact is reused across
+    executions, possibly concurrent ones.
     """
 
     fn: object
@@ -87,37 +58,19 @@ class CompiledPart:
 class CompiledQuery:
     """Compiled pipelines for all parts of one query.
 
-    ``parts[i]`` is None when part ``i`` fell back to the batched engine;
-    ``fallback_reasons`` records why (aligned with fallen-back parts in
-    order). ``morsel_size`` is baked into the generated output chunking,
-    so executions with a different morsel size must recompile.
+    ``morsel_size`` is baked into the generated output chunking, so
+    executions with a different morsel size must recompile.
     """
 
-    parts: list[Optional[CompiledPart]]
-    fallback_reasons: list[str]
+    parts: list[CompiledPart]
     morsel_size: int
-
-    @property
-    def fully_compiled(self) -> bool:
-        return all(part is not None for part in self.parts)
 
     def source(self) -> str:
         """The generated Python source for all parts (shell ``:source``)."""
-        sections = []
-        for position, part in enumerate(self.parts):
-            header = f"# ---- part {position} ----"
-            if part is None:
-                reason = (
-                    self.fallback_reasons[
-                        sum(1 for p in self.parts[:position] if p is None)
-                    ]
-                    if self.fallback_reasons
-                    else "unknown"
-                )
-                sections.append(f"{header}\n# falls back to batched: {reason}\n")
-            else:
-                sections.append(f"{header}\n{part.source}")
-        return "\n".join(sections)
+        return "\n".join(
+            f"# ---- part {position} ----\n{part.source}"
+            for position, part in enumerate(self.parts)
+        )
 
 
 def compile_part(
@@ -127,7 +80,7 @@ def compile_part(
     arg_names: Sequence[str] = (),
     position: int = 0,
 ) -> CompiledPart:
-    """Compile one part; raises :class:`CompiledUnsupported`."""
+    """Compile one part into its pipeline function."""
     layout = SlotLayout()
     source, env, plans, row_sink = generate_part_source(
         part, plan, ctx, layout, arg_names
@@ -148,7 +101,7 @@ def compile_query(
     planned_parts: Sequence[tuple[object, LogicalPlan]],
     ctx: RuntimeContext,
 ) -> CompiledQuery:
-    """Compile every part of a planned query, falling back per part.
+    """Compile every part of a planned query.
 
     ``planned_parts`` is the plan cache's ``(QueryPart, LogicalPlan)``
     sequence; ``ctx`` supplies the store, index store, evaluation context
@@ -156,20 +109,10 @@ def compile_query(
     and token on ``ctx`` are *not* captured — they arrive per execution
     through the ``flush``/``check`` arguments).
     """
-    parts: list[Optional[CompiledPart]] = []
-    reasons: list[str] = []
+    parts: list[CompiledPart] = []
     arg_names: Sequence[str] = ()
     for position, (part, plan) in enumerate(planned_parts):
-        try:
-            compiled = compile_part(part, plan, ctx, arg_names, position)
-        except CompiledUnsupported as exc:
-            record_fallback(exc.reason)
-            reasons.append(exc.reason)
-            parts.append(None)
-            arg_names = tuple(
-                item.output_name for item in getattr(part, "projection", ())
-            )
-            continue
+        compiled = compile_part(part, plan, ctx, arg_names, position)
         parts.append(compiled)
         # Pre-allocate everything the next part can receive through its
         # argument row, so runtime slot allocation is the exception.
@@ -177,8 +120,4 @@ def compile_query(
             arg_names = tuple(item.output_name for item in part.projection)
         else:
             arg_names = tuple(compiled.layout.slots)
-    return CompiledQuery(
-        parts=parts,
-        fallback_reasons=reasons,
-        morsel_size=ctx.morsel_size,
-    )
+    return CompiledQuery(parts=parts, morsel_size=ctx.morsel_size)

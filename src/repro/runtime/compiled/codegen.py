@@ -7,24 +7,22 @@ iterators, variable bindings become plain locals, and predicates/projections
 call expression closures pre-compiled with
 :func:`repro.runtime.expressions.compile_expression`. Pipeline breakers
 (hash-join build, aggregation, sort, distinct-free buffering points) stay in
-the same function as materialization points between loop nests, exactly
-where the batched engine breaks its morsel streams.
+the same function as materialization points between loop nests.
 
-The generated function preserves the batched engine's observable contract:
+The generated function preserves the row engine's observable contract:
 
 * per-logical-operator row counts (flushed once per invocation via the
-  ``_flush`` argument; operators that produced nothing are skipped, like the
-  batched engine's empty-morsel suppression),
+  ``_flush`` argument; operators that produced nothing are skipped, as
+  the row engine records no count for them),
 * cooperative cancellation (``_check`` is called every
-  :data:`CHECK_STRIDE` operator outputs — the fused counterpart of the
-  batched engine's per-morsel ``check_batch``),
-* relationship-uniqueness semantics, binder/filter ordering, and the
-  morsel-sized output chunking of the batched engine,
+  :data:`CHECK_STRIDE` source-loop iterations),
+* relationship-uniqueness semantics and binder/filter ordering; output
+  is chunked into morsel-sized lists so results still stream,
 * per-query memory accounting: the optional ``_mem`` argument is the
   query's :class:`~repro.resources.pool.MemoryTracker`, and every
   pipeline breaker buffers through the same spill-aware structures
-  (:mod:`repro.resources.spill`) as the other engines, with identical
-  per-row cost estimates — so all three engines spill at the same input
+  (:mod:`repro.resources.spill`) as the row engine, with identical
+  per-row cost estimates — so both engines spill at the same input
   cardinalities and remain row-identical under any budget.
 
 Codegen is a produce/consume recursion (Neumann-style): ``produce(plan)``
@@ -36,10 +34,10 @@ at breakers and sinks.
 
 Token ids (labels, relationship types, property keys) are resolved when the
 part is compiled, with per-invocation fallback for ids unknown at compile
-time in exactly the places the batched engine has one (primary label of a
-label scan, incomplete expand type sets, compiled expressions). The
-artifact is cached with the plan, so it is dropped whenever statistics
-drift invalidates the plan itself.
+time in exactly the places the row engine re-resolves them (primary label
+of a label scan, incomplete expand type sets, compiled expressions). The
+artifact is kept on the plan, so it is dropped whenever statistics drift
+invalidates the plan itself.
 """
 
 from __future__ import annotations
@@ -81,7 +79,7 @@ from repro.planner.plans import (
     PlanRelationshipByTypeScan,
     PlanSort,
 )
-from repro.runtime.batched import SlotLayout, _merge_rows, _slot_entry_binder
+from repro.runtime.compiled.slots import SlotLayout, _merge_rows, _slot_entry_binder
 from repro.runtime.expressions import (
     EvaluationContext,
     compile_expression,
@@ -104,20 +102,8 @@ from repro.runtime.operators import (
 from repro.runtime.row import Row
 
 CHECK_STRIDE = 1024
-"""Operator outputs between cancellation checks (matches the batched
-engine's morsel size, so deadline-abort latency is comparable)."""
-
-
-class CompiledUnsupported(ReproError):
-    """Raised when a plan (or plan node) has no compiled form.
-
-    The caller falls back to the batched engine for the affected part and
-    records ``reason`` in the fallback counter.
-    """
-
-    def __init__(self, reason: str) -> None:
-        super().__init__(f"compiled execution unsupported: {reason}")
-        self.reason = reason
+"""Source-loop iterations between cancellation checks (the default morsel
+size, so one check bounds abort latency at one morsel's worth of work)."""
 
 
 # ---------------------------------------------------------------------------
@@ -297,9 +283,7 @@ class PartCompiler:
     def produce(self, plan: LogicalPlan, consume: Callable[[_Scope], None]) -> None:
         producer = PRODUCERS.get(type(plan))
         if producer is None:
-            raise CompiledUnsupported(
-                f"no compiled operator for {type(plan).__name__}"
-            )
+            raise ReproError(f"no compiled operator for {type(plan).__name__}")
         producer(self, plan, consume)
 
 
@@ -344,7 +328,7 @@ def _emit_post_label_checks(comp: PartCompiler, post, value: str) -> bool:
     """Emit per-label filters on ``value`` (an int node-id local).
 
     Returns False when a label is unknown at compile time: the row can
-    never match (batched parity), a bare ``continue`` was emitted, and
+    never match (row-engine parity), a bare ``continue`` was emitted, and
     the caller must stop emitting code for this output.
     """
     if not post:
@@ -372,7 +356,7 @@ def _p_node_by_label_scan(
     if static is not None:
         comp.emit(f"{label_id} = {static}")
     else:
-        # Unknown at compile time: per-invocation lookup, like the batched
+        # Unknown at compile time: per-invocation lookup, like the row
         # engine's per-run fallback.
         lookup = comp.add_env(
             "rlbl", lambda store=store, label=plan.label: store.labels.id_of(label)
@@ -413,8 +397,6 @@ def _p_relationship_by_type_scan(
     comp: PartCompiler, plan: PlanRelationshipByTypeScan, consume
 ) -> None:
     ctx = comp.ctx
-    if ctx.index_store is None:
-        raise CompiledUnsupported("RelationshipByTypeScan without an index store")
     scope = comp.initial_scope
     index = ctx.index_store.get(plan.index_name)
     scan = comp.add_env("rscan", index.scan)
@@ -463,7 +445,7 @@ def _p_relationship_by_type_scan(
                 label_id = ctx.store.labels.id_of(label)
                 value = comp.ref(inner, var)
                 if label_id is None:
-                    # An unknown label can never match (batched parity).
+                    # An unknown label can never match (row-engine parity).
                     comp.emit("continue")
                     return
                 has_label = comp.add_env("hasl", ctx.store.has_label)
@@ -518,7 +500,7 @@ def _p_expand(comp: PartCompiler, plan: PlanExpand, consume) -> None:
                 type_set = comp.add_env("types", frozenset(static))
         else:
             # Some types unknown at compile time: re-resolve per
-            # invocation, mirroring the batched engine's per-run retry.
+            # invocation, mirroring the row engine's per-run retry.
             resolver = comp.add_env(
                 "rtypes",
                 lambda ctx=ctx, names=plan.types: _resolve_type_ids(ctx, names),
@@ -528,7 +510,7 @@ def _p_expand(comp: PartCompiler, plan: PlanExpand, consume) -> None:
             filt = comp.fresh("ts")
             comp.emit(f"{resolved} = {resolver}()")
             # Guard the whole subtree: no matching types, no child work
-            # (the batched operator returns before consuming its child).
+            # (the row operator returns before consuming its child).
             type_guard = resolved
             comp.emit(f"if {resolved}:")
             comp.indent += 1
@@ -719,8 +701,6 @@ def _emit_leading_prefix(comp: PartCompiler, plan, constants) -> str:
 
 def _p_path_index_scan(comp: PartCompiler, plan: PlanPathIndexScan, consume) -> None:
     ctx = comp.ctx
-    if ctx.index_store is None:
-        raise CompiledUnsupported("PathIndexScan without an index store")
     index = ctx.index_store.get(plan.index_name)
     scan = comp.add_env("iscan", index.scan)
     scan_prefix = comp.add_env("ipfx", index.scan_prefix)
@@ -742,8 +722,6 @@ def _p_path_index_filtered_scan(
     comp: PartCompiler, plan: PlanPathIndexFilteredScan, consume
 ) -> None:
     ctx = comp.ctx
-    if ctx.index_store is None:
-        raise CompiledUnsupported("PathIndexFilteredScan without an index store")
     index = ctx.index_store.get(plan.index_name)
     seeker = comp.add_env("isk", index.seeker)
     bind = comp.add_env("bind", _slot_entry_binder(plan, ctx, comp.layout))
@@ -799,8 +777,6 @@ def _p_path_index_prefix_seek(
     comp: PartCompiler, plan: PlanPathIndexPrefixSeek, consume
 ) -> None:
     ctx = comp.ctx
-    if ctx.index_store is None:
-        raise CompiledUnsupported("PathIndexPrefixSeek without an index store")
     index = ctx.index_store.get(plan.index_name)
     prepare = comp.add_env("prep", index.prepare_prefix)
     scan_prefix = comp.add_env("ipfx", index.scan_prefix)
@@ -865,7 +841,7 @@ def _p_projection(comp: PartCompiler, plan: PlanProjection, consume) -> None:
             bound[item.output_name] = local
         comp.count_and_check(plan)
         # The uniqueness scope resets and non-projected bindings drop at
-        # the boundary, exactly like the batched projection's fresh row.
+        # the boundary, exactly like the row engine's ``Row.project``.
         consume(_Scope(base=None, bound=bound, rels="()", closed=True))
 
     comp.produce(plan.children[0], consume_child)
@@ -1105,8 +1081,7 @@ PRODUCERS: dict[type, Callable] = {
     PlanSort: _p_sort,
     PlanLimit: _p_limit,
 }
-"""Producer registry, keyed by plan-node type. Module-level so tests can
-remove an entry to exercise the batched fallback path."""
+"""Producer registry, keyed by plan-node type: every ``Plan*`` class."""
 
 
 # ---------------------------------------------------------------------------

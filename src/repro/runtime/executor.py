@@ -6,6 +6,13 @@ parts carrying CREATE/DELETE actions the pattern portion runs first, the
 updates are applied per matched row inside the active transaction, and the
 projection boundary is evaluated afterwards — matching Cypher's clause
 ordering.
+
+Two engines run the parts: the row engine (``mode="row"``,
+:mod:`repro.runtime.operators`) and generated code (``mode="compiled"``,
+:mod:`repro.runtime.compiled`). In compiled mode a plan's first execution
+runs on the row engine, its second compiles the codegen artifact, and
+later executions reuse it: generating code for a text that never repeats
+costs more than the row engine spends running it.
 """
 
 from __future__ import annotations
@@ -19,7 +26,6 @@ from repro.pathindex.store import PathIndexStore
 from repro.planner.plans import LogicalPlan
 from repro.querygraph import QueryPart, UpdateAction
 from repro.resources import ROW_BYTES, AppendSpillBuffer
-from repro.runtime.batched import SlotLayout, compile_batched_plan
 from repro.runtime.compiled import CompiledPart, CompiledQuery, compile_query
 from repro.runtime.expressions import EvaluationContext, evaluate
 from repro.runtime.operators import (
@@ -31,6 +37,14 @@ from repro.runtime.operators import (
 from repro.runtime.row import Row
 from repro.storage.graphstore import GraphStore
 from repro.tx.transaction import Transaction
+
+ARTIFACT = "_compiled_query"
+"""Key of a planned query's codegen artifact in the ``__dict__`` of its
+part-0 plan node, the one place the artifact is kept. Plans are immutable
+and live exactly as long as the cache entry holding them, so eviction,
+index DDL and statistics drift drop the artifact with the plan, and every
+holder of the planned parts reaches it. A key present with value None
+marks a plan executed once and not compiled yet."""
 
 
 def _no_check() -> None:
@@ -49,9 +63,12 @@ def _accounted(rows: Iterator[Row], tracker, profile) -> Iterator[Row]:
 class ExecutionProfile:
     """Execution statistics: per-operator row counts, memory, and plans."""
 
-    def __init__(self, plans: Sequence[LogicalPlan]) -> None:
+    def __init__(self, plans: Sequence[LogicalPlan], engine: str) -> None:
         self.plans = list(plans)
         self.operators = OperatorProfile()
+        #: The engine that ran the query: "row", or "compiled" when a
+        #: codegen artifact did.
+        self.engine = engine
 
     @property
     def max_intermediate_cardinality(self) -> int:
@@ -90,23 +107,36 @@ class Executor:
         self.variable_kinds = variable_kinds
         self.eval_ctx = EvaluationContext(store, variable_kinds)
 
-    def compile_artifact(
-        self,
-        planned_parts: Sequence[tuple[QueryPart, LogicalPlan]],
-        morsel_size: Optional[int] = None,
+    def compile(
+        self, planned_parts: Sequence[tuple[QueryPart, LogicalPlan]]
     ) -> CompiledQuery:
-        """Compile the codegen artifact for ``planned_parts``.
+        """Compile ``planned_parts`` now, unless already compiled; returns
+        the artifact kept on the plan (see :data:`ARTIFACT`).
 
         The artifact binds the store, indexes and expression closures at
         compile time but takes profile/cancellation hooks per execution,
-        so one artifact serves every later execution of the cached plan.
+        so one artifact serves every later execution of the plan.
         """
-        ctx = RuntimeContext(
-            self.store, self.index_store, self.eval_ctx, OperatorProfile()
-        )
-        if morsel_size is not None:
-            ctx.morsel_size = morsel_size
-        return compile_query(planned_parts, ctx)
+        holder = planned_parts[0][1].__dict__
+        artifact = holder.get(ARTIFACT)
+        if artifact is None:
+            ctx = RuntimeContext(
+                self.store, self.index_store, self.eval_ctx, OperatorProfile()
+            )
+            artifact = holder[ARTIFACT] = compile_query(planned_parts, ctx)
+        return artifact
+
+    def _tiered(
+        self, planned_parts: Sequence[tuple[QueryPart, LogicalPlan]]
+    ) -> Optional[CompiledQuery]:
+        """Compiled mode's artifact for this execution: None (run on the
+        row engine) the first time a plan executes, compiled the second
+        time, reused after that."""
+        holder = planned_parts[0][1].__dict__
+        if ARTIFACT not in holder:
+            holder.setdefault(ARTIFACT, None)  # a racing compile wins
+            return None
+        return self.compile(planned_parts)
 
     def execute(
         self,
@@ -116,27 +146,30 @@ class Executor:
         token: Optional[object] = None,
         mode: str = "row",
         morsel_size: Optional[int] = None,
-        compiled: Optional[CompiledQuery] = None,
         tracker=None,
     ) -> tuple[Iterator[Row], ExecutionProfile]:
         """Build the row iterator for the whole query; lazy for reads.
 
         ``token`` is an optional cooperative cancellation token (see
-        ``repro.service.cancellation``) checked at row boundaries (``mode
-        ="row"``), morsel boundaries (``mode="batched"``), or every
-        ~``CHECK_STRIDE`` operator outputs (``mode="compiled"``). ``mode``
-        selects the execution engine; ``morsel_size`` overrides the
-        batched/compiled engines' batch size (mainly for tests).
-        ``compiled`` supplies a cached codegen artifact for
-        ``mode="compiled"``; when absent (or compiled for a different
-        morsel size) the plans are compiled on the fly. ``tracker`` is the
-        query's :class:`~repro.resources.MemoryTracker`; blocking operators
-        charge it (and spill through it), and its per-operator peaks merge
-        into the profile when the iterator finishes.
+        ``repro.service.cancellation``) checked at row boundaries (row
+        engine) or every ~``CHECK_STRIDE`` source-loop iterations
+        (generated code). ``mode`` selects the engine; in compiled mode a
+        plan's first execution runs on the row engine (see
+        :meth:`_tiered`) and :attr:`ExecutionProfile.engine` says which
+        ran. ``morsel_size`` overrides the generated code's output chunk
+        size (tests); an artifact built for another size is recompiled
+        for this execution only. ``tracker`` is the query's
+        :class:`~repro.resources.MemoryTracker`; blocking operators charge
+        it (and spill through it), and its per-operator peaks merge into
+        the profile when the iterator finishes.
         """
-        if mode not in ("row", "batched", "compiled"):
+        if mode not in ("row", "compiled"):
             raise ReproError(f"unknown execution mode {mode!r}")
-        profile = ExecutionProfile([plan for _, plan in planned_parts])
+        artifact = self._tiered(planned_parts) if mode == "compiled" else None
+        profile = ExecutionProfile(
+            [plan for _, plan in planned_parts],
+            "row" if artifact is None else "compiled",
+        )
         ctx = RuntimeContext(
             self.store,
             self.index_store,
@@ -148,19 +181,16 @@ class Executor:
         if morsel_size is not None:
             ctx.morsel_size = morsel_size
         rows: Iterator[Row] = iter([initial_row or Row.empty()])
-        if mode == "compiled":
-            if compiled is None or compiled.morsel_size != ctx.morsel_size:
-                compiled = compile_query(planned_parts, ctx)
-            for (part, plan), cpart in zip(planned_parts, compiled.parts):
+        if artifact is None:
+            for part, plan in planned_parts:
+                rows = self._run_part(rows, part, plan, ctx, transaction)
+        else:
+            if artifact.morsel_size != ctx.morsel_size:
+                artifact = compile_query(planned_parts, ctx)
+            for (part, plan), cpart in zip(planned_parts, artifact.parts):
                 rows = self._run_part_compiled(
                     rows, part, plan, ctx, transaction, cpart
                 )
-        else:
-            run_part = (
-                self._run_part_batched if mode == "batched" else self._run_part
-            )
-            for part, plan in planned_parts:
-                rows = run_part(rows, part, plan, ctx, transaction)
         if tracker is not None:
             rows = _accounted(rows, tracker, profile)
         return rows, profile
@@ -186,63 +216,6 @@ class Executor:
             raise TransactionError("update query requires an open transaction")
         return self._run_update_part(input_rows, part, pipeline, transaction, ctx)
 
-    def _run_part_batched(
-        self,
-        input_rows: Iterator[Row],
-        part: QueryPart,
-        plan: LogicalPlan,
-        ctx: RuntimeContext,
-        transaction: Optional[Transaction],
-    ) -> Iterator[Row]:
-        """Batched counterpart of :meth:`_run_part`.
-
-        Each part gets its own :class:`SlotLayout`; argument rows convert
-        to slot rows on entry (Apply semantics are preserved — the batched
-        pipeline is still invoked once per argument row) and back to
-        :class:`Row` at the part boundary. Read parts with a projection
-        rebuild rows from the projection's output columns, keeping
-        explicit None values, exactly like ``Row.project``.
-        """
-        layout = SlotLayout()
-        pipeline = compile_batched_plan(plan, ctx, layout)
-        if not part.updates:
-            if part.projection:
-                out_slots = [
-                    (item.output_name, layout.slot_of(item.output_name))
-                    for item in part.projection
-                ]
-
-                def run_read() -> Iterator[Row]:
-                    for arg_row in input_rows:
-                        for morsel in pipeline(layout.row_from(arg_row)):
-                            for slot_row in morsel:
-                                yield Row(
-                                    {
-                                        name: slot_row[slot]
-                                        for name, slot in out_slots
-                                    }
-                                )
-            else:
-
-                def run_read() -> Iterator[Row]:
-                    for arg_row in input_rows:
-                        for morsel in pipeline(layout.row_from(arg_row)):
-                            for slot_row in morsel:
-                                yield layout.row_to(slot_row)
-
-            return run_read()
-        if transaction is None:
-            raise TransactionError("update query requires an open transaction")
-
-        def row_pipeline(arg_row: Row) -> Iterator[Row]:
-            for morsel in pipeline(layout.row_from(arg_row)):
-                for slot_row in morsel:
-                    yield layout.row_to(slot_row)
-
-        return self._run_update_part(
-            input_rows, part, row_pipeline, transaction, ctx
-        )
-
     def _run_part_compiled(
         self,
         input_rows: Iterator[Row],
@@ -250,18 +223,18 @@ class Executor:
         plan: LogicalPlan,
         ctx: RuntimeContext,
         transaction: Optional[Transaction],
-        cpart: Optional[CompiledPart],
+        cpart: CompiledPart,
     ) -> Iterator[Row]:
-        """Codegen counterpart of :meth:`_run_part_batched`.
+        """Codegen counterpart of :meth:`_run_part`.
 
-        ``cpart`` is the part's compiled pipeline, or None when it fell
-        back to the batched engine. The generated function receives its
+        Argument rows convert to slot rows on entry (Apply semantics are
+        preserved — the pipeline runs once per argument row) and back to
+        :class:`Row` at the part boundary unless the generated code builds
+        the projection's rows itself. The generated function receives its
         per-execution dependencies — the profile flush and the
         cancellation check — as arguments; everything compile-time
         (store, index, expression closures, tokens) is baked in.
         """
-        if cpart is None:
-            return self._run_part_batched(input_rows, part, plan, ctx, transaction)
         fn = cpart.fn
         layout = cpart.layout
         plans = cpart.plans

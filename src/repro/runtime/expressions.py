@@ -6,7 +6,7 @@ filter keeps a row only when its predicate evaluates to exactly True.
 Property access resolves through the graph store using the variable-kind
 annotations from semantic analysis.
 
-``compile_expression`` is the batched engine's counterpart: it resolves
+``compile_expression`` is the compiled engine's counterpart: it resolves
 variable names to slot indices and token names to token ids once, at
 compile time, and returns a closure evaluating the expression against a
 slot row (a fixed-width list) with no per-row AST walk or dict lookups.
@@ -236,7 +236,7 @@ def _arithmetic(op: str, left, right):
 
 
 # ---------------------------------------------------------------------------
-# Compiled (slot-row) evaluation for the batched engine
+# Compiled (slot-row) evaluation for generated code
 # ---------------------------------------------------------------------------
 
 SlotFn = Callable[[Sequence], object]

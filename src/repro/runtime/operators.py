@@ -123,10 +123,11 @@ class RuntimeContext:
 
     ``token`` (when set) is a cooperative cancellation token — see
     ``repro.service.cancellation`` — checked at every operator's row
-    boundary (row engine) or morsel boundary (batched engine), so deadline
-    expiry or an explicit cancel stops a query mid-scan instead of letting
-    it run to completion. ``morsel_size`` is the batch size used by the
-    batched engine; the row engine ignores it.
+    boundary (row engine) or every ``CHECK_STRIDE`` source-loop
+    iterations (generated code), so deadline expiry or an explicit cancel
+    stops a query mid-scan instead of letting it run to completion.
+    ``morsel_size`` is the output chunk size of generated code; the row
+    engine ignores it.
 
     ``tracker`` (when set) is a per-query
     :class:`~repro.resources.MemoryTracker`: blocking operators charge it as
@@ -299,7 +300,7 @@ def _node_by_label_scan(plan: PlanNodeByLabelScan, ctx: RuntimeContext) -> RunFn
 def _node_id_seeker(
     plan: PlanNodeByIdSeek, ctx: RuntimeContext
 ) -> Callable[[object], bool]:
-    """``found(bound)`` for all three engines: does ``plan.node_id`` name a
+    """``found(bound)`` for both engines: does ``plan.node_id`` name a
     node the reader can see — the same record version a label scan would
     have produced — that carries the pattern's labels and agrees with
     ``bound``, the argument row's binding of the variable (None: unbound)?"""
@@ -851,7 +852,7 @@ class _Accumulator:
         self.feed_value(evaluate(self.call.argument, row, ctx.eval_ctx))
 
     def feed_value(self, value) -> None:
-        """Accumulate an already-evaluated argument (batched engine path)."""
+        """Accumulate an already-evaluated argument (generated code)."""
         name = self.call.name
         if value is None:
             return  # aggregates skip NULLs (Cypher semantics)

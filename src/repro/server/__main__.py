@@ -54,11 +54,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="admission-control queue depth before shedding",
     )
     parser.add_argument(
-        "--mode",
-        choices=("row", "batched", "compiled"),
-        help="execution engine (default: database default)",
-    )
-    parser.add_argument(
         "--default-deadline-s",
         type=float,
         help="deadline applied to queries that specify none",
@@ -149,7 +144,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         ServiceConfig(
             max_concurrency=args.workers,
             max_pending=args.max_pending,
-            execution_mode=args.mode,
             default_deadline_s=args.default_deadline_s,
         ),
     )

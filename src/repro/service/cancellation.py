@@ -1,14 +1,16 @@
 """Cooperative cancellation tokens for query execution.
 
 A :class:`CancellationToken` carries an optional absolute deadline and an
-explicit cancel flag. The runtime checks the token at iterator row
+explicit cancel flag. The row engine checks the token at iterator row
 boundaries (every row that crosses an operator, see
-``repro.runtime.operators.compile_plan``), so a timed-out or cancelled
-query stops mid-scan instead of running to completion.
+``repro.runtime.operators.compile_plan``); generated code checks it every
+``CHECK_STRIDE`` source-loop iterations (``repro.runtime.compiled``). Either
+way a timed-out or cancelled query stops mid-scan instead of running to
+completion.
 
 Checking the cancel flag is a single attribute read per row; the deadline
 (a ``time.monotonic`` call) is only consulted every ``DEADLINE_STRIDE``
-checks to keep the per-row overhead negligible on million-row scans.
+row checks to keep the per-row overhead negligible on million-row scans.
 """
 
 from __future__ import annotations
@@ -88,10 +90,10 @@ class CancellationToken:
     def check_batch(self, rows_produced: int = 0) -> None:
         """Like :meth:`check`, but always consults the deadline clock.
 
-        The batched runtime checks once per morsel (~1024 rows), so the
-        stride amortization of :meth:`check` would stretch deadline
-        detection to tens of thousands of rows; one clock read per batch is
-        already amortized.
+        Generated code checks once per ``CHECK_STRIDE`` (1024) loop
+        iterations, so the stride amortization of :meth:`check` would
+        stretch deadline detection to tens of thousands of rows; one clock
+        read per stride is already amortized.
         """
         if self._cancelled:
             raise QueryCancelledError(rows_produced=rows_produced)

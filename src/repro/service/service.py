@@ -103,11 +103,6 @@ class ServiceConfig:
     to the engine's own record/byte thresholds and explicit :meth:`~repro.\
 db.database.GraphDatabase.checkpoint` calls."""
 
-    execution_mode: Optional[str] = None
-    """Runtime engine for queries executed through the service:
-    ``"row"``, ``"batched"`` or ``"compiled"``. ``None`` inherits the
-    database's default (``REPRO_EXECUTION_MODE`` / constructor)."""
-
     memory_grant_bytes: Optional[int] = None
     """Admission grant reserved from the database's memory pool before a
     query is dispatched to a worker (also its spill threshold). ``None``
@@ -128,10 +123,6 @@ db.database.GraphDatabase.checkpoint` calls."""
             raise ValueError("max_pending must be positive")
         if self.checkpoint_interval_s is not None and self.checkpoint_interval_s <= 0:
             raise ValueError("checkpoint_interval_s must be positive")
-        if self.execution_mode not in (None, "row", "batched", "compiled"):
-            raise ValueError(
-                "execution_mode must be 'row', 'batched' or 'compiled'"
-            )
         if self.memory_grant_bytes is not None and self.memory_grant_bytes <= 0:
             raise ValueError("memory_grant_bytes must be positive")
         if self.max_query_seconds is not None and self.max_query_seconds <= 0:
@@ -365,7 +356,7 @@ class QueryService:
         queued tickets fail immediately with
         :class:`ServiceShutdownError` — *and* every in-flight query's
         cancellation token is triggered, so shutdown can never hang behind
-        a slow query (it stops at its next row/morsel boundary and its
+        a slow query (it stops at its next cancellation check and its
         ticket fails with :class:`~repro.errors.QueryCancelledError`).
         """
         with self._lock:
@@ -517,8 +508,9 @@ class QueryService:
     def _watchdog_loop(self) -> None:
         """Cancel in-flight queries exceeding ``max_query_seconds``.
 
-        Cancellation is cooperative (the runtime checks the token at row /
-        morsel boundaries), so a runaway query stops at its next check and
+        Cancellation is cooperative (the runtime checks the token at row
+        boundaries or every few loop iterations), so a runaway query stops
+        at its next check and
         surfaces as ``QueryStatus.CANCELLED``.
         """
         ceiling = self.config.max_query_seconds
@@ -699,7 +691,6 @@ class QueryService:
                         ticket.hints,
                         token=ticket.token,
                         prepared=cached,
-                        execution_mode=self.config.execution_mode,
                         tracker=tracker,
                     )
                     rows = self._drain(result, ticket)
@@ -709,7 +700,6 @@ class QueryService:
                     ticket.hints,
                     token=ticket.token,
                     prepared=cached,
-                    execution_mode=self.config.execution_mode,
                     tracker=tracker,
                 )
                 rows = self._drain(result, ticket)
@@ -731,7 +721,6 @@ class QueryService:
                     ticket.hints,
                     token=ticket.token,
                     prepared=cached,
-                    execution_mode=self.config.execution_mode,
                     tracker=tracker,
                 )
                 rows = self._drain(result, ticket)

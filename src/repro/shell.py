@@ -13,7 +13,7 @@ Inside the REPL, statements end with ``;``. Meta-commands:
     :help                       this text
     :quit                       exit (a snapshot is saved if --snapshot set)
     :explain <on|off>           print the plan before each query
-    :mode <row|batched|compiled>    switch the execution engine
+    :mode <row|compiled>        switch the execution engine
     :source <query>             print the generated Python for a query
                                 (compiled engine's codegen output)
     :indexes                    list path indexes with cardinality and size
@@ -186,8 +186,8 @@ class Shell:
         self.println(f"explain {'enabled' if self.explain else 'disabled'}")
 
     def _cmd_mode(self, argument: str) -> None:
-        if argument not in ("row", "batched", "compiled"):
-            self.println("usage: :mode <row|batched|compiled>")
+        if argument not in ("row", "compiled"):
+            self.println("usage: :mode <row|compiled>")
             return
         self.db.execution_mode = argument
         self.println(f"execution mode set to {argument}")

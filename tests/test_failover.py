@@ -7,7 +7,7 @@ The guarantees under test, layer by layer:
 * **Promotion** — a PROMOTE frame (or offline ``engine.promote()``) drains
   the replica's tail, verifies it against recovery, bumps the epoch, and
   flips the node writable; the promotion kill-points each recover to
-  byte-identical state on all three execution engines.
+  byte-identical state on both execution engines.
 * **Fencing** — a leader that hears of a higher epoch (STATUS gossip or a
   subscriber's handshake) never acknowledges another write; a revived old
   leader's divergent tail is discarded wholesale when it rejoins as a
@@ -41,14 +41,13 @@ from repro.replication import Replica
 from repro.router import Router, RouterConfig
 from repro.server import BackgroundServer, ServerConfig
 
+from tests.engines import ENGINES, execute
 from tests.test_replication import (
     ReplicaNode,
     fingerprint,
     rows_bytes,
     wait_until,
 )
-
-ENGINES = ("row", "batched", "compiled")
 
 
 # ---------------------------------------------------------------------------
@@ -97,10 +96,8 @@ def seed(addr, count, label="P", start=0):
 def assert_identical_on_all_engines(db_a, db_b, query):
     """Byte-identical rows from both databases on every execution engine."""
     for mode in ENGINES:
-        db_a.execution_mode = mode
-        db_b.execution_mode = mode
-        got = db_a.execute(query).to_list()
-        want = db_b.execute(query).to_list()
+        got = execute(db_a, query, mode=mode).to_list()
+        want = execute(db_b, query, mode=mode).to_list()
         assert rows_bytes(got) == rows_bytes(want), (
             f"row drift in {mode} mode for {query!r}"
         )

@@ -14,6 +14,8 @@ from repro.pathindex.maintenance import TRAVERSAL_BASED, traverse_pattern
 from repro.db.patternquery import Anchor, NodeAnchor
 from repro.pathindex.pattern import PathPattern
 
+from tests.engines import ENGINES
+
 
 def build_chain_db(strategy="query"):
     db = GraphDatabase(maintenance_strategy=strategy)
@@ -239,7 +241,6 @@ def test_random_mutations_keep_indexes_consistent(seed, strategy):
 # Prepared maintenance queries: the cached plans change nothing but the cost
 # ---------------------------------------------------------------------------
 
-ENGINES = ("row", "batched", "compiled")
 BUDGETS = (None, 8 << 20)
 
 LABELS = ("A", "B")

@@ -2,7 +2,7 @@
 
 The contract under test: a snapshot pinned at commit LSN *t* observes
 exactly the state a fresh database would hold after replaying the first
-*t*-worth of commits — byte-identical rows on all three engines — no
+*t*-worth of commits — byte-identical rows on both engines — no
 matter how many commits land after the pin. Version GC must then reclaim
 every chain the oldest live snapshot can no longer reach, and recovery
 from a checkpoint must reproduce identical query fingerprints.
@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from repro import GraphDatabase, QueryService
 
-ENGINES = ["row", "batched", "compiled"]
+from tests.engines import ENGINES, execute
 
 QUERIES = [
     "MATCH (n:A) RETURN n.v AS v",
@@ -41,13 +41,20 @@ def apply_op(db, op):
         raise AssertionError(kind)
 
 
-def rows_at(db, mode):
+def rows_at(db, mode, run=execute):
     """Sorted row reprs for every probe query, on one engine."""
     out = []
     for query in QUERIES:
-        result = db.execute(query, execution_mode=mode)
+        result = run(db, query, mode=mode)
         out.append(sorted(map(repr, result.to_list())))
     return out
+
+
+def tiered(db, query, mode):
+    """Plain ``db.execute``: in compiled mode a plan compiles on its second
+    run. Used where concurrent planners may replace the cached plan
+    between ``execute``'s warm-up and its run."""
+    return db.execute(query, execution_mode=mode)
 
 
 ops_strategy = st.lists(
@@ -61,7 +68,7 @@ ops_strategy = st.lists(
 
 
 # ----------------------------------------------------------------------
-# Differential: pinned snapshots vs serial replay, all three engines
+# Differential: pinned snapshots vs serial replay, both engines
 # ----------------------------------------------------------------------
 
 @settings(max_examples=25, deadline=None)
@@ -96,7 +103,7 @@ def test_pinned_snapshots_match_serial_replay(ops):
 
 def test_snapshot_differential_under_memory_budget():
     """The same prefix-equivalence holds when spill-to-disk operators are
-    in play (8 MiB budget), on all three engines."""
+    in play (8 MiB budget), on both engines."""
     ops = [
         ("create", 0), ("create", 1), ("link", 0),
         ("create", 2), ("link", 1), ("delete", 0), ("link", 2),
@@ -135,10 +142,10 @@ def test_concurrent_readers_pinned_while_writers_commit():
         snapshot = clock.acquire()
         try:
             with clock.reading(snapshot):
-                baseline = rows_at(db, "row")
+                baseline = rows_at(db, "row", tiered)
                 while not stop.is_set():
                     for mode in ENGINES:
-                        got = rows_at(db, mode)
+                        got = rows_at(db, mode, tiered)
                         if got != baseline:
                             failures.append((snapshot.lsn, mode, got))
                             return
@@ -190,9 +197,7 @@ def test_version_gc_collapses_chains_after_checkpoint(tmp_path):
     assert stats["stats_versions"] == 0
     # The collapsed state still answers correctly on every engine.
     for mode in ENGINES:
-        result = db.execute(
-            "MATCH (a:P)-[r:K]->(b:P) RETURN b.v AS v", execution_mode=mode
-        )
+        result = execute(db, "MATCH (a:P)-[r:K]->(b:P) RETURN b.v AS v", mode=mode)
         assert sorted(row["v"] for row in result.to_list()) == list(range(1, 9))
     db.close()
 

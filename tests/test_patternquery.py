@@ -16,6 +16,8 @@ from repro.db.patternquery import (
 )
 from repro.pathindex.pattern import PathPattern
 
+from tests.engines import ENGINES
+
 
 @pytest.fixture
 def db():
@@ -135,7 +137,6 @@ def test_anchors_for_non_matching_relationship():
 # Prepared pattern queries: plan once per shape, bind identifiers per anchor
 # ---------------------------------------------------------------------------
 
-ENGINES = ("row", "batched", "compiled")
 
 
 def x_anchors(db):

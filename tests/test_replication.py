@@ -3,7 +3,7 @@
 Three layers of guarantees under test:
 
 * **Differential** — after draining, every paper-shaped query returns rows
-  over the wire from a replica byte-identical to the leader, on all three
+  over the wire from a replica byte-identical to the leader, on both
   execution engines; a hypothesis test interleaves random writes,
   checkpoints and replica bounces and requires the replica to converge to
   the leader's exact fingerprint (replay is id-identical, so the
@@ -42,6 +42,8 @@ from repro.durability import iter_tail_frames
 from repro.replication import Replica
 from repro.router import Router, RouterConfig
 from repro.server import BackgroundServer, ServerConfig
+
+from tests.engines import ENGINES
 
 PAPER_QUERIES = (
     "MATCH (a:A)-[w:X]->(b:A)-[x:X]->(c:A)-[y:Y]->(d:B) RETURN a",
@@ -100,10 +102,8 @@ def wait_until(predicate, timeout_s=30.0, message="condition"):
 @contextmanager
 def leader_stack(directory, injector=None, mode=None, **server_kw):
     """A durable leader database behind a background server."""
-    db = GraphDatabase.open(directory, fault_injector=injector)
-    service = QueryService(
-        db, ServiceConfig(max_concurrency=4, execution_mode=mode)
-    )
+    db = GraphDatabase.open(directory, fault_injector=injector, execution_mode=mode)
+    service = QueryService(db, ServiceConfig(max_concurrency=4))
     server = BackgroundServer(service, ServerConfig(port=0, **server_kw))
     host, port = server.start()
     try:
@@ -124,12 +124,14 @@ class ReplicaNode:
     """A replica plus (optionally) its own serving server."""
 
     def __init__(self, directory, leader_name, injector=None, serve=True, mode=None):
-        self.rep = Replica(directory, leader_name, injector=injector)
+        self.rep = Replica(
+            directory, leader_name, injector=injector, execution_mode=mode
+        )
         self.service = self.server = self.addr = self.name = None
         if serve:
             self.service = QueryService(
                 self.rep.db,
-                ServiceConfig(max_concurrency=2, execution_mode=mode),
+                ServiceConfig(max_concurrency=2),
             )
             self.rep.attach(
                 on_swap=self.service.swap_database, metrics=self.service.metrics
@@ -185,7 +187,7 @@ def rows_bytes(rows):
 
 
 # ---------------------------------------------------------------------------
-# Differential: leader vs replicas, all three engines
+# Differential: leader vs replicas, both engines
 # ---------------------------------------------------------------------------
 
 
@@ -206,7 +208,7 @@ def populate_paper_graph(db, paths=25):
     db.create_path_index("y", "(:A)-[:Y]->(:B)")
 
 
-@pytest.mark.parametrize("mode", ["row", "batched", "compiled"])
+@pytest.mark.parametrize("mode", ENGINES)
 def test_replica_rows_byte_identical_across_engines(tmp_path, mode):
     with leader_stack(tmp_path / "leader", mode=mode) as lead:
         populate_paper_graph(lead.db)
@@ -218,7 +220,8 @@ def test_replica_rows_byte_identical_across_engines(tmp_path, mode):
             for node in nodes:
                 node.drain_from(lead)
             with Client(*lead.addr) as leader_client:
-                for query in PAPER_QUERIES:
+                # Twice: in compiled mode a plan's second run is generated code.
+                for query in PAPER_QUERIES * 2:
                     expected = leader_client.execute(query).rows
                     for node in nodes:
                         with Client(*node.addr) as replica_client:

@@ -5,7 +5,7 @@ The acceptance bar for the subsystem:
 
 * with a budget smaller than the working set, sort / aggregation / distinct /
   join shapes complete by spilling and return rows **identical** to
-  unconstrained runs in all three engines (the deterministic cost model means
+  unconstrained runs in both engines (the deterministic cost model means
   the engines also make identical spill decisions);
 * pool exhaustion degrades gracefully — the affected query fails fast with
   :class:`MemoryLimitExceeded` (writes roll back to a fingerprint-identical
@@ -26,9 +26,8 @@ from repro import FaultInjector, GraphDatabase, SimulatedCrashError
 from repro.errors import MemoryLimitExceeded, QueryCancelledError
 from repro.service import QueryService, ServiceConfig
 
+from tests.engines import ENGINES, execute
 from tests.test_durability_recovery import fingerprint
-
-MODES = ("row", "batched", "compiled")
 
 TIGHT = {"memory_budget": 1 << 20, "memory_grant": 4096}
 """A 4 KiB grant spills every blocking buffer after ~16 rows; the 1 MiB
@@ -92,9 +91,9 @@ def tight_db():
 @pytest.mark.parametrize("query", QUERIES)
 def test_spilled_rows_identical_across_engines(reference_db, tight_db, query):
     spills = {}
-    for mode in MODES:
-        expected = reference_db.execute(query, execution_mode=mode).to_list()
-        result = tight_db.execute(query, execution_mode=mode)
+    for mode in ENGINES:
+        expected = execute(reference_db, query, mode=mode).to_list()
+        result = execute(tight_db, query, mode=mode)
         assert result.to_list() == expected, mode
         spills[mode] = result.profile.spill_runs
     # The flat per-row cost model makes the spill *decisions* engine
@@ -106,8 +105,8 @@ def test_the_tight_budget_actually_spills(tight_db):
     # Guards the fixture against cost-model drift: if a future change stops
     # the suite's queries from spilling, the differential above would pass
     # vacuously.
-    for mode in MODES:
-        result = tight_db.execute(QUERIES[0], execution_mode=mode)
+    for mode in ENGINES:
+        result = execute(tight_db, QUERIES[0], mode=mode)
         result.to_list()
         assert result.profile.spill_runs > 0, mode
     assert tight_db.memory_pool.spill_runs > 0
@@ -116,8 +115,8 @@ def test_the_tight_budget_actually_spills(tight_db):
 
 def test_unconstrained_runs_never_spill(reference_db):
     for query in QUERIES:
-        for mode in MODES:
-            result = reference_db.execute(query, execution_mode=mode)
+        for mode in ENGINES:
+            result = execute(reference_db, query, mode=mode)
             result.to_list()
             assert result.profile.spill_runs == 0
     assert reference_db.memory_pool.spill_runs == 0
@@ -157,8 +156,8 @@ def test_random_graphs_spill_differentially(seed):
     ]
     for query in queries:
         expected = free.execute(query, execution_mode="row").to_list()
-        for mode in MODES:
-            got = tight.execute(query, execution_mode=mode).to_list()
+        for mode in ENGINES:
+            got = execute(tight, query, mode=mode).to_list()
             assert got == expected, (query, mode)
     free.close()
     tight.close()

@@ -15,6 +15,8 @@ from repro.querygraph import build_query_parts
 from repro.runtime import Executor, Row
 from repro.storage import PageCache
 
+from tests.engines import ENGINES, execute
+
 
 # ---------------------------------------------------------------------------
 # Row
@@ -228,7 +230,6 @@ def test_scan_consistency_with_repeated_variable():
 # Known ids bound the scan: id(v) = k literals and argument-bound variables
 # ---------------------------------------------------------------------------
 
-ENGINES = ("row", "batched", "compiled")
 
 
 def build_fan_db():
@@ -273,10 +274,11 @@ def test_leading_id_equality_bounds_the_scan(mode, monkeypatch):
     db, sources, rels = build_fan_db()
     calls = traced_seeks(db, "one", monkeypatch)
     source = sources[2]
-    result = db.execute(
+    result = execute(
+        db,
         f"MATCH (a:A)-[x:X]->(b:A) WHERE id(a) = {source} RETURN id(b) AS b",
         FORCED_ONE,
-        execution_mode=mode,
+        mode=mode,
     )
     rows = result.to_list()
     assert sorted(r["b"] for r in rows) == sorted(
@@ -301,11 +303,11 @@ def test_relationship_id_joins_the_bound_only_behind_a_fixed_start(mode, monkeyp
         f"MATCH (a:A)-[x:X]->(b:A) WHERE id(x) = {rel} AND {source} = id(a) "
         "RETURN id(b) AS b"
     )
-    assert db.execute(both, FORCED_ONE, execution_mode=mode).to_list() == [{"b": target}]
+    assert execute(db, both, FORCED_ONE, mode=mode).to_list() == [{"b": target}]
     assert calls == [((source, rel), (source, rel, 0))]
     del calls[:]
     alone = f"MATCH (a:A)-[x:X]->(b:A) WHERE id(x) = {rel} RETURN id(b) AS b"
-    assert db.execute(alone, FORCED_ONE, execution_mode=mode).to_list() == [{"b": target}]
+    assert execute(db, alone, FORCED_ONE, mode=mode).to_list() == [{"b": target}]
     assert calls == [((), (0, 0, 0))]  # a per-entry check, not a bound
 
 
@@ -321,7 +323,7 @@ def test_trailing_constant_keeps_skip_scan_restarts(mode, monkeypatch):
     hints = PlannerHints(
         required_indexes=frozenset({"two"}), allowed_indexes=frozenset({"two"})
     )
-    rows = db.execute(query, hints, execution_mode=mode).to_list()
+    rows = execute(db, query, hints, mode=mode).to_list()
     assert len(rows) == 5 * 4  # a, b among the other five, a <> b
     assert all(prefix == () for prefix, _ in calls)
 
@@ -351,11 +353,15 @@ def test_argument_bound_leading_variables_bound_the_scan(mode, monkeypatch):
     )
     plan = Planner(db.store, db.indexes).plan_part(part, hints)
     assert find_op(plan, PlanPathIndexScan) is not None
-    rows, _ = Executor(db.store, db.indexes, kinds).execute(
+    executor = Executor(db.store, db.indexes, kinds)
+    if mode == "compiled":
+        executor.compile([(part, plan)])
+    rows, profile = executor.execute(
         [(part, plan)],
         initial_row=Row(anchor.bound_variables(), anchor.bound_rel_ids()),
         mode=mode,
     )
+    assert profile.engine == mode
     entries = [tuple(r.values[v] for v in ("n0", "r0", "n1", "r1", "n2")) for r in rows]
     assert len(entries) == 5  # on to every node but target
     assert all(entry[:3] == (source, rel, target) for entry in entries)
@@ -393,6 +399,6 @@ def test_overlay_is_resolved_once_per_bounded_run(monkeypatch):
     assert added is not None and {row["b"] for row in expected} == set(nodes[2:])
     for mode in ENGINES:
         del merges[:]
-        rows = db.execute(query, hints, execution_mode=mode).to_list()
+        rows = execute(db, query, hints, mode=mode).to_list()
         assert sorted(rows, key=lambda row: (row["b"], row["c"])) == expected
         assert len(merges) == 1, mode

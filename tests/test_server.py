@@ -2,7 +2,7 @@
 
 Covers the HELLO handshake (version negotiation, auth), the acceptance
 criterion that every paper-shaped query returns rows over the network
-identical to in-process ``db.execute()`` on all three execution modes,
+identical to in-process ``db.execute()`` on both execution engines,
 prepared statements, pipelining, credit-based backpressure (a slow
 streaming client stalls only itself), disconnect → in-flight cancellation,
 commit LSNs over the wire, graceful drain, and the shell's ``:connect``
@@ -32,6 +32,8 @@ from repro.client import Client
 from repro.datasets import CorrelatedConfig, generate_correlated
 from repro.server import BackgroundServer, ServerConfig
 from repro.shell import Shell
+
+from tests.engines import ENGINES, execute
 
 CROSS_QUERY = "MATCH (a:P), (b:P) RETURN a.i AS ai, b.i AS bi"
 
@@ -157,7 +159,7 @@ def test_auth_token_enforced():
 
 
 # ----------------------------------------------------------------------
-# Differential: network rows == in-process rows, all three engines
+# Differential: network rows == in-process rows, both engines
 # ----------------------------------------------------------------------
 
 
@@ -168,17 +170,17 @@ def correlated_db():
     return db
 
 
-@pytest.mark.parametrize("mode", ["row", "batched", "compiled"])
+@pytest.mark.parametrize("mode", ENGINES)
 def test_network_rows_identical_to_in_process(correlated_db, mode):
     db = correlated_db
     db.execution_mode = mode
     with running_server(
-        db, service_config=ServiceConfig(max_concurrency=4, execution_mode=mode)
+        db, service_config=ServiceConfig(max_concurrency=4)
     ) as (server, service):
         host, port = server.address
         with Client(host, port) as client:
             for query in PAPER_QUERIES:
-                local = db.execute(query)
+                local = execute(db, query, mode=mode)
                 expected = [
                     {column: row.get(column) for column in local.columns}
                     for row in local.to_list()

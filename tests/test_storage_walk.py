@@ -23,6 +23,8 @@ from repro import GraphDatabase
 from repro.errors import RecordNotFoundError
 from repro.storage import NO_ID, Direction, GraphStore, PageCache
 
+from tests.engines import ENGINES, execute
+
 
 class RecordingPageCache(PageCache):
     """A page cache that also logs every ``(file, page)`` touch, in order."""
@@ -302,7 +304,7 @@ def _dangle_endpoint(rel, store):
     rel.end_node = store.nodes.highest_id + 10
 
 
-@pytest.mark.parametrize("engine", ["row", "batched", "compiled"])
+@pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("corrupt", [_dangle_chain, _dangle_endpoint])
 def test_dangling_references_raise_on_every_engine(engine, corrupt):
     """A chain pointer to no record, or a neighbour id past the node
@@ -312,7 +314,7 @@ def test_dangling_references_raise_on_every_engine(engine, corrupt):
     text = f"MATCH (a)-[r:R]->(b:B) WHERE id(a) = {a} RETURN id(b) AS b"
     assert "Expand" in db.explain(text)
     with pytest.raises(RecordNotFoundError):
-        db.execute(text, execution_mode=engine).to_list()
+        execute(db, text, mode=engine).to_list()
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +335,7 @@ def _perfbench():
 
 
 GOLDEN_TOUCHES = {
-    # Per text, in the workload's order; identical on all three engines.
+    # Per text, in the workload's order; identical on both engines.
     "scan_join": [5800, 5800, 16200, 11200, 16000],
     "index_read": [4, 4, 32, 2, 2],
 }
@@ -349,11 +351,14 @@ def test_golden_page_touches_of_perfbench_texts(workload, tmp_path):
     run.setup()
     try:
         db = run.db
-        for engine in ("row", "batched", "compiled"):
+        for engine in ENGINES:
             touches = []
             for read in run.reads:
+                if engine == "compiled":
+                    db.compiled_source(read.text, read.hints)
                 before = db.page_cache.stats.snapshot()
                 result = db.execute(read.text, read.hints, execution_mode=engine)
+                assert result.profile.engine == engine, read.text
                 assert read.check(result.to_list()), (engine, read.text)
                 touches.append(db.page_cache.stats.delta_since(before).accesses)
             assert touches == GOLDEN_TOUCHES[workload], engine

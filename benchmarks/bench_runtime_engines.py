@@ -2,10 +2,10 @@
 
 Times the same warm-cache queries on both execution engines on the
 correlated dataset: a label scan, a one-step expand, a two-step chain, and
-an aggregation. Both engines run the identical cached plan, so the deltas
-isolate interpretation overhead — the compiled engine fuses each pipeline
-into one generated Python loop nest over slot rows, removing the
-per-operator generator frames and dict rows of the row engine. The plan is
+an aggregation. Both engines run the identical cached plan over the same
+slot rows, so the deltas isolate interpretation overhead — the compiled
+engine fuses each pipeline into one generated Python loop nest, removing
+the row engine's per-operator generator frames and closure calls. The plan is
 compiled before timing starts (in production a plan compiles on its second
 execution), so the numbers are the generated code's steady state.
 
@@ -122,7 +122,7 @@ def _run_table(smoke: bool = False) -> dict:
     return data
 
 
-def test_runtime_batching_report(benchmark):
+def test_runtime_engines_report(benchmark):
     # Gated like --smoke: both engines return the same rows, and the timed
     # compiled runs are generated code. The speedups are reported, not
     # gated — both engines share the store's chain walk and record reads, so

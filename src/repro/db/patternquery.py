@@ -30,8 +30,9 @@ from repro.pathindex.pattern import PathPattern
 from repro.pathindex.store import PathIndexStore
 from repro.planner import Planner, PlannerHints
 from repro.querygraph import QueryGraph, QueryPart
-from repro.runtime import Executor, Row
+from repro.runtime import Executor
 from repro.runtime.executor import ExecutionProfile
+from repro.runtime.slots import layout_of
 from repro.storage.graphstore import GraphStore
 
 
@@ -129,19 +130,14 @@ def build_pattern_part(
     return QueryPart(query_graph=graph, projection=projection, is_final=True), kinds
 
 
-ENGINE = "compiled"
-"""Engine of every internal pattern query. Measured on perfbench's
-``write_maintain`` graph with the plan cached: anchored queries (a handful
-of rows) cost the same on every engine to within noise, while the
-unanchored Algorithm 2 / ``verify_index`` scans are fastest compiled.
-Compiled when prepared, so even a query's first run is generated code
-(Algorithm 2 over perfbench's Full+Sub4+Sub7: 0.25 s compiled, 0.27 s on
-the row engine)."""
-
-
 @dataclass
 class PreparedPatternQuery:
     """A planned pattern query; :meth:`run` it once per anchor.
+
+    Every pattern query runs compiled and is compiled when prepared, so
+    even its first run is generated code: anchored queries cost the same
+    on either engine, and the unanchored Algorithm 2 / ``verify_index``
+    scans are fastest compiled.
 
     ``node_count`` / ``relationship_count`` / ``index_signature`` are the
     plan cache's staleness fields. The codegen artifact lives on the plan,
@@ -150,25 +146,23 @@ class PreparedPatternQuery:
 
     planned_parts: list  # [(QueryPart, LogicalPlan)]
     executor: Executor
-    names: tuple[str, ...]
     node_count: int
     relationship_count: int
     index_signature: frozenset[str]
 
     def run(self, anchor=None) -> tuple[Iterator[tuple[int, ...]], ExecutionProfile]:
         """Stream the occurrences through ``anchor`` (all, without one) as
-        identifier entries. ``anchor`` must be of the kind and position the
-        query was prepared for."""
+        identifier entries: the query projects the entry variables in entry
+        order, so its rows are the entries. ``anchor`` must be of the kind
+        and position the query was prepared for."""
         initial = None
         if anchor is not None:
-            initial = Row(anchor.bound_variables(), anchor.bound_rel_ids())
-        rows, profile = self.executor.execute(
-            self.planned_parts, initial_row=initial, mode=ENGINE
+            initial = layout_of(self.planned_parts).argument_row(
+                anchor.bound_variables(), anchor.bound_rel_ids()
+            )
+        return self.executor.execute(
+            self.planned_parts, initial_row=initial, mode="compiled"
         )
-        names = self.names
-        return (
-            tuple([int(row.values[name]) for name in names]) for row in rows
-        ), profile
 
 
 def prepare_pattern_query(
@@ -188,12 +182,10 @@ def prepare_pattern_query(
     part, kinds = build_pattern_part(pattern, anchor)
     planned_parts = [(part, Planner(store, index_store).plan_part(part, hints))]
     executor = Executor(store, index_store, kinds)
-    if ENGINE == "compiled":
-        executor.compile(planned_parts)
+    executor.compile(planned_parts)
     return PreparedPatternQuery(
         planned_parts=planned_parts,
         executor=executor,
-        names=tuple(entry_variables(pattern)),
         node_count=stats.node_count,
         relationship_count=stats.relationship_count,
         index_signature=signature,

@@ -13,7 +13,6 @@ from typing import Iterator, Optional, Sequence
 
 from repro.planner.plans import LogicalPlan
 from repro.runtime.executor import ExecutionProfile
-from repro.runtime.row import Row
 
 
 class Result:
@@ -21,7 +20,7 @@ class Result:
 
     def __init__(
         self,
-        rows: Iterator[Row],
+        rows: Iterator[tuple],
         columns: Sequence[str],
         profile: ExecutionProfile,
         submitted_at: float,
@@ -61,7 +60,7 @@ class Result:
             self._first_at = now
         self._last_at = now
         self._count += 1
-        return {column: row.values.get(column) for column in self.columns}
+        return dict(zip(self.columns, row))
 
     def consume(self) -> int:
         """Drain the iterator; returns the number of rows."""

@@ -3,7 +3,8 @@
 Per part: split the query graph into connected components (§2.2), solve each
 with the IDP solver, combine components with CartesianProduct cheapest-first,
 apply any remaining cross-component selections, then add the projection
-boundary (Projection / Distinct / Sort / Limit). A ``manual_expand_chain``
+boundary (Projection / Distinct / Sort / Limit), update parts too (their
+writes apply before it). A ``manual_expand_chain``
 hint bypasses the solver entirely and builds a hand-ordered scan-then-expand
 plan (the paper's YAGO ``Manual`` plan, §7.3).
 """
@@ -172,11 +173,6 @@ class Planner:
     def _boundary(
         self, factory: PlanFactory, part: QueryPart, plan: LogicalPlan
     ) -> LogicalPlan:
-        if part.updates:
-            # Cypher applies writes after pattern matching and projects
-            # afterwards; the executor owns the whole boundary for update
-            # parts so created variables are visible to the projection.
-            return plan
         aggregating = any(
             ast.contains_aggregate(item.expression) for item in part.projection
         )

@@ -301,3 +301,16 @@ class PlanLimit(LogicalPlan):
 
     def describe(self) -> str:
         return f"Limit(skip={self.skip}, limit={self.limit})"
+
+
+def pattern_half(plan: LogicalPlan) -> LogicalPlan:
+    """The root of ``plan``'s pattern half, below its boundary (Limit,
+    Distinct, the WITH's Filter, Sorts, Projection or Aggregation); a part
+    without a projection is all pattern."""
+    node = plan
+    while isinstance(node, (PlanLimit, PlanDistinct, PlanFilter, PlanSort)):
+        node = node.children[0]
+    if not isinstance(node, (PlanProjection, PlanAggregation)):
+        return plan
+    node = node.children[0]
+    return node.children[0] if isinstance(node, PlanSort) else node

@@ -27,8 +27,8 @@ rows (the differential suites assert this per engine and across engines):
   right side, the update engine's matched-row buffer) that overflows
   wholesale to a single sequential file and replays from disk.
 
-Items must be picklable; every engine's buffered rows (``Row`` objects,
-slot lists, materialized codegen rows) are. Spill files are created through
+Items must be picklable; both engines' buffered rows (slot lists) and
+codegen's aggregation items (plain tuples) are. Spill files are created through
 a :class:`SpillManager` (one per database) as ``*.spill`` files so crash
 recovery and service shutdown can sweep orphans; the manager calls the
 durability :class:`~repro.durability.faults.FaultInjector`'s spill

@@ -1,28 +1,27 @@
 """Compiled (data-centric codegen) execution mode.
 
 ``compile_query`` turns a planned query into a :class:`CompiledQuery`: one
-exec-compiled Python pipeline function per query part (see
-:mod:`repro.runtime.compiled.codegen`). Every plan-node type has a
-producer, so every plan compiles. The artifact is kept on the plan
-itself (see ``repro.runtime.executor.ARTIFACT``), so it shares the plan's
+exec-compiled Python pipeline function per read part, two per update part
+(see :mod:`repro.runtime.compiled.codegen`). Every plan-node type has a
+producer, so every plan compiles. The artifact is kept on the plan itself
+(see ``repro.runtime.executor.ARTIFACT``), so it shares the plan's
 invalidation (statistics drift, index set changes, eviction).
 """
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
-from repro.planner.plans import LogicalPlan
+from repro.planner.plans import LogicalPlan, pattern_half
 from repro.runtime.compiled.codegen import (
     CHECK_STRIDE,
     PRODUCERS,
     PartCompiler,
     generate_part_source,
 )
-from repro.runtime.compiled.slots import SlotLayout
 from repro.runtime.operators import RuntimeContext
+from repro.runtime.slots import SlotLayout
 
 __all__ = [
     "CHECK_STRIDE",
@@ -36,22 +35,19 @@ __all__ = [
 
 @dataclass
 class CompiledPart:
-    """One query part's exec-compiled pipeline.
+    """One exec-compiled pipeline function of a query part.
 
-    ``fn(slot_arg, flush, check)`` yields morsels; items are finished
-    :class:`~repro.runtime.row.Row` objects when ``row_sink`` is set,
-    full slot rows otherwise. ``plans`` lists the plan nodes in counter
-    order for ``flush``. ``lock`` guards the shared layout's runtime slot
-    allocation (``row_from``) because the artifact is reused across
-    executions, possibly concurrent ones.
+    ``fn(rows, flush, check, mem, params)`` consumes the part's input rows
+    and yields morsels: full slot rows, or the final part's column tuples.
+    ``plans`` lists the plan nodes in counter order for ``flush``. An
+    update part's ``fn`` is its pattern half and ``boundary`` the function
+    consuming its written rows.
     """
 
     fn: object
     source: str
-    layout: SlotLayout
     plans: list[LogicalPlan]
-    row_sink: bool
-    lock: threading.Lock = field(default_factory=threading.Lock)
+    boundary: Optional["CompiledPart"] = None
 
 
 @dataclass
@@ -68,40 +64,36 @@ class CompiledQuery:
     def source(self) -> str:
         """The generated Python source for all parts (shell ``:source``)."""
         return "\n".join(
-            f"# ---- part {position} ----\n{part.source}"
+            f"# ---- part {position}{suffix} ----\n{compiled.source}"
             for position, part in enumerate(self.parts)
+            for suffix, compiled in (("", part), (" boundary", part.boundary))
+            if compiled is not None
         )
 
 
-def compile_part(
-    part,
+def _compile(
     plan: LogicalPlan,
     ctx: RuntimeContext,
-    arg_names: Sequence[str] = (),
-    position: int = 0,
+    layout: SlotLayout,
+    seam: LogicalPlan,
+    name: str,
+    stream: bool = False,
+    columns: Optional[list[str]] = None,
 ) -> CompiledPart:
-    """Compile one part into its pipeline function."""
-    layout = SlotLayout()
-    source, env, plans, row_sink = generate_part_source(
-        part, plan, ctx, layout, arg_names
+    source, env, plans = generate_part_source(
+        plan, ctx, layout, seam, stream, columns
     )
     namespace = dict(env)
-    code = compile(source, f"<compiled:part{position}>", "exec")
-    exec(code, namespace)
-    return CompiledPart(
-        fn=namespace["_pipeline"],
-        source=source,
-        layout=layout,
-        plans=plans,
-        row_sink=row_sink,
-    )
+    exec(compile(source, f"<compiled:{name}>", "exec"), namespace)
+    return CompiledPart(fn=namespace["_pipeline"], source=source, plans=plans)
 
 
 def compile_query(
     planned_parts: Sequence[tuple[object, LogicalPlan]],
     ctx: RuntimeContext,
+    layout: SlotLayout,
 ) -> CompiledQuery:
-    """Compile every part of a planned query.
+    """Compile every part of a planned query against its ``layout``.
 
     ``planned_parts`` is the plan cache's ``(QueryPart, LogicalPlan)``
     sequence; ``ctx`` supplies the store, index store, evaluation context
@@ -110,14 +102,21 @@ def compile_query(
     through the ``flush``/``check`` arguments).
     """
     parts: list[CompiledPart] = []
-    arg_names: Sequence[str] = ()
+    last = len(planned_parts) - 1
     for position, (part, plan) in enumerate(planned_parts):
-        compiled = compile_part(part, plan, ctx, arg_names, position)
-        parts.append(compiled)
-        # Pre-allocate everything the next part can receive through its
-        # argument row, so runtime slot allocation is the exception.
-        if part.projection:
-            arg_names = tuple(item.output_name for item in part.projection)
+        columns = (
+            [item.output_name for item in part.projection]
+            if position == last
+            else None
+        )
+        pattern = pattern_half(plan)
+        name = f"part{position}"
+        if part.updates:
+            compiled = _compile(pattern, ctx, layout, pattern, name)
+            compiled.boundary = _compile(
+                plan, ctx, layout, pattern, f"{name}.boundary", True, columns
+            )
         else:
-            arg_names = tuple(compiled.layout.slots)
+            compiled = _compile(plan, ctx, layout, pattern, name, columns=columns)
+        parts.append(compiled)
     return CompiledQuery(parts=parts, morsel_size=ctx.morsel_size)

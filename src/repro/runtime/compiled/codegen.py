@@ -7,11 +7,15 @@ iterators, variable bindings become plain locals, and predicates/projections
 call expression closures pre-compiled with
 :func:`repro.runtime.expressions.compile_expression`. Pipeline breakers
 (hash-join build, aggregation, sort, distinct-free buffering points) stay in
-the same function as materialization points between loop nests.
+the same function as materialization points between loop nests. A read
+part is one function: its pattern half runs inside a loop over the part's
+argument rows, and its boundary operators consume that loop's output once
+per part. An update part is two functions, its pattern half and its
+boundary, with the writes applied between them.
 
 The generated function preserves the row engine's observable contract:
 
-* per-logical-operator row counts (flushed once per invocation via the
+* per-logical-operator row counts (flushed once per call via the
   ``_flush`` argument; operators that produced nothing are skipped, as
   the row engine records no count for them),
 * cooperative cancellation (``_check`` is called every
@@ -79,13 +83,7 @@ from repro.planner.plans import (
     PlanRelationshipByTypeScan,
     PlanSort,
 )
-from repro.runtime.compiled.slots import SlotLayout, _merge_rows, _slot_entry_binder
-from repro.runtime.expressions import (
-    EvaluationContext,
-    compile_expression,
-    compile_predicate,
-    evaluate,
-)
+from repro.runtime.expressions import compile_expression, compile_predicate
 from repro.runtime.operators import (
     RuntimeContext,
     _Accumulator,
@@ -95,11 +93,15 @@ from repro.runtime.operators import (
     _label_ids,
     _leading_prefix,
     _node_id_seeker,
-    _resolve_type_ids,
     _skip_target,
     _sort_key,
 )
-from repro.runtime.row import Row
+from repro.runtime.slots import (
+    SlotLayout,
+    _entry_binder,
+    _merge_rows,
+    _resolve_type_ids,
+)
 
 CHECK_STRIDE = 1024
 """Source-loop iterations between cancellation checks (the default morsel
@@ -119,8 +121,8 @@ class _Scope:
     exists only as locals); ``bound`` maps variable names to expression
     strings overriding the base row; ``rels`` is an expression for the
     current relationship-uniqueness tuple. ``closed`` marks post-boundary
-    scopes where any variable not in ``bound`` is NULL (the row engine
-    drops non-projected bindings at WITH boundaries).
+    scopes where any variable not in ``bound`` is NULL (a projection
+    drops non-projected bindings).
     """
 
     base: Optional[str]
@@ -155,24 +157,34 @@ class _MiniSlots:
 
 
 class PartCompiler:
-    """Emits the fused pipeline function for one query part."""
+    """Emits one pipeline function of a query part.
+
+    The function consumes the part's input rows, ``_args``, at ``seam``:
+    with ``stream`` False the seam is the pattern half's root, which runs
+    once per argument row (Apply) inside a loop over ``_args``; with
+    ``stream`` True the rows of ``_args`` are the seam's output itself (an
+    update part's written rows, entering its boundary).
+    """
 
     def __init__(
         self,
         plan: LogicalPlan,
         ctx: RuntimeContext,
         layout: SlotLayout,
+        seam: LogicalPlan,
+        stream: bool = False,
     ) -> None:
-        self.plan = plan
         self.ctx = ctx
         self.layout = layout
+        self.seam = seam
+        self.stream = stream
         self.lines: list[str] = []
         self.indent = 2  # inside `def` + `try`
-        self.env: dict[str, object] = {}
+        self.env: dict[str, object] = {"_W": layout.width}
         self._names = itertools.count()
         self.plans: list[LogicalPlan] = []
         self._plan_index: dict[int, int] = {}
-        for node in _walk(plan):
+        for node in _walk(plan, seam if stream else None):
             if id(node) not in self._plan_index:
                 self._plan_index[id(node)] = len(self.plans)
                 self.plans.append(node)
@@ -299,13 +311,24 @@ class PartCompiler:
         producer = PRODUCERS.get(type(plan))
         if producer is None:
             raise ReproError(f"no compiled operator for {type(plan).__name__}")
-        producer(self, plan, consume)
+        if plan is not self.seam:
+            producer(self, plan, consume)
+            return
+        self.emit("for _arg in _args:")
+        with self.block():
+            if self.stream:
+                consume(self.row_scope("_arg"))
+            else:
+                self.emit("_R0 = _arg[_W]")
+                producer(self, plan, consume)
 
 
-def _walk(plan: LogicalPlan) -> Iterable[LogicalPlan]:
+def _walk(plan: LogicalPlan, stop: Optional[LogicalPlan]) -> Iterable[LogicalPlan]:
+    if plan is stop:
+        return
     yield plan
     for child in plan.children:
-        yield from _walk(child)
+        yield from _walk(child, stop)
 
 
 # ---------------------------------------------------------------------------
@@ -314,8 +337,6 @@ def _walk(plan: LogicalPlan) -> Iterable[LogicalPlan]:
 
 
 def _p_argument(comp: PartCompiler, plan: PlanArgument, consume) -> None:
-    for variable in plan.variables:
-        comp.layout.slot_of(variable)
     # A one-iteration loop so downstream `continue` has a loop to target.
     comp.emit("for _ in (0,):")
     with comp.block():
@@ -508,7 +529,7 @@ def _p_expand(comp: PartCompiler, plan: PlanExpand, consume) -> None:
     type_set = None
     type_guard: Optional[str] = None
     if plan.types:
-        static = _resolve_type_ids(ctx, plan.types)
+        static = _resolve_type_ids(ctx.store, plan.types)
         if len(static) == len(plan.types):
             if len(static) == 1:
                 single_type = repr(next(iter(static)))
@@ -519,7 +540,9 @@ def _p_expand(comp: PartCompiler, plan: PlanExpand, consume) -> None:
             # invocation, mirroring the row engine's per-run retry.
             resolver = comp.add_env(
                 "rtypes",
-                lambda ctx=ctx, names=plan.types: _resolve_type_ids(ctx, names),
+                lambda store=ctx.store, names=plan.types: _resolve_type_ids(
+                    store, names
+                ),
             )
             resolved = comp.fresh("tr")
             single = comp.fresh("st")
@@ -644,9 +667,13 @@ def _p_node_hash_join(comp: PartCompiler, plan: PlanNodeHashJoin, consume) -> No
         emit_consume_merged(merged)
 
 
+def _tuple_code(items: list[str]) -> str:
+    """Code for a tuple of the expressions ``items``."""
+    return f"({items[0]},)" if len(items) == 1 else f"({', '.join(items)})"
+
+
 def _key_tuple(comp: PartCompiler, scope: _Scope, names) -> str:
-    parts = ", ".join(comp.ref(scope, name) for name in names)
-    return f"({parts},)" if len(names) == 1 else f"({parts})"
+    return _tuple_code([comp.ref(scope, name) for name in names])
 
 
 def _p_cartesian_product(
@@ -721,7 +748,7 @@ def _p_path_index_scan(comp: PartCompiler, plan: PlanPathIndexScan, consume) -> 
     index = ctx.index_store.get(plan.index_name)
     scan = comp.add_env("iscan", index.scan)
     scan_prefix = comp.add_env("ipfx", index.scan_prefix)
-    bind = comp.add_env("bind", _slot_entry_binder(plan, ctx, comp.layout))
+    bind = comp.add_env("bind", _entry_binder(plan, ctx.store, comp.layout))
     prefix = _emit_leading_prefix(comp, plan, (None,) * len(plan.entry_vars))
     entry, row = comp.fresh("en"), comp.fresh("rw")
     comp.emit(f"for {entry} in {scan_prefix}({prefix}) if {prefix} else {scan}():")
@@ -741,7 +768,7 @@ def _p_path_index_filtered_scan(
     ctx = comp.ctx
     index = ctx.index_store.get(plan.index_name)
     seeker = comp.add_env("isk", index.seeker)
-    bind = comp.add_env("bind", _slot_entry_binder(plan, ctx, comp.layout))
+    bind = comp.add_env("bind", _entry_binder(plan, ctx.store, comp.layout))
     width = len(plan.entry_vars)
     constraints = _filtered_scan_constraints(plan)
     skip = comp.add_env(
@@ -795,8 +822,8 @@ def _p_path_index_prefix_seek(
     store = comp.add_env("store", ctx.store)
     bind = comp.add_env(
         "bind",
-        _slot_entry_binder(
-            plan, ctx, comp.layout, skip_positions=plan.prefix_length
+        _entry_binder(
+            plan, ctx.store, comp.layout, skip_positions=plan.prefix_length
         ),
     )
     prefix_vars = plan.entry_vars[: plan.prefix_length]
@@ -841,9 +868,6 @@ def _p_path_index_prefix_seek(
 
 
 def _p_projection(comp: PartCompiler, plan: PlanProjection, consume) -> None:
-    for item in plan.items:
-        comp.layout.slot_of(item.output_name)
-
     def consume_child(scope: _Scope) -> None:
         bound: dict[str, str] = {}
         for item in plan.items:
@@ -853,7 +877,7 @@ def _p_projection(comp: PartCompiler, plan: PlanProjection, consume) -> None:
             bound[item.output_name] = local
         comp.count_and_check(plan)
         # The uniqueness scope resets and non-projected bindings drop at
-        # the boundary, exactly like the row engine's ``Row.project``.
+        # the boundary.
         consume(_Scope(base=None, bound=bound, rels="()", closed=True))
 
     comp.produce(plan.children[0], consume_child)
@@ -862,10 +886,6 @@ def _p_projection(comp: PartCompiler, plan: PlanProjection, consume) -> None:
 def _p_aggregation(comp: PartCompiler, plan: PlanAggregation, consume) -> None:
     ctx = comp.ctx
     grouping_names = [item.output_name for item in plan.grouping_items]
-    for item in plan.grouping_items:
-        comp.layout.slot_of(item.output_name)
-    for item in plan.aggregate_items:
-        comp.layout.slot_of(item.output_name)
 
     # Flat accumulator order: item by item, call by call; a None slot in
     # the fed tuple marks a count(*) accumulator.
@@ -886,17 +906,26 @@ def _p_aggregation(comp: PartCompiler, plan: PlanAggregation, consume) -> None:
             else:
                 accumulator.feed_value(value)
 
-    def finish(key_values: tuple, accumulators: list, eval_ctx) -> list:
-        values = dict(zip(grouping_names, key_values))
+    # Each item expression reads its inputs — grouping outputs, earlier
+    # aggregate outputs, its calls' results, parameter slots — as a tuple.
+    finishers = []
+    for item, calls in item_calls:
+        inputs = _MiniSlots()
+        value_of = compile_expression(item.expression, inputs.slot_of, ctx.eval_ctx)
+        finishers.append((item.output_name, calls, value_of, inputs.names))
+
+    def finish(key_values: tuple, accumulators: list, params: tuple) -> list:
+        known = dict(zip(grouping_names, key_values))
         out = list(key_values)
-        position = 0
-        for item, calls in item_calls:
-            results = {}
-            for call in calls:
-                results[call] = accumulators[position].result()
-                position += 1
-            value = evaluate(item.expression, Row(values), eval_ctx, results)
-            values[item.output_name] = value
+        pending = iter(accumulators)
+        for name, calls, value_of, inputs in finishers:
+            known.update({call: next(pending).result() for call in calls})
+            value = known[name] = value_of(
+                [
+                    params[ref.index] if isinstance(ref, ast.Parameter) else known.get(ref)
+                    for ref in inputs
+                ]
+            )
             out.append(value)
         return out
 
@@ -918,10 +947,6 @@ def _p_aggregation(comp: PartCompiler, plan: PlanAggregation, consume) -> None:
     make_env = comp.add_env("mkacc", make_accumulators)
     finish_env = comp.add_env("fin", finish)
     hashable = comp.add_env("hash", _hashable)
-    # Aggregate items evaluate against this execution's parameters.
-    bind_ctx = comp.add_env("ectx", ctx.eval_ctx.bound)
-    eval_ctx = comp.fresh("ec")
-    comp.emit(f"{eval_ctx} = {bind_ctx}(_params)")
     buffer = comp.fresh("gr")
     comp.emit(f"{buffer} = {make_buffer}(_mem)")
 
@@ -962,7 +987,7 @@ def _p_aggregation(comp: PartCompiler, plan: PlanAggregation, consume) -> None:
     comp.emit(f"for {state} in {states}:")
     with comp.block():
         comp.tick()
-        comp.emit(f"{finished} = {finish_env}({state}[0], {state}[1], {eval_ctx})")
+        comp.emit(f"{finished} = {finish_env}({state}[0], {state}[1], _params)")
         comp.count_and_check(plan)
         bound = {
             name: f"{finished}[{position}]"
@@ -1008,19 +1033,12 @@ def _p_distinct(comp: PartCompiler, plan: PlanDistinct, consume) -> None:
 
 def _p_sort(comp: PartCompiler, plan: PlanSort, consume) -> None:
     eval_ctx = comp.ctx.eval_ctx
-    slots = {
-        name: comp.layout.slot_of(name)
-        for expression, _ in plan.order_by
-        for name in sorted(expression.variables())
-    }
+    slot_of = comp.layout.slot_of
 
     def make_buffer(mem, params, plan=plan) -> SortSpillBuffer:
         # The keys compile per execution, reading that execution's slots.
         keys = [
-            (
-                compile_expression(expression, slots.__getitem__, eval_ctx, params),
-                ascending,
-            )
+            (compile_expression(expression, slot_of, eval_ctx, params), ascending)
             for expression, ascending in plan.order_by
         ]
 
@@ -1113,39 +1131,27 @@ PRODUCERS: dict[type, Callable] = {
 
 
 def generate_part_source(
-    part,
     plan: LogicalPlan,
     ctx: RuntimeContext,
     layout: SlotLayout,
-    arg_names: Iterable[str] = (),
-) -> tuple[str, dict[str, object], list[LogicalPlan], bool]:
-    """Generate the fused pipeline source for one query part.
+    seam: LogicalPlan,
+    stream: bool = False,
+    columns: Optional[list[str]] = None,
+) -> tuple[str, dict[str, object], list[LogicalPlan]]:
+    """Generate the source of one pipeline function (see
+    :class:`PartCompiler` for ``seam`` and ``stream``).
 
-    Returns ``(source, env, plans, row_sink)``. ``row_sink`` is True when
-    the generated code emits finished :class:`Row` objects (read parts
-    with a projection); otherwise it emits full slot rows for the caller
-    to convert (update parts, projection-less parts). ``arg_names`` are
-    pre-allocated in ``layout`` so argument rows of the previous part
-    never have to allocate slots at run time.
+    Returns ``(source, env, plans)``. The function yields morsels of full
+    slot rows, or, given the final part's ``columns``, of tuples holding
+    those columns in order.
     """
-    for name in arg_names:
-        layout.slot_of(name)
-    comp = PartCompiler(plan, ctx, layout)
-    row_sink = bool(part.projection) and not part.updates
-    if row_sink:
-        out_names = [item.output_name for item in part.projection]
-        for name in out_names:
-            layout.slot_of(name)
-        comp.env["_Row"] = Row
+    comp = PartCompiler(plan, ctx, layout, seam, stream)
 
     def sink(scope: _Scope) -> None:
-        if row_sink:
-            items = ", ".join(
-                f"{name!r}: {comp.ref(scope, name)}" for name in out_names
-            )
-            comp.emit(f"_append(_Row({{{items}}}))")
-        else:
+        if columns is None:
             comp.emit(f"_append({comp.materialize(scope)})")
+        else:
+            comp.emit(f"_append({_key_tuple(comp, scope, columns)})")
         comp.emit("if len(_out) >= _M:")
         with comp.block():
             comp.emit("yield _out")
@@ -1164,11 +1170,9 @@ def generate_part_source(
     # never their values, so one artifact serves every text of a shape.
     env_params = "".join(f", {name}={name}" for name in sorted(comp.env))
     header = [
-        f"def _pipeline(_arg, _flush, _check, _mem=None, _params=(){env_params}):",
+        f"def _pipeline(_args, _flush, _check, _mem=None, _params=(){env_params}):",
         "    if _mem is None:",
         "        _mem = _NT",
-        "    _W = len(_arg) - 1",
-        "    _R0 = _arg[_W]",
         "    _tick = 0",
     ]
     header += [f"    {counter} = 0" for counter in counters]
@@ -1181,7 +1185,7 @@ def generate_part_source(
         "        if _out:",
         "            yield _out",
         "    finally:",
-        f"        _flush(({', '.join(counters)},))",
+        f"        _flush({_tuple_code(counters)})",
     ]
     source = "\n".join(header + comp.lines + footer) + "\n"
-    return source, comp.env, comp.plans, row_sink
+    return source, comp.env, comp.plans

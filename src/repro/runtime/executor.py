@@ -1,11 +1,14 @@
 """Query execution across parts, including update application.
 
-Parts execute in order; each incoming row is fed through the next part's
-pipeline as its argument row (Apply semantics across WITH boundaries). For
-parts carrying CREATE/DELETE actions the pattern portion runs first, the
-updates are applied per matched row inside the active transaction, and the
-projection boundary is evaluated afterwards — matching Cypher's clause
-ordering.
+All parts of a query run on its one slot-row layout (see
+:mod:`repro.runtime.slots`), and each part consumes the previous part's row
+stream as it is. A part's pattern half runs once per incoming argument row
+(Apply semantics across WITH boundaries); its boundary operators run once
+per part. For parts carrying CREATE/DELETE actions the pattern half runs to
+completion first, the updates are applied to every matched row inside the
+active transaction, and the boundary consumes the written rows — matching
+Cypher's clause ordering. The final part yields one tuple per row, holding
+its columns in order.
 
 Two engines run the parts: the row engine (``mode="row"``,
 :mod:`repro.runtime.operators`) and generated code (``mode="compiled"``,
@@ -23,30 +26,26 @@ builds an execution's pipeline; generated code receives them per call.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Sequence
+from itertools import chain
+from typing import Callable, Iterator, Optional, Sequence
 
-from repro.cypher import ast
 from repro.cypher.semantics import VariableKind
 from repro.errors import ReproError, TransactionError
 from repro.pathindex.store import PathIndexStore
-from repro.planner.plans import LogicalPlan
+from repro.planner.plans import LogicalPlan, pattern_half
 from repro.querygraph import QueryPart, UpdateAction
 from repro.resources import ROW_BYTES, AppendSpillBuffer
 from repro.runtime.compiled import CompiledPart, CompiledQuery, compile_query
-from repro.runtime.expressions import EvaluationContext, evaluate
-from repro.runtime.operators import (
-    OperatorProfile,
-    RuntimeContext,
-    _sort_key,
-    compile_plan,
-)
-from repro.runtime.row import Row
+from repro.runtime.expressions import EvaluationContext, compile_expression
+from repro.runtime.operators import OperatorProfile, RuntimeContext, compile_plan
+from repro.runtime.slots import SlotLayout, layout_of
 from repro.storage.graphstore import GraphStore
 from repro.tx.transaction import Transaction
 
 ARTIFACT = "_compiled_query"
 """Key of a planned query's codegen artifact in the ``__dict__`` of its
-part-0 plan node, the one place the artifact is kept. Plans are immutable
+part-0 plan node, the one place the artifact is kept (next to its slot
+layout, ``repro.runtime.slots.LAYOUT``). Plans are immutable
 and live exactly as long as the cache entry holding them, so eviction,
 index DDL and statistics drift drop the artifact with the plan, and every
 holder of the planned parts reaches it. A key present with value None
@@ -57,13 +56,24 @@ def _no_check() -> None:
     """Cancellation no-op for tokenless compiled executions."""
 
 
-def _accounted(rows: Iterator[Row], tracker, profile) -> Iterator[Row]:
+def _accounted(rows: Iterator[tuple], tracker, profile) -> Iterator[tuple]:
     """Merge the tracker's per-operator peaks into the profile when the
     (possibly lazily consumed) row iterator finishes or is abandoned."""
     try:
         yield from rows
     finally:
         tracker.merge_into_profile(profile.operators)
+
+
+def _columns(rows: Iterator[list], slots: list[int]) -> Iterator[tuple]:
+    """The final part's column tuples (the row engine's output)."""
+    for row in rows:
+        yield tuple([row[slot] for slot in slots])
+
+
+def _same(rows: Iterator[list]) -> Iterator[list]:
+    """An update part's boundary source: the written rows themselves."""
+    return rows
 
 
 class ExecutionProfile:
@@ -129,7 +139,9 @@ class Executor:
             ctx = RuntimeContext(
                 self.store, self.index_store, self.eval_ctx, OperatorProfile()
             )
-            artifact = holder[ARTIFACT] = compile_query(planned_parts, ctx)
+            artifact = holder[ARTIFACT] = compile_query(
+                planned_parts, ctx, layout_of(planned_parts)
+            )
         return artifact
 
     def _tiered(
@@ -148,16 +160,18 @@ class Executor:
         self,
         planned_parts: Sequence[tuple[QueryPart, LogicalPlan]],
         transaction: Optional[Transaction] = None,
-        initial_row: Optional[Row] = None,
+        initial_row: Optional[list] = None,
         token: Optional[object] = None,
         mode: str = "row",
         morsel_size: Optional[int] = None,
         tracker=None,
-    ) -> tuple[Iterator[Row], ExecutionProfile]:
-        """Build the row iterator for the whole query; lazy for reads.
+    ) -> tuple[Iterator[tuple], ExecutionProfile]:
+        """Build the iterator of the query's column tuples; lazy for reads.
 
-        ``token`` is an optional cooperative cancellation token (see
-        ``repro.service.cancellation``) checked at row boundaries (row
+        ``initial_row`` is the first part's argument row, built with
+        ``layout_of(planned_parts).argument_row(...)`` (default: nothing
+        bound). ``token`` is an optional cooperative cancellation token
+        (see ``repro.service.cancellation``) checked at row boundaries (row
         engine) or every ~``CHECK_STRIDE`` source-loop iterations
         (generated code). ``mode`` selects the engine; in compiled mode a
         plan's first execution runs on the row engine (see
@@ -172,6 +186,7 @@ class Executor:
         """
         if mode not in ("row", "compiled"):
             raise ReproError(f"unknown execution mode {mode!r}")
+        layout = layout_of(planned_parts)
         artifact = self._tiered(planned_parts) if mode == "compiled" else None
         profile = ExecutionProfile(
             [plan for _, plan in planned_parts],
@@ -187,17 +202,26 @@ class Executor:
         )
         if morsel_size is not None:
             ctx.morsel_size = morsel_size
-        rows: Iterator[Row] = iter([initial_row or Row.empty()])
+        rows = iter([layout.empty_row() if initial_row is None else initial_row])
         if artifact is None:
             for part, plan in planned_parts:
-                rows = self._run_part(rows, part, plan, ctx, transaction)
+                rows = self._run_part(rows, part, plan, ctx, transaction, layout)
+            final = planned_parts[-1][0]
+            rows = _columns(
+                rows, [layout.slot_of(item.output_name) for item in final.projection]
+            )
         else:
             if artifact.morsel_size != ctx.morsel_size:
-                artifact = compile_query(planned_parts, ctx)
-            for (part, plan), cpart in zip(planned_parts, artifact.parts):
-                rows = self._run_part_compiled(
-                    rows, part, plan, ctx, transaction, cpart
-                )
+                artifact = compile_query(planned_parts, ctx, layout)
+            if token is None:
+                check = _no_check
+            else:
+                check = getattr(token, "check_batch", None) or token.check
+            for (part, _), cpart in zip(planned_parts, artifact.parts):
+                rows = _stream(cpart, rows, ctx, check)
+                if part.updates:
+                    written = self._write(rows, part, transaction, ctx, layout)
+                    rows = _stream(cpart.boundary, written, ctx, check)
         if tracker is not None:
             rows = _accounted(rows, tracker, profile)
         return rows, profile
@@ -206,240 +230,127 @@ class Executor:
 
     def _run_part(
         self,
-        input_rows: Iterator[Row],
+        rows: Iterator[list],
         part: QueryPart,
         plan: LogicalPlan,
         ctx: RuntimeContext,
         transaction: Optional[Transaction],
-    ) -> Iterator[Row]:
-        pipeline = compile_plan(plan, ctx)
+        layout: SlotLayout,
+    ) -> Iterator[list]:
+        """One part on the row engine: the pattern half per argument row,
+        the writes (if any), then the boundary over the whole stream."""
+        pattern = pattern_half(plan)
+        run = compile_plan(pattern, ctx, layout)
+
+        def apply(arguments: Iterator[list]) -> Iterator[list]:
+            for arg_row in arguments:
+                yield from run(arg_row)
+
         if not part.updates:
-            def run_read() -> Iterator[Row]:
-                for arg_row in input_rows:
-                    yield from pipeline(arg_row)
+            return compile_plan(plan, ctx, layout, pattern, apply)(rows)
+        written = self._write(apply(rows), part, transaction, ctx, layout)
+        return compile_plan(plan, ctx, layout, pattern, _same)(written)
 
-            return run_read()
-        if transaction is None:
-            raise TransactionError("update query requires an open transaction")
-        return self._run_update_part(input_rows, part, pipeline, transaction, ctx)
-
-    def _run_part_compiled(
+    def _write(
         self,
-        input_rows: Iterator[Row],
+        rows: Iterator[list],
         part: QueryPart,
-        plan: LogicalPlan,
-        ctx: RuntimeContext,
         transaction: Optional[Transaction],
-        cpart: CompiledPart,
-    ) -> Iterator[Row]:
-        """Codegen counterpart of :meth:`_run_part`.
+        ctx: RuntimeContext,
+        layout: SlotLayout,
+    ) -> Iterator[list]:
+        """Apply the part's updates to every matched row; returns the
+        written rows.
 
-        Argument rows convert to slot rows on entry (Apply semantics are
-        preserved — the pipeline runs once per argument row) and back to
-        :class:`Row` at the part boundary unless the generated code builds
-        the projection's rows itself. The generated function receives its
-        per-execution dependencies — the profile flush, the cancellation
-        check and the parameter tuple — as arguments; everything
-        compile-time (store, index, expression closures, tokens) is baked
-        in.
+        Updates are eager: all matches are computed, then all writes
+        applied. The matched-row buffer spills (order-preserving append
+        buffer); the written rows are charged non-spillably, so an
+        oversized write fails with MemoryLimitExceeded and rolls back.
         """
-        fn = cpart.fn
-        layout = cpart.layout
-        plans = cpart.plans
-        record = ctx.profile.record
-
-        def flush(counts: tuple) -> None:
-            for node, count in zip(plans, counts):
-                if count:
-                    record(node, count)
-
-        token = ctx.token
-        if token is None:
-            check = _no_check
-        else:
-            check = getattr(token, "check_batch", None) or token.check
-
-        def slot_arg(arg_row: Row) -> list:
-            # The layout is shared across executions of the cached
-            # artifact; runtime slot allocation for unforeseen argument
-            # names must not race.
-            with cpart.lock:
-                return layout.row_from(arg_row)
-
-        tracker = ctx.tracker
-        params = ctx.eval_ctx.params
-
-        if not part.updates:
-            if cpart.row_sink:
-
-                def run_read() -> Iterator[Row]:
-                    for arg_row in input_rows:
-                        for morsel in fn(slot_arg(arg_row), flush, check, tracker, params):
-                            yield from morsel
-
-            else:
-
-                def run_read() -> Iterator[Row]:
-                    for arg_row in input_rows:
-                        for morsel in fn(slot_arg(arg_row), flush, check, tracker, params):
-                            for slot_row in morsel:
-                                yield layout.row_to(slot_row)
-
-            return run_read()
         if transaction is None:
             raise TransactionError("update query requires an open transaction")
-
-        def row_pipeline(arg_row: Row) -> Iterator[Row]:
-            for morsel in fn(slot_arg(arg_row), flush, check, tracker, params):
-                for slot_row in morsel:
-                    yield layout.row_to(slot_row)
-
-        return self._run_update_part(
-            input_rows, part, row_pipeline, transaction, ctx
-        )
-
-    def _run_update_part(
-        self,
-        input_rows: Iterator[Row],
-        part: QueryPart,
-        pipeline,
-        transaction: Transaction,
-        ctx: RuntimeContext,
-    ) -> Iterator[Row]:
-        # Updates are eager: all matches are computed, all writes applied,
-        # then the boundary projection is evaluated. The matched-row buffer
-        # spills (order-preserving append buffer); the post-update rows are
-        # charged non-spillably, so an oversized write fails with
-        # MemoryLimitExceeded and rolls back.
         mem = ctx.mem()
-        eval_ctx = ctx.eval_ctx
         matched = AppendSpillBuffer(mem, "update: matched rows")
-        for arg_row in input_rows:
-            for row in pipeline(arg_row):
-                matched.add(row)
-        deleted_rels: set[int] = set()
-        deleted_nodes: set[int] = set()
-        updated_rows: list[Row] = []
+        for row in rows:
+            matched.add(row)
+        write = self._writer(part.updates, transaction, ctx, layout)
+        written: list[list] = []
         for row in matched:
             mem.charge("update: written rows", ROW_BYTES)
-            updated_rows.append(
-                self._apply_updates(
-                    row, part.updates, transaction, deleted_rels, deleted_nodes,
-                    eval_ctx,
-                )
-            )
-        if part.order_by:
-            # Sort before projecting so ORDER BY sees pattern variables;
-            # aliases resolve to their source expressions.
-            alias_map = {
-                item.output_name: item.expression for item in part.projection
-            }
-            for expression, ascending in reversed(part.order_by):
-                if (
-                    isinstance(expression, ast.Variable)
-                    and expression.name in alias_map
-                ):
-                    expression = alias_map[expression.name]
-                updated_rows.sort(
-                    key=lambda row, expr=expression: _sort_key(
-                        evaluate(expr, row, eval_ctx)
-                    ),
-                    reverse=not ascending,
-                )
-        output = []
-        for row in updated_rows:
-            if part.projection:
-                output.append(
-                    row.project(
-                        {
-                            item.output_name: evaluate(
-                                item.expression, row, eval_ctx
-                            )
-                            for item in part.projection
-                        }
-                    )
-                )
-            else:
-                output.append(row)
-        if part.distinct and part.projection:
-            seen = set()
-            unique = []
-            columns = [item.output_name for item in part.projection]
-            for row in output:
-                key = tuple(row.values.get(column) for column in columns)
-                if key not in seen:
-                    seen.add(key)
-                    unique.append(row)
-            output = unique
-        skip = ast.bind(part.skip, eval_ctx.params)
-        if skip:
-            output = output[skip:]
-        if part.limit is not None:
-            output = output[: ast.bind(part.limit, eval_ctx.params)]
-        return iter(output)
+            written.append(write(row))
+        return iter(written)
 
-    def _apply_updates(
+    def _writer(
         self,
-        row: Row,
         updates: Sequence[UpdateAction],
         transaction: Transaction,
-        deleted_rels: set[int],
-        deleted_nodes: set[int],
-        eval_ctx: EvaluationContext,
-    ) -> Row:
-        values = dict(row.values)
-        for action in updates:
-            if action.kind == "create_node":
-                label_ids = [
-                    self.store.labels.get_or_create(label) for label in action.labels
-                ]
-                node_id = transaction.create_node(label_ids)
-                for key, value_expr in action.properties.items():
-                    key_id = self.store.property_keys.get_or_create(key)
-                    transaction.set_node_property(
-                        node_id,
-                        key_id,
-                        evaluate(value_expr, Row(values), eval_ctx),
+        ctx: RuntimeContext,
+        layout: SlotLayout,
+    ) -> Callable[[list], list]:
+        """``write(row)``: apply ``updates`` for one matched row, returning
+        the row with the created entities bound."""
+        store = self.store
+        slot_of = layout.slot_of
+        eval_ctx = ctx.eval_ctx
+        actions = [
+            (
+                action,
+                [
+                    (key, compile_expression(value, slot_of, eval_ctx, eval_ctx.params))
+                    for key, value in action.properties.items()
+                ],
+            )
+            for action in updates
+        ]
+        deleted_rels: set[int] = set()
+        deleted_nodes: set[int] = set()
+
+        def write(row: list) -> list:
+            row = row[:]
+            for action, properties in actions:
+                if action.kind == "delete":
+                    self._apply_delete(
+                        action,
+                        row[slot_of(action.variable)],
+                        transaction,
+                        deleted_rels,
+                        deleted_nodes,
                     )
-                values[action.variable] = node_id
-            elif action.kind == "create_relationship":
-                start = values.get(action.start)
-                end = values.get(action.end)
-                if start is None or end is None:
-                    raise ReproError(
-                        f"CREATE relationship endpoints {action.start!r}/"
-                        f"{action.end!r} are unbound"
+                    continue
+                if action.kind == "create_node":
+                    entity = transaction.create_node(
+                        [store.labels.get_or_create(label) for label in action.labels]
                     )
-                type_id = self.store.types.get_or_create(action.type)
-                rel_id = transaction.create_relationship(
-                    int(start), int(end), type_id
-                )
-                for key, value_expr in action.properties.items():
-                    key_id = self.store.property_keys.get_or_create(key)
-                    transaction.set_relationship_property(
-                        rel_id,
-                        key_id,
-                        evaluate(value_expr, Row(values), eval_ctx),
+                    set_property = transaction.set_node_property
+                else:
+                    start = row[slot_of(action.start)]
+                    end = row[slot_of(action.end)]
+                    if start is None or end is None:
+                        raise ReproError(
+                            f"CREATE relationship endpoints {action.start!r}/"
+                            f"{action.end!r} are unbound"
+                        )
+                    entity = transaction.create_relationship(
+                        int(start), int(end), store.types.get_or_create(action.type)
                     )
-                values[action.variable] = rel_id
-            elif action.kind == "delete":
-                self._apply_delete(
-                    action, values, transaction, deleted_rels, deleted_nodes
-                )
-            else:  # pragma: no cover - builder produces only the above
-                raise ReproError(f"unknown update action {action.kind!r}")
-        return Row(values, row.rel_ids)
+                    set_property = transaction.set_relationship_property
+                for key, value_of in properties:
+                    key_id = store.property_keys.get_or_create(key)
+                    set_property(entity, key_id, value_of(row))
+                row[slot_of(action.variable)] = entity
+            return row
+
+        return write
 
     def _apply_delete(
         self,
         action: UpdateAction,
-        values: dict[str, object],
+        entity: object,
         transaction: Transaction,
         deleted_rels: set[int],
         deleted_nodes: set[int],
     ) -> None:
         name = action.variable
-        entity = values.get(name)
         if entity is None:
             return
         kind = self.variable_kinds.get(name)
@@ -460,3 +371,24 @@ class Executor:
                     transaction.delete_relationship(rel.id)
         deleted_nodes.add(node_id)
         transaction.delete_node(node_id)
+
+
+def _stream(
+    cpart: CompiledPart, rows: Iterator[list], ctx: RuntimeContext, check
+) -> Iterator:
+    """Run one generated pipeline function over ``rows``. It receives its
+    per-execution dependencies — the profile flush, the cancellation
+    check, the memory tracker and the parameter tuple — as arguments;
+    everything compile-time (store, index, expression closures, tokens) is
+    baked in."""
+    plans = cpart.plans
+    record = ctx.profile.record
+
+    def flush(counts: tuple) -> None:
+        for node, count in zip(plans, counts):
+            if count:
+                record(node, count)
+
+    return chain.from_iterable(
+        cpart.fn(rows, flush, check, ctx.tracker, ctx.eval_ctx.params)
+    )

@@ -1,18 +1,16 @@
 """Expression evaluation with Cypher's ternary (NULL) logic.
 
-``evaluate`` returns a Python value or None (Cypher NULL). Comparisons
-involving NULL yield None; `AND`/`OR`/`NOT` follow three-valued logic; a
-filter keeps a row only when its predicate evaluates to exactly True.
-Property access resolves through the graph store using the variable-kind
-annotations from semantic analysis.
-
-``compile_expression`` is the compiled engine's counterpart: it resolves
-variable names to slot indices and token names to token ids once, at
-compile time, and returns a closure evaluating the expression against a
-slot row (a fixed-width list) with no per-row AST walk or dict lookups.
-Token ids unknown at compile time (a label or property key created by an
-earlier part of the same query) fall back to a per-call lookup, so the
-compiled form is observationally identical to ``evaluate``.
+``compile_expression`` is the one evaluator, shared by both engines: it
+resolves variable names to slot indices and token names to token ids once,
+when an execution's pipeline is built (row engine) or when a part is
+compiled (generated code), and returns a closure evaluating the expression
+against a slot row. The closure returns a Python value or None (Cypher
+NULL). Comparisons involving NULL yield None; `AND`/`OR`/`NOT` follow
+three-valued logic; a filter keeps a row only when its predicate evaluates
+to exactly True. Property access resolves through the graph store using the
+variable-kind annotations from semantic analysis. Token ids unknown at
+compile time (a label or property key created by an earlier part of the
+same query) fall back to a per-call lookup.
 """
 
 from __future__ import annotations
@@ -46,90 +44,6 @@ class EvaluationContext:
             return self
         return EvaluationContext(self.store, self.variable_kinds, params)
 
-    def property_of(self, name: str, value: object, key: str) -> object:
-        key_id = self.store.property_keys.id_of(key)
-        if key_id is None or value is None:
-            return None
-        kind = self.variable_kinds.get(name)
-        if kind is VariableKind.RELATIONSHIP:
-            return self.store.relationship_property(int(value), key_id)
-        if kind is VariableKind.NODE:
-            return self.store.node_property(int(value), key_id)
-        raise ReproError(f"cannot access property {key!r} of value {name!r}")
-
-    def has_label(self, value: object, label: str) -> Optional[bool]:
-        if value is None:
-            return None
-        label_id = self.store.labels.id_of(label)
-        if label_id is None:
-            return False
-        return self.store.has_label(int(value), label_id)
-
-
-def evaluate(
-    expression: ast.Expression,
-    row,
-    ctx: EvaluationContext,
-    aggregate_values: Optional[dict] = None,
-):
-    """Evaluate ``expression`` against ``row``; None means Cypher NULL.
-
-    ``aggregate_values`` maps aggregate :class:`~repro.cypher.ast.FunctionCall`
-    nodes (they are hashable value objects) to their pre-computed results —
-    the aggregation operator substitutes them when evaluating a projection
-    item like ``count(x) + 1``.
-    """
-    if isinstance(expression, ast.Literal):
-        return expression.value
-    if isinstance(expression, ast.Variable):
-        return row.get(expression.name)
-    if isinstance(expression, ast.FunctionCall):
-        if aggregate_values is not None and expression in aggregate_values:
-            return aggregate_values[expression]
-        if expression.is_aggregate:
-            raise ReproError(
-                f"aggregate function {expression.name}() outside an "
-                "aggregating projection"
-            )
-        return _scalar_function(expression, row, ctx, aggregate_values)
-    if isinstance(expression, ast.PropertyAccess):
-        return ctx.property_of(
-            expression.subject, row.get(expression.subject), expression.key
-        )
-    if isinstance(expression, ast.HasLabel):
-        return ctx.has_label(row.get(expression.subject), expression.label)
-    if isinstance(expression, ast.Comparison):
-        return _compare(
-            expression.op,
-            evaluate(expression.left, row, ctx, aggregate_values),
-            evaluate(expression.right, row, ctx, aggregate_values),
-        )
-    if isinstance(expression, ast.Not):
-        value = evaluate(expression.operand, row, ctx, aggregate_values)
-        return None if value is None else not _truthy(value)
-    if isinstance(expression, ast.BooleanOp):
-        return _boolean(expression, row, ctx, aggregate_values)
-    if isinstance(expression, ast.Arithmetic):
-        return _arithmetic(
-            expression.op,
-            evaluate(expression.left, row, ctx, aggregate_values),
-            evaluate(expression.right, row, ctx, aggregate_values),
-        )
-    if isinstance(expression, ast.Parameter):
-        return ctx.params[expression.index]
-    raise ReproError(f"cannot evaluate expression {expression!r}")
-
-
-def _scalar_function(
-    expression: ast.FunctionCall, row, ctx: EvaluationContext, aggregate_values
-):
-    argument = (
-        evaluate(expression.argument, row, ctx, aggregate_values)
-        if expression.argument is not None
-        else None
-    )
-    return _apply_scalar_function(expression.name, argument, ctx)
-
 
 def _apply_scalar_function(name: str, argument, ctx: EvaluationContext):
     if argument is None:
@@ -147,11 +61,6 @@ def _apply_scalar_function(name: str, argument, ctx: EvaluationContext):
             return len(argument)
         raise ReproError(f"size() expects a list or string, got {argument!r}")
     raise ReproError(f"unknown function {name}()")
-
-
-def is_true(expression: ast.Expression, row, ctx: EvaluationContext) -> bool:
-    """Predicate semantics: only an exact True passes."""
-    return evaluate(expression, row, ctx) is True
 
 
 # ---------------------------------------------------------------------------
@@ -196,12 +105,6 @@ def _orderable(left, right) -> bool:
     return (numeric or textual) and not (
         isinstance(left, bool) or isinstance(right, bool)
     )
-
-
-def _boolean(expression: ast.BooleanOp, row, ctx, aggregate_values=None):
-    left = evaluate(expression.left, row, ctx, aggregate_values)
-    right = evaluate(expression.right, row, ctx, aggregate_values)
-    return _boolean_value(expression.op, left, right)
 
 
 def _boolean_value(op: str, left, right):
@@ -250,7 +153,7 @@ def _arithmetic(op: str, left, right):
 
 
 # ---------------------------------------------------------------------------
-# Compiled (slot-row) evaluation for generated code
+# Compilation to slot-row closures
 # ---------------------------------------------------------------------------
 
 SlotFn = Callable[[Sequence], object]
@@ -265,13 +168,13 @@ def compile_expression(
 ) -> SlotFn:
     """Compile ``expression`` into a closure over slot indices.
 
-    ``slot_of`` maps a variable name to its slot, allocating one if the
-    layout has not seen the name yet. The returned function must behave
-    exactly like ``evaluate`` on a dict row carrying the same bindings.
-    A :class:`~repro.cypher.ast.Parameter` reads ``params`` when given
-    (a closure for one execution); otherwise it is looked up like a
-    variable, ``slot_of(parameter)``, and the caller puts the execution's
-    value in that slot, so the closure itself holds no value.
+    ``slot_of`` maps a variable name to its slot. A
+    :class:`~repro.cypher.ast.Parameter` reads ``params`` when given (a
+    closure for one execution); otherwise it is looked up like a variable,
+    ``slot_of(parameter)``, and the caller puts the execution's value in
+    that slot, so the closure itself holds no value. An aggregate call is
+    looked up the same way, ``slot_of(call)``: the aggregation operator
+    puts the call's result there (``count(x) + 1``).
     """
     if isinstance(expression, ast.Parameter):
         if params is not None:
@@ -321,9 +224,10 @@ def compile_predicate(
     expression: ast.Expression,
     slot_of: Callable[[str], int],
     ctx: EvaluationContext,
+    params: Optional[Sequence[object]] = None,
 ) -> Callable[[Sequence], bool]:
-    """Compiled ``is_true``: only an exact True passes."""
-    compiled = compile_expression(expression, slot_of, ctx)
+    """Predicate semantics: only an exact True passes."""
+    compiled = compile_expression(expression, slot_of, ctx, params)
     return lambda row: compiled(row) is True
 
 
@@ -335,17 +239,11 @@ def _compile_function(
 ) -> SlotFn:
     name = expression.name
     if expression.is_aggregate:
-        # Aggregates are computed by the aggregation operator; reaching one
-        # here mirrors ``evaluate`` without aggregate_values.
-        def aggregate_error(row):
-            raise ReproError(
-                f"aggregate function {name}() outside an aggregating projection"
-            )
-
-        return aggregate_error
+        slot = slot_of(expression)
+        return lambda row: row[slot]
     if expression.argument is None:
         # No argument means a NULL argument, and every scalar function maps
-        # NULL to NULL (same as ``_scalar_function``).
+        # NULL to NULL.
         return lambda row: None
     argument = compile_expression(expression.argument, slot_of, ctx, params)
     return lambda row: _apply_scalar_function(name, argument(row), ctx)

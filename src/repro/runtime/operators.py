@@ -1,7 +1,12 @@
-"""Compilation of logical plans into pull-based operator pipelines.
+"""The row engine: logical plans compiled into pull-based operator closures.
 
 ``compile_plan`` turns a :class:`~repro.planner.plans.LogicalPlan` tree into
-a function ``run(argument_row) -> Iterator[Row]``. Every operator:
+a function ``run(argument) -> Iterator[row]`` over slot rows (see
+:mod:`repro.runtime.slots`). A pattern operator's argument is one argument
+row; a boundary operator's (Projection, Aggregation, Sort, the projection
+``WHERE`` Filter, Distinct, Limit) is the part's whole row stream, so the
+pattern half of a part runs once per argument row and its boundary once
+per part. Every operator:
 
 * merges its bindings into the incoming argument row,
 * enforces Cypher's relationship-uniqueness semantics when binding
@@ -18,7 +23,8 @@ or slots and variables bound by the argument row — bound the scan itself for
 as long as they form a leading key prefix: it starts at the prefix and ends
 with it.
 
-Plan fields that may hold a parameter slot (a NodeByIdSeek's id, Limit's
+Expressions compile with :func:`~repro.runtime.expressions.compile_expression`
+and plan fields that may hold a parameter slot (a NodeByIdSeek's id, Limit's
 counts, a filtered scan's ``id(v) = k``) are bound once per execution, when
 ``compile_plan`` builds the pipeline, from ``ctx.eval_ctx.params``.
 """
@@ -60,11 +66,20 @@ from repro.resources import (
     JoinSpillBuffer,
     SortSpillBuffer,
 )
-from repro.runtime.expressions import EvaluationContext, evaluate, is_true
-from repro.runtime.row import Row
+from repro.runtime.expressions import (
+    EvaluationContext,
+    compile_expression,
+    compile_predicate,
+)
+from repro.runtime.slots import (
+    SlotLayout,
+    _entry_binder,
+    _merge_rows,
+    _resolve_type_ids,
+)
 from repro.storage.graphstore import GraphStore
 
-RunFn = Callable[[Row], Iterator[Row]]
+RunFn = Callable[[object], Iterator[list]]
 
 
 class OperatorProfile:
@@ -113,15 +128,6 @@ class OperatorProfile:
     def total_spill_runs(self) -> int:
         return sum(self.spills.values())
 
-    def merge(self, other: "OperatorProfile") -> None:
-        for key, count in other.rows.items():
-            self.rows[key] = self.rows.get(key, 0) + count
-        for key, peak in other.peak_bytes.items():
-            self.peak_bytes[key] = max(self.peak_bytes.get(key, 0), peak)
-        for key, spills in other.spills.items():
-            self.spills[key] = self.spills.get(key, 0) + spills
-        self.descriptions.update(other.descriptions)
-
 
 class RuntimeContext:
     """Shared state for one query execution.
@@ -163,67 +169,52 @@ class RuntimeContext:
         return self.tracker if self.tracker is not None else NULL_TRACKER
 
 
-def compile_plan(plan: LogicalPlan, ctx: RuntimeContext) -> RunFn:
+def compile_plan(
+    plan: LogicalPlan,
+    ctx: RuntimeContext,
+    layout: SlotLayout,
+    seam: Optional[LogicalPlan] = None,
+    source: Optional[RunFn] = None,
+) -> RunFn:
     """Compile ``plan`` into an executable pipeline with profiling.
 
-    With a cancellation token on the context, every row crossing this
-    operator also passes a token check; tokenless execution pays nothing.
+    When ``seam`` is given, that node is not compiled: ``source`` stands
+    in for it (the executor's Apply of the pattern half, or an update
+    part's written rows). With a cancellation token on the context, every
+    row crossing an operator also passes a token check; tokenless
+    execution pays nothing.
     """
-    run = _compile(plan, ctx)
+    if plan is seam:
+        return source
+    operator = _OPERATORS.get(type(plan))
+    if operator is None:
+        raise ReproError(f"no runtime operator for {type(plan).__name__}")
+    children = [
+        compile_plan(child, ctx, layout, seam, source) for child in plan.children
+    ]
+    run = operator(plan, ctx, layout, *children)
+    record = ctx.profile.record
     token = ctx.token
     if token is None:
-        def counted(arg_row: Row) -> Iterator[Row]:
-            for row in run(arg_row):
-                ctx.profile.record(plan, 1)
+        def counted(argument) -> Iterator[list]:
+            for row in run(argument):
+                record(plan, 1)
                 yield row
     else:
         check = token.check
 
-        def counted(arg_row: Row) -> Iterator[Row]:
-            for row in run(arg_row):
+        def counted(argument) -> Iterator[list]:
+            for row in run(argument):
                 check()
-                ctx.profile.record(plan, 1)
+                record(plan, 1)
                 yield row
 
     return counted
 
 
-def _compile(plan: LogicalPlan, ctx: RuntimeContext) -> RunFn:
-    if isinstance(plan, PlanArgument):
-        return _argument(plan, ctx)
-    if isinstance(plan, PlanAllNodesScan):
-        return _all_nodes_scan(plan, ctx)
-    if isinstance(plan, PlanNodeByLabelScan):
-        return _node_by_label_scan(plan, ctx)
-    if isinstance(plan, PlanNodeByIdSeek):
-        return _node_by_id_seek(plan, ctx)
-    if isinstance(plan, PlanRelationshipByTypeScan):
-        return _relationship_by_type_scan(plan, ctx)
-    if isinstance(plan, PlanExpand):
-        return _expand(plan, ctx)
-    if isinstance(plan, PlanNodeHashJoin):
-        return _node_hash_join(plan, ctx)
-    if isinstance(plan, PlanCartesianProduct):
-        return _cartesian_product(plan, ctx)
-    if isinstance(plan, PlanFilter):
-        return _filter(plan, ctx)
-    if isinstance(plan, PlanPathIndexScan):
-        return _path_index_scan(plan, ctx)
-    if isinstance(plan, PlanPathIndexFilteredScan):
-        return _path_index_filtered_scan(plan, ctx)
-    if isinstance(plan, PlanPathIndexPrefixSeek):
-        return _path_index_prefix_seek(plan, ctx)
-    if isinstance(plan, PlanProjection):
-        return _projection(plan, ctx)
-    if isinstance(plan, PlanAggregation):
-        return _aggregation(plan, ctx)
-    if isinstance(plan, PlanDistinct):
-        return _distinct(plan, ctx)
-    if isinstance(plan, PlanSort):
-        return _sort(plan, ctx)
-    if isinstance(plan, PlanLimit):
-        return _limit(plan, ctx)
-    raise ReproError(f"no runtime operator for {type(plan).__name__}")
+def _compiled(expression: ast.Expression, ctx: RuntimeContext, slot_of):
+    """``expression`` compiled for this execution (its parameters bound)."""
+    return compile_expression(expression, slot_of, ctx.eval_ctx, ctx.eval_ctx.params)
 
 
 # ---------------------------------------------------------------------------
@@ -242,13 +233,11 @@ def _labels_ok(ctx, node_id: int, label_ids: list[Optional[int]]) -> bool:
     return True
 
 
-def _bind_node(row_values: dict, var: str, node_id: int, arg_row: Row) -> bool:
-    """Bind ``var`` to ``node_id`` honouring existing bindings."""
-    existing = row_values.get(var, arg_row.values.get(var))
-    if existing is not None and existing != node_id:
-        return False
-    row_values[var] = node_id
-    return True
+def _with(row: list, slot: int, value: object) -> list:
+    """A copy of ``row`` with ``slot`` bound to ``value``."""
+    out = row[:]
+    out[slot] = value
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -256,34 +245,36 @@ def _bind_node(row_values: dict, var: str, node_id: int, arg_row: Row) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _argument(plan: PlanArgument, ctx: RuntimeContext) -> RunFn:
-    def run(arg_row: Row) -> Iterator[Row]:
+def _argument(plan: PlanArgument, ctx: RuntimeContext, layout) -> RunFn:
+    def run(arg_row: list) -> Iterator[list]:
         yield arg_row
 
     return run
 
 
-def _all_nodes_scan(plan: PlanAllNodesScan, ctx: RuntimeContext) -> RunFn:
-    node_var = plan.node
+def _all_nodes_scan(plan: PlanAllNodesScan, ctx: RuntimeContext, layout) -> RunFn:
+    slot = layout.slot_of(plan.node)
 
-    def run(arg_row: Row) -> Iterator[Row]:
-        bound = arg_row.values.get(node_var)
+    def run(arg_row: list) -> Iterator[list]:
+        bound = arg_row[slot]
         for node_id in ctx.store.all_nodes():
             if bound is not None and bound != node_id:
                 continue
-            yield arg_row.extended({node_var: node_id})
+            yield _with(arg_row, slot, node_id)
 
     return run
 
 
-def _node_by_label_scan(plan: PlanNodeByLabelScan, ctx: RuntimeContext) -> RunFn:
-    node_var = plan.node
+def _node_by_label_scan(
+    plan: PlanNodeByLabelScan, ctx: RuntimeContext, layout
+) -> RunFn:
+    slot = layout.slot_of(plan.node)
     post = [label_id for _, label_id in _label_ids(ctx, plan.post_labels)]
     # Hoisted out of ``run``; the fallback covers labels created by an
     # earlier part of the same query (parts compile before rows flow).
     label_id_static = ctx.store.labels.id_of(plan.label)
 
-    def run(arg_row: Row) -> Iterator[Row]:
+    def run(arg_row: list) -> Iterator[list]:
         label_id = (
             label_id_static
             if label_id_static is not None
@@ -291,13 +282,13 @@ def _node_by_label_scan(plan: PlanNodeByLabelScan, ctx: RuntimeContext) -> RunFn
         )
         if label_id is None:
             return
-        bound = arg_row.values.get(node_var)
+        bound = arg_row[slot]
         for node_id in ctx.store.nodes_with_label(label_id):
             if bound is not None and bound != node_id:
                 continue
             if post and not _labels_ok(ctx, node_id, post):
                 continue
-            yield arg_row.extended({node_var: node_id})
+            yield _with(arg_row, slot, node_id)
 
     return run
 
@@ -331,58 +322,67 @@ def _node_id_seeker(
     return found
 
 
-def _node_by_id_seek(plan: PlanNodeByIdSeek, ctx: RuntimeContext) -> RunFn:
-    node_var = plan.node
+def _node_by_id_seek(plan: PlanNodeByIdSeek, ctx: RuntimeContext, layout) -> RunFn:
+    slot = layout.slot_of(plan.node)
     found = _node_id_seeker(plan, ctx)
     node_id = ast.bind(plan.node_id, ctx.eval_ctx.params)
 
-    def run(arg_row: Row) -> Iterator[Row]:
-        if found(arg_row.values.get(node_var), node_id):
-            yield arg_row.extended({node_var: node_id})
+    def run(arg_row: list) -> Iterator[list]:
+        if found(arg_row[slot], node_id):
+            yield _with(arg_row, slot, node_id)
 
     return run
 
 
 def _relationship_by_type_scan(
-    plan: PlanRelationshipByTypeScan, ctx: RuntimeContext
+    plan: PlanRelationshipByTypeScan, ctx: RuntimeContext, layout
 ) -> RunFn:
     if ctx.index_store is None:
         raise ReproError("RelationshipByTypeScan requires a path index store")
     index = ctx.index_store.get(plan.index_name)
+    slot_of = layout.slot_of
+    rel_slot = slot_of(plan.rel)
+    start_slot, end_slot = slot_of(plan.start_node), slot_of(plan.end_node)
     label_checks = [
-        (var, ctx.store.labels.id_of(label)) for var, label in plan.post_labels
+        (slot_of(var), ctx.store.labels.id_of(label)) for var, label in plan.post_labels
     ]
+    width = layout.width
 
-    def run(arg_row: Row) -> Iterator[Row]:
-        bound_rel = arg_row.values.get(plan.rel)
+    def run(arg_row: list) -> Iterator[list]:
+        bound_rel = arg_row[rel_slot]
+        rels = arg_row[width]
         for start_id, rel_id, end_id in index.scan():
             if bound_rel is not None and bound_rel != rel_id:
                 continue
-            if rel_id in arg_row.rel_ids and bound_rel != rel_id:
+            if rel_id in rels and bound_rel != rel_id:
                 continue  # relationship uniqueness (bound by another variable)
             orientations = [(start_id, end_id)]
             if not plan.directed and start_id != end_id:
                 orientations.append((end_id, start_id))
             for source, target in orientations:
-                values: dict[str, object] = {}
-                if not _bind_node(values, plan.start_node, source, arg_row):
+                bound_start = arg_row[start_slot]
+                if bound_start is not None and bound_start != source:
                     continue
-                if not _bind_node(values, plan.end_node, target, arg_row):
+                row = _with(arg_row, start_slot, source)
+                # Read after binding the start: both endpoints may be one
+                # variable.
+                bound_end = row[end_slot]
+                if bound_end is not None and bound_end != target:
                     continue
-                values[plan.rel] = rel_id
-                ok = True
-                for var, label_id in label_checks:
-                    node_id = values.get(var, arg_row.values.get(var))
+                row[end_slot] = target
+                row[rel_slot] = rel_id
+                for slot, label_id in label_checks:
+                    node_id = row[slot]
                     # An unbound check variable can never satisfy the label.
                     if (
                         node_id is None
                         or label_id is None
                         or not ctx.store.has_label(int(node_id), label_id)
                     ):
-                        ok = False
                         break
-                if ok:
-                    yield arg_row.extended(values, (rel_id,))
+                else:
+                    row[width] = rels if rel_id in rels else rels + (rel_id,)
+                    yield row
 
     return run
 
@@ -392,26 +392,25 @@ def _relationship_by_type_scan(
 # ---------------------------------------------------------------------------
 
 
-def _resolve_type_ids(ctx: RuntimeContext, names) -> set[int]:
-    resolved = {ctx.store.types.id_of(name) for name in names}
-    resolved.discard(None)
-    return resolved
-
-
-def _expand(plan: PlanExpand, ctx: RuntimeContext) -> RunFn:
-    child = compile_plan(plan.children[0], ctx)
+def _expand(plan: PlanExpand, ctx: RuntimeContext, layout, child: RunFn) -> RunFn:
     post = [label_id for _, label_id in _label_ids(ctx, plan.post_labels)]
+    from_slot = layout.slot_of(plan.from_node)
+    rel_slot, to_slot = layout.slot_of(plan.rel), layout.slot_of(plan.to_node)
+    width = layout.width
+    into = plan.into
     # Hoisted: types resolved once at compile time; re-resolved at run start
     # only while incomplete (a type may be created by an earlier query part).
-    static_type_ids = _resolve_type_ids(ctx, plan.types) if plan.types else None
+    static_type_ids = (
+        _resolve_type_ids(ctx.store, plan.types) if plan.types else None
+    )
 
-    def run(arg_row: Row) -> Iterator[Row]:
+    def run(arg_row: list) -> Iterator[list]:
         type_ids: Optional[set[int]] = None
         single_type: Optional[int] = None
         if plan.types:
             resolved = static_type_ids
             if len(resolved) < len(plan.types):
-                resolved = _resolve_type_ids(ctx, plan.types)
+                resolved = _resolve_type_ids(ctx.store, plan.types)
             if not resolved:
                 return  # none of the requested types exist
             if len(resolved) == 1:
@@ -419,110 +418,89 @@ def _expand(plan: PlanExpand, ctx: RuntimeContext) -> RunFn:
             else:
                 type_ids = resolved  # filter during iteration
         for row in child(arg_row):
-            from_id = row.values.get(plan.from_node)
+            from_id = row[from_slot]
             if from_id is None:
                 continue
-            target_bound = row.values.get(plan.to_node) if plan.into else None
-            bound_rel = row.values.get(plan.rel)
+            target_bound = row[to_slot] if into else None
+            bound_rel = row[rel_slot]
+            rels = row[width]
             for rel, neighbour in ctx.store.expand(
                 int(from_id), plan.direction, single_type
             ):
                 if type_ids is not None and rel.type_id not in type_ids:
                     continue
-                if bound_rel is not None and bound_rel != rel.id:
+                rel_id = rel.id
+                if bound_rel is not None and bound_rel != rel_id:
                     continue
-                if rel.id in row.rel_ids and bound_rel != rel.id:
+                if rel_id in rels and bound_rel != rel_id:
                     continue  # relationship uniqueness
-                if plan.into:
+                if into:
                     if neighbour != target_bound:
                         continue
                 elif post and not _labels_ok(ctx, neighbour, post):
                     continue
-                if plan.into:
-                    yield row.extended({plan.rel: rel.id}, (rel.id,))
-                else:
-                    yield row.extended(
-                        {plan.rel: rel.id, plan.to_node: neighbour}, (rel.id,)
-                    )
+                out = _with(row, rel_slot, rel_id)
+                if not into:
+                    out[to_slot] = neighbour
+                out[width] = rels if rel_id in rels else rels + (rel_id,)
+                yield out
 
     return run
 
 
-def _merge_join_rows(partner: Row, row: Row, shared_arg_rels) -> Optional[Row]:
-    """Join-merge two rows, or None on a uniqueness/binding conflict.
+def _node_hash_join(
+    plan: PlanNodeHashJoin, ctx: RuntimeContext, layout, left: RunFn, right: RunFn
+) -> RunFn:
+    key_slots = [layout.slot_of(var) for var in plan.join_nodes]
+    width = layout.width
 
-    Relationship uniqueness: a rel id on both sides means two variables
-    bound the same relationship — unless it came in through the shared
-    argument row.
-    """
-    if (partner.rel_ids & row.rel_ids) - shared_arg_rels:
-        return None
-    merged = dict(partner.values)
-    for name, value in row.values.items():
-        if name in merged and merged[name] != value:
-            return None
-        merged[name] = value
-    return Row(merged, partner.rel_ids | row.rel_ids)
+    def run(arg_row: list) -> Iterator[list]:
+        shared = frozenset(arg_row[width])
 
-
-def _node_hash_join(plan: PlanNodeHashJoin, ctx: RuntimeContext) -> RunFn:
-    left = compile_plan(plan.children[0], ctx)
-    right = compile_plan(plan.children[1], ctx)
-    join_vars = plan.join_nodes
-
-    def run(arg_row: Row) -> Iterator[Row]:
-        shared_arg_rels = arg_row.rel_ids
-
-        def merge(partner: Row, row: Row) -> Optional[Row]:
-            return _merge_join_rows(partner, row, shared_arg_rels)
+        def merge(partner: list, row: list) -> Optional[list]:
+            return _merge_rows(partner, row, shared, width)
 
         buffer = JoinSpillBuffer(ctx.mem(), plan, merge)
         for row in left(arg_row):
-            buffer.insert(tuple(row.values[var] for var in join_vars), row)
+            buffer.insert(tuple([row[slot] for slot in key_slots]), row)
         for row in right(arg_row):
-            yield from buffer.probe(
-                tuple(row.values[var] for var in join_vars), row
-            )
+            yield from buffer.probe(tuple([row[slot] for slot in key_slots]), row)
         yield from buffer.drain()
 
     return run
 
 
-def _cartesian_product(plan: PlanCartesianProduct, ctx: RuntimeContext) -> RunFn:
-    left = compile_plan(plan.children[0], ctx)
-    right = compile_plan(plan.children[1], ctx)
+def _cartesian_product(
+    plan: PlanCartesianProduct, ctx: RuntimeContext, layout, left: RunFn, right: RunFn
+) -> RunFn:
+    width = layout.width
 
-    def run(arg_row: Row) -> Iterator[Row]:
+    def run(arg_row: list) -> Iterator[list]:
         right_rows: Optional[AppendSpillBuffer] = None
-        shared_arg_rels = arg_row.rel_ids
+        shared = frozenset(arg_row[width])
         for left_row in left(arg_row):
             if right_rows is None:
                 right_rows = AppendSpillBuffer(ctx.mem(), plan)
                 for row in right(arg_row):
                     right_rows.add(row)
             for right_row in right_rows:
-                if (left_row.rel_ids & right_row.rel_ids) - shared_arg_rels:
-                    continue
-                merged = dict(left_row.values)
-                conflict = False
-                for name, value in right_row.values.items():
-                    if name in merged and merged[name] != value:
-                        conflict = True
-                        break
-                    merged[name] = value
-                if not conflict:
-                    yield Row(merged, left_row.rel_ids | right_row.rel_ids)
+                merged = _merge_rows(left_row, right_row, shared, width)
+                if merged is not None:
+                    yield merged
 
     return run
 
 
-def _filter(plan: PlanFilter, ctx: RuntimeContext) -> RunFn:
-    child = compile_plan(plan.children[0], ctx)
-    predicates = plan.predicates
+def _filter(plan: PlanFilter, ctx: RuntimeContext, layout, child: RunFn) -> RunFn:
+    eval_ctx = ctx.eval_ctx
+    predicates = [
+        compile_predicate(predicate, layout.slot_of, eval_ctx, eval_ctx.params)
+        for predicate in plan.predicates
+    ]
 
-    def run(arg_row: Row) -> Iterator[Row]:
-        for row in child(arg_row):
-            if all(is_true(predicate, row, ctx.eval_ctx) for predicate in predicates):
+    def run(argument) -> Iterator[list]:
+        for row in child(argument):
+            if all(predicate(row) for predicate in predicates):
                 yield row
 
     return run
@@ -531,60 +509,6 @@ def _filter(plan: PlanFilter, ctx: RuntimeContext) -> RunFn:
 # ---------------------------------------------------------------------------
 # Path index operators (§5.1)
 # ---------------------------------------------------------------------------
-
-
-def _entry_binder(
-    plan, ctx: RuntimeContext, skip_positions: int = 0
-) -> Callable[[tuple, Row], Optional[Row]]:
-    """Build a function binding an index entry into a row.
-
-    Checks, in stored order: binding consistency (repeated variables and
-    pre-bound variables), relationship uniqueness, residual label filters and
-    residual type filters. ``skip_positions`` marks a leading prefix already
-    bound by the row (PathIndexPrefixSeek)."""
-    entry_vars = plan.entry_vars
-    label_checks: dict[str, list[int]] = {}
-    for var, label in getattr(plan, "label_filters", ()):
-        label_id = ctx.store.labels.id_of(label)
-        label_checks.setdefault(var, []).append(-1 if label_id is None else label_id)
-    type_checks: dict[str, frozenset[int]] = {}
-    for var, type_names in getattr(plan, "type_filters", ()):
-        resolved = {ctx.store.types.id_of(name) for name in type_names}
-        resolved.discard(None)
-        type_checks[var] = frozenset(resolved)
-
-    def bind(entry: tuple, arg_row: Row) -> Optional[Row]:
-        values: dict[str, object] = {}
-        new_rels: list[int] = []
-        for position, var in enumerate(entry_vars):
-            identifier = entry[position]
-            pre_bound = arg_row.values.get(var)
-            existing = values.get(var, pre_bound)
-            if existing is not None and existing != identifier:
-                return None
-            values[var] = identifier
-            if position % 2 == 1 and position >= skip_positions:
-                if identifier in new_rels:
-                    return None
-                # Uniqueness: reject ids bound to *another* relationship
-                # variable; re-binding the same variable (an anchored or
-                # argument relationship) is consistent, not a duplicate.
-                if identifier in arg_row.rel_ids and pre_bound != identifier:
-                    return None
-                if pre_bound != identifier:
-                    new_rels.append(identifier)
-        for var, label_ids in label_checks.items():
-            node_id = int(values[var])
-            for label_id in label_ids:
-                if label_id < 0 or not ctx.store.has_label(node_id, label_id):
-                    return None
-        for var, allowed in type_checks.items():
-            rel = ctx.store.relationship(int(values[var]))
-            if rel.type_id not in allowed:
-                return None
-        return arg_row.extended(values, new_rels)
-
-    return bind
 
 
 def _leading_prefix(
@@ -606,17 +530,16 @@ def _leading_prefix(
     return tuple(prefix)
 
 
-def _path_index_scan(plan: PlanPathIndexScan, ctx: RuntimeContext) -> RunFn:
+def _path_index_scan(plan: PlanPathIndexScan, ctx: RuntimeContext, layout) -> RunFn:
     if ctx.index_store is None:
         raise ReproError("PathIndexScan requires a path index store")
     index = ctx.index_store.get(plan.index_name)
-    bind = _entry_binder(plan, ctx)
-    entry_vars = plan.entry_vars
-    unknown = (None,) * len(entry_vars)
+    bind = _entry_binder(plan, ctx.store, layout)
+    entry_slots = [layout.slot_of(var) for var in plan.entry_vars]
+    unknown = (None,) * len(entry_slots)
 
-    def run(arg_row: Row) -> Iterator[Row]:
-        get = arg_row.values.get
-        prefix = _leading_prefix(unknown, [get(var) for var in entry_vars])
+    def run(arg_row: list) -> Iterator[list]:
+        prefix = _leading_prefix(unknown, [arg_row[slot] for slot in entry_slots])
         for entry in index.scan_prefix(prefix) if prefix else index.scan():
             row = bind(entry, arg_row)
             if row is not None:
@@ -626,25 +549,29 @@ def _path_index_scan(plan: PlanPathIndexScan, ctx: RuntimeContext) -> RunFn:
 
 
 def _path_index_filtered_scan(
-    plan: PlanPathIndexFilteredScan, ctx: RuntimeContext
+    plan: PlanPathIndexFilteredScan, ctx: RuntimeContext, layout
 ) -> RunFn:
     if ctx.index_store is None:
         raise ReproError("PathIndexFilteredScan requires a path index store")
     index = ctx.index_store.get(plan.index_name)
-    bind = _entry_binder(plan, ctx)
-    entry_vars = plan.entry_vars
-    width = len(entry_vars)
+    bind = _entry_binder(plan, ctx.store, layout)
+    entry_slots = [layout.slot_of(var) for var in plan.entry_vars]
+    width = len(entry_slots)
     constraints = _filtered_scan_constraints(plan)
     must_differ, must_equal = constraints.must_differ, constraints.must_equal
-    params = ctx.eval_ctx.params
+    eval_ctx = ctx.eval_ctx
+    params = eval_ctx.params
     constants = tuple(ast.bind(value, params) for value in constraints.constants)
     checks = [
         (position, ast.bind(value, params)) for position, value in constraints.checks
     ]
+    residual = [
+        compile_predicate(predicate, layout.slot_of, eval_ctx, params)
+        for predicate in constraints.residual
+    ]
 
-    def run(arg_row: Row) -> Iterator[Row]:
-        get = arg_row.values.get
-        prefix = _leading_prefix(constants, [get(var) for var in entry_vars])
+    def run(arg_row: list) -> Iterator[list]:
+        prefix = _leading_prefix(constants, [arg_row[slot] for slot in entry_slots])
         seek = index.seeker(prefix)
         lower = prefix + (0,) * (width - len(prefix))
         while True:
@@ -659,10 +586,7 @@ def _path_index_filtered_scan(
                 row = bind(entry, arg_row)
                 if row is None:
                     continue
-                if all(
-                    is_true(predicate, row, ctx.eval_ctx)
-                    for predicate in constraints.residual
-                ):
+                if all(predicate(row) for predicate in residual):
                     yield row
             if restart is None:
                 return
@@ -791,23 +715,24 @@ def _neq_entry_pair(predicate, position_of) -> Optional[tuple[int, int]]:
 
 
 def _path_index_prefix_seek(
-    plan: PlanPathIndexPrefixSeek, ctx: RuntimeContext
+    plan: PlanPathIndexPrefixSeek, ctx: RuntimeContext, layout, child: RunFn
 ) -> RunFn:
     if ctx.index_store is None:
         raise ReproError("PathIndexPrefixSeek requires a path index store")
     index = ctx.index_store.get(plan.index_name)
-    child = compile_plan(plan.children[0], ctx)
-    prefix_vars = plan.entry_vars[: plan.prefix_length]
-    bind = _entry_binder(plan, ctx, skip_positions=plan.prefix_length)
+    prefix_slots = [
+        layout.slot_of(var) for var in plan.entry_vars[: plan.prefix_length]
+    ]
+    bind = _entry_binder(plan, ctx.store, layout, skip_positions=plan.prefix_length)
 
-    def run(arg_row: Row) -> Iterator[Row]:
+    def run(arg_row: list) -> Iterator[list]:
         # "The operator will first take in all results from the child plan,
         # compute the relevant prefix for each result and group all results by
         # this prefix" (§5.1.3).
-        groups: dict[tuple[int, ...], list[Row]] = {}
+        groups: dict[tuple[int, ...], list[list]] = {}
         mem = ctx.mem()
         for row in child(arg_row):
-            prefix = tuple(int(row.values[var]) for var in prefix_vars)
+            prefix = tuple([int(row[slot]) for slot in prefix_slots])
             groups.setdefault(prefix, []).append(row)
             # Non-spillable: the groups map is randomly accessed per index
             # prefix, so it charges (and may exhaust the pool) rather than
@@ -826,22 +751,26 @@ def _path_index_prefix_seek(
 
 
 # ---------------------------------------------------------------------------
-# Projection boundary operators
+# Boundary operators: their argument is the part's row stream
 # ---------------------------------------------------------------------------
 
 
-def _projection(plan: PlanProjection, ctx: RuntimeContext) -> RunFn:
-    child = compile_plan(plan.children[0], ctx)
-    items = plan.items
+def _projection(
+    plan: PlanProjection, ctx: RuntimeContext, layout, child: RunFn
+) -> RunFn:
+    items = [
+        (layout.slot_of(item.output_name), _compiled(item.expression, ctx, layout.slot_of))
+        for item in plan.items
+    ]
+    empty = layout.empty_row()
 
-    def run(arg_row: Row) -> Iterator[Row]:
-        for row in child(arg_row):
-            yield row.project(
-                {
-                    item.output_name: evaluate(item.expression, row, ctx.eval_ctx)
-                    for item in items
-                }
-            )
+    def run(rows) -> Iterator[list]:
+        for row in child(rows):
+            # Non-projected bindings drop and the uniqueness scope resets.
+            out = empty[:]
+            for slot, value_of in items:
+                out[slot] = value_of(row)
+            yield out
 
     return run
 
@@ -860,14 +789,8 @@ class _Accumulator:
         self.values: list = []
         self.seen: set = set()
 
-    def feed(self, row, ctx: RuntimeContext) -> None:
-        if self.call.star:  # count(*)
-            self.count += 1
-            return
-        self.feed_value(evaluate(self.call.argument, row, ctx.eval_ctx))
-
     def feed_value(self, value) -> None:
-        """Accumulate an already-evaluated argument (generated code)."""
+        """Accumulate one evaluated argument (count(*) counts directly)."""
         name = self.call.name
         if value is None:
             return  # aggregates skip NULLs (Cypher semantics)
@@ -921,81 +844,79 @@ def _aggregate_calls(expression: ast.Expression) -> list[ast.FunctionCall]:
     return calls
 
 
-def _aggregation(plan: PlanAggregation, ctx: RuntimeContext) -> RunFn:
-    child = compile_plan(plan.children[0], ctx)
-    grouping = plan.grouping_items
-    aggregates = plan.aggregate_items
-    calls_per_item = {
-        id(item): _aggregate_calls(item.expression) for item in aggregates
-    }
+def _aggregation(
+    plan: PlanAggregation, ctx: RuntimeContext, layout, child: RunFn
+) -> RunFn:
+    slot_of = layout.slot_of
+    grouping = [
+        (slot_of(item.output_name), _compiled(item.expression, ctx, slot_of))
+        for item in plan.grouping_items
+    ]
+    # Per aggregate item: its output slot, its calls with their compiled
+    # arguments (None for count(*)), and the item expression, which reads
+    # the call results from slots past the row's end.
+    aggregates = []
+    for item in plan.aggregate_items:
+        calls = _aggregate_calls(item.expression)
+        result_slots = {call: layout.width + 1 + i for i, call in enumerate(calls)}
 
-    def run(arg_row: Row) -> Iterator[Row]:
-        def new_state(row: Row) -> tuple[dict, dict]:
-            key_values = {
-                item.output_name: evaluate(item.expression, row, ctx.eval_ctx)
-                for item in grouping
-            }
-            accumulators = {
-                id(item): [
-                    _Accumulator(call) for call in calls_per_item[id(item)]
-                ]
-                for item in aggregates
-            }
-            return (key_values, accumulators)
+        def item_slot_of(name, result_slots=result_slots):
+            return result_slots[name] if name in result_slots else slot_of(name)
 
-        def feed(state: tuple[dict, dict], row: Row) -> None:
-            accumulators = state[1]
-            for item in aggregates:
-                for accumulator in accumulators[id(item)]:
-                    accumulator.feed(row, ctx)
-
-        buffer = AggregationSpillBuffer(ctx.mem(), plan, new_state, feed)
-        for row in child(arg_row):
-            key = tuple(
-                _hashable(evaluate(item.expression, row, ctx.eval_ctx))
-                for item in grouping
+        aggregates.append(
+            (
+                slot_of(item.output_name),
+                calls,
+                [
+                    None if call.star else _compiled(call.argument, ctx, slot_of)
+                    for call in calls
+                ],
+                _compiled(item.expression, ctx, item_slot_of),
             )
+        )
+
+    def accumulators() -> list:
+        return [[_Accumulator(call) for call in calls] for _, calls, _, _ in aggregates]
+
+    def new_state(row: list) -> tuple[list, list]:
+        out = layout.empty_row()
+        for slot, value_of in grouping:
+            out[slot] = value_of(row)
+        return (out, accumulators())
+
+    def feed(state: tuple[list, list], row: list) -> None:
+        for (_, _, arguments, _), group in zip(aggregates, state[1]):
+            for argument, accumulator in zip(arguments, group):
+                if argument is None:
+                    accumulator.count += 1
+                else:
+                    accumulator.feed_value(argument(row))
+
+    def run(rows) -> Iterator[list]:
+        buffer = AggregationSpillBuffer(ctx.mem(), plan, new_state, feed)
+        for row in child(rows):
+            key = tuple([_hashable(value_of(row)) for _, value_of in grouping])
             buffer.add(key, row)
         if buffer.is_empty and not grouping:
             # Global aggregation over zero rows still yields one row.
-            states = [
-                (
-                    {},
-                    {
-                        id(item): [
-                            _Accumulator(call)
-                            for call in calls_per_item[id(item)]
-                        ]
-                        for item in aggregates
-                    },
-                )
-            ]
+            states = [(layout.empty_row(), accumulators())]
         else:
             states = buffer.states()
-        for key_values, accumulators in states:
-            out = dict(key_values)
-            for item in aggregates:
-                results = {
-                    accumulator.call: accumulator.result()
-                    for accumulator in accumulators[id(item)]
-                }
-                out[item.output_name] = evaluate(
-                    item.expression, Row(out), ctx.eval_ctx, results
-                )
-            yield Row(out)
+        for out, groups in states:
+            for (slot, _, _, value_of), group in zip(aggregates, groups):
+                out[slot] = value_of(out + [accumulator.result() for accumulator in group])
+            yield out
 
     return run
 
 
-def _distinct(plan: PlanDistinct, ctx: RuntimeContext) -> RunFn:
-    child = compile_plan(plan.children[0], ctx)
-    columns = plan.columns
+def _distinct(plan: PlanDistinct, ctx: RuntimeContext, layout, child: RunFn) -> RunFn:
+    slots = [layout.slot_of(column) for column in plan.columns]
 
-    def run(arg_row: Row) -> Iterator[Row]:
+    def run(rows) -> Iterator[list]:
         buffer = DistinctSpillBuffer(ctx.mem(), plan)
-        for row in child(arg_row):
-            key = tuple(_hashable(row.values.get(column)) for column in columns)
-            if buffer.offer(key, row):
+        for row in child(rows):
+            if buffer.offer(tuple([_hashable(row[slot]) for slot in slots]), row):
                 yield row
         yield from buffer.drain()
 
@@ -1008,24 +929,24 @@ def _hashable(value):
     return value
 
 
-def _sort(plan: PlanSort, ctx: RuntimeContext) -> RunFn:
-    child = compile_plan(plan.children[0], ctx)
-    order_by = plan.order_by
+def _sort(plan: PlanSort, ctx: RuntimeContext, layout, child: RunFn) -> RunFn:
+    keys = [
+        (_compiled(expression, ctx, layout.slot_of), ascending)
+        for expression, ascending in plan.order_by
+    ]
 
     # One composed key reproduces the repeated per-level stable sorts:
     # descending levels are order-inverted via Desc, and sort stability
     # supplies the original-input tiebreak.
-    def composed_key(row: Row) -> tuple:
+    def composed_key(row: list) -> tuple:
         return tuple(
-            _sort_key(evaluate(expression, row, ctx.eval_ctx))
-            if ascending
-            else Desc(_sort_key(evaluate(expression, row, ctx.eval_ctx)))
-            for expression, ascending in order_by
+            _sort_key(value_of(row)) if ascending else Desc(_sort_key(value_of(row)))
+            for value_of, ascending in keys
         )
 
-    def run(arg_row: Row) -> Iterator[Row]:
+    def run(rows) -> Iterator[list]:
         buffer = SortSpillBuffer(ctx.mem(), plan, composed_key)
-        for row in child(arg_row):
+        for row in child(rows):
             buffer.add(row)
         yield from buffer
 
@@ -1043,15 +964,14 @@ def _sort_key(value):
     return (2, str(value))
 
 
-def _limit(plan: PlanLimit, ctx: RuntimeContext) -> RunFn:
-    child = compile_plan(plan.children[0], ctx)
+def _limit(plan: PlanLimit, ctx: RuntimeContext, layout, child: RunFn) -> RunFn:
     skip = ast.bind(plan.skip, ctx.eval_ctx.params)
     limit = ast.bind(plan.limit, ctx.eval_ctx.params)
 
-    def run(arg_row: Row) -> Iterator[Row]:
+    def run(rows) -> Iterator[list]:
         produced = 0
         skipped = 0
-        for row in child(arg_row):
+        for row in child(rows):
             if skipped < skip:
                 skipped += 1
                 continue
@@ -1061,3 +981,26 @@ def _limit(plan: PlanLimit, ctx: RuntimeContext) -> RunFn:
             yield row
 
     return run
+
+
+_OPERATORS: dict[type, Callable[..., RunFn]] = {
+    PlanArgument: _argument,
+    PlanAllNodesScan: _all_nodes_scan,
+    PlanNodeByLabelScan: _node_by_label_scan,
+    PlanNodeByIdSeek: _node_by_id_seek,
+    PlanRelationshipByTypeScan: _relationship_by_type_scan,
+    PlanExpand: _expand,
+    PlanNodeHashJoin: _node_hash_join,
+    PlanCartesianProduct: _cartesian_product,
+    PlanFilter: _filter,
+    PlanPathIndexScan: _path_index_scan,
+    PlanPathIndexFilteredScan: _path_index_filtered_scan,
+    PlanPathIndexPrefixSeek: _path_index_prefix_seek,
+    PlanProjection: _projection,
+    PlanAggregation: _aggregation,
+    PlanDistinct: _distinct,
+    PlanSort: _sort,
+    PlanLimit: _limit,
+}
+"""Row-engine operator per plan-node type. Each takes ``(plan, ctx,
+layout, *compiled_children)``."""

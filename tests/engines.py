@@ -1,6 +1,8 @@
 """The two execution engines the differential tests compare, and how to run
 a query on a chosen one."""
 
+from repro.runtime import Executor
+
 ENGINES = ("row", "compiled")
 
 
@@ -16,3 +18,14 @@ def execute(db, text, hints=None, mode="compiled", **kwargs):
     result = db.execute(text, hints, execution_mode=mode, **kwargs)
     assert result.profile.engine == mode, (mode, text)
     return result
+
+
+def pin_engine(monkeypatch, engine):
+    """Run every ``Executor.execute`` on ``engine``, the internal pattern
+    queries included (production runs those compiled)."""
+    execute = Executor.execute
+
+    def on_engine(self, planned_parts, *args, **kwargs):
+        return execute(self, planned_parts, *args, **{**kwargs, "mode": engine})
+
+    monkeypatch.setattr(Executor, "execute", on_engine)

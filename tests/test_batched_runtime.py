@@ -55,8 +55,7 @@ def run_chunked(db, query, hints=None, chunk_sizes=CHUNK_SIZES):
             cached.planned_parts, mode="compiled", morsel_size=size
         )
         projected = [
-            {column: row.values.get(column) for column in cached.columns}
-            for row in rows
+            dict(zip(cached.columns, row)) for row in rows
         ]
         assert profile.engine == "compiled"
         assert projected == expected, (query, size)

@@ -236,8 +236,7 @@ def run_with_morsel_size(db, query, morsel_size):
         cached.planned_parts, mode="compiled", morsel_size=morsel_size
     )
     projected = [
-        {column: row.values.get(column) for column in cached.columns}
-        for row in rows
+        dict(zip(cached.columns, row)) for row in rows
     ]
     assert profile.engine == "compiled"
     return projected, profile
@@ -375,7 +374,7 @@ def test_direct_executor_reuses_the_artifact_db_execute_built():
     executor = Executor(db.store, db.indexes, cached.analyzed.variable_kinds)
     for _ in range(2):
         rows, profile = executor.execute(cached.planned_parts, mode="compiled")
-        assert [row.values for row in rows] == expected
+        assert [dict(zip(cached.columns, row)) for row in rows] == expected
         assert profile.engine == "compiled"
     assert artifact(db, TIER_QUERY) is compiled
     cold = db.prepare("MATCH (n:P) WHERE n.i < 3 RETURN n.i AS i ORDER BY i")

@@ -1,12 +1,19 @@
-"""Unit tests for expression evaluation (Cypher three-valued logic)."""
+"""Unit tests for expression evaluation (Cypher three-valued logic).
+
+Every case runs through the one evaluator both engines use,
+``compile_expression``, over a slot row; the expected values are written by
+hand, so these cases check expressions independently of any engine."""
 
 import pytest
 
 from repro.cypher import ast, parse
 from repro.cypher.semantics import VariableKind
 from repro.errors import ReproError
-from repro.runtime.expressions import EvaluationContext, evaluate, is_true
-from repro.runtime.row import Row
+from repro.runtime.expressions import (
+    EvaluationContext,
+    compile_expression,
+    compile_predicate,
+)
 from repro.storage import GraphStore
 
 
@@ -23,9 +30,39 @@ def expr(text: str) -> ast.Expression:
     return query.clauses[0].where
 
 
+def returned(text: str) -> ast.Expression:
+    """Parse the single RETURN item of a probe query."""
+    query = parse(f"MATCH (n) RETURN {text} AS x")
+    return query.clauses[-1].items[0].expression
+
+
+def slot_row(compiler, expression, evaluation, bound=None, params=None):
+    """Compile ``expression`` with ``compiler`` over a slot per name it
+    looks up — variables, and parameters or aggregate calls left to slots —
+    and run it on the row holding ``bound`` (missing names: NULL)."""
+    names: list = []
+
+    def slot_of(name):
+        if name not in names:
+            names.append(name)
+        return names.index(name)
+
+    compiled = compiler(expression, slot_of, evaluation, params)
+    bound = bound or {}
+    return compiled([bound.get(name) for name in names])
+
+
+def evaluate(expression, bound, evaluation, params=None):
+    return slot_row(compile_expression, expression, evaluation, bound, params)
+
+
+def is_true(expression, bound, evaluation) -> bool:
+    return slot_row(compile_predicate, expression, evaluation, bound)
+
+
 def value(text: str, row=None, ctx=None):
     evaluation = ctx[1] if ctx else EvaluationContext(GraphStore(), {})
-    return evaluate(expr(text), row or Row.empty(), evaluation)
+    return evaluate(expr(text), row, evaluation)
 
 
 # ---------------------------------------------------------------------------
@@ -131,9 +168,9 @@ def test_not():
 
 def test_is_true_only_on_exact_true(ctx):
     store, evaluation = ctx
-    assert is_true(expr("TRUE"), Row.empty(), evaluation)
-    assert not is_true(expr("NULL"), Row.empty(), evaluation)
-    assert not is_true(expr("FALSE"), Row.empty(), evaluation)
+    assert is_true(expr("TRUE"), {}, evaluation)
+    assert not is_true(expr("NULL"), {}, evaluation)
+    assert not is_true(expr("FALSE"), {}, evaluation)
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +182,7 @@ def test_node_property_access(ctx):
     store, evaluation = ctx
     node = store.create_node()
     store.set_node_property(node, store.property_keys.get_or_create("v"), 42)
-    row = Row({"n": node})
+    row = {"n": node}
     assert evaluate(expr("n.v = 42"), row, evaluation) is True
     assert evaluate(expr("n.missing = 42"), row, evaluation) is None
 
@@ -157,22 +194,22 @@ def test_relationship_property_access(ctx):
     store.set_relationship_property(
         rel, store.property_keys.get_or_create("w"), 0.5
     )
-    row = Row({"r": rel})
+    row = {"r": rel}
     assert evaluate(expr("r.w = 0.5"), row, evaluation) is True
 
 
 def test_property_access_on_unbound_is_null(ctx):
     store, evaluation = ctx
-    assert evaluate(expr("n.v = 1"), Row.empty(), evaluation) is None
+    assert evaluate(expr("n.v = 1"), {}, evaluation) is None
 
 
 def test_has_label_predicate(ctx):
     store, evaluation = ctx
     node = store.create_node([store.labels.get_or_create("P")])
-    row = Row({"n": node})
+    row = {"n": node}
     assert evaluate(expr("n:P"), row, evaluation) is True
     assert evaluate(expr("n:Q"), row, evaluation) is False
-    assert evaluate(expr("n:P"), Row.empty(), evaluation) is None
+    assert evaluate(expr("n:P"), {}, evaluation) is None
 
 
 def test_property_of_value_variable_raises():
@@ -181,4 +218,38 @@ def test_property_of_value_variable_raises():
     node = store.create_node()
     store.set_node_property(node, store.property_keys.get_or_create("v"), 1)
     with pytest.raises(ReproError):
-        evaluate(expr("n.v = 1"), Row({"n": node}), evaluation)
+        evaluate(expr("n.v = 1"), {"n": node}, evaluation)
+
+
+# ---------------------------------------------------------------------------
+# Slots: parameters and aggregate results
+# ---------------------------------------------------------------------------
+
+
+def test_aggregate_result_is_read_from_its_slot():
+    """``count(x) + 1``: the aggregation operator puts the call's result
+    in the slot the call is looked up at."""
+    expression = returned("count(n) + 1")
+    call = expression.left
+    assert isinstance(call, ast.FunctionCall) and call.is_aggregate
+    evaluation = EvaluationContext(GraphStore(), {})
+    assert evaluate(expression, {call: 4}, evaluation) == 5
+    assert evaluate(expression, {call: None}, evaluation) is None
+
+
+def test_parameter_slot_reads_the_execution_value():
+    """A parameter is bound at compile time when the execution's values
+    are given, and read from its slot otherwise."""
+    query = parse("MATCH (n) WHERE n.v = $k + 1 RETURN n")
+    expression = query.clauses[0].where
+    parameter = expression.right.left
+    assert isinstance(parameter, ast.Parameter)
+    store = GraphStore()
+    node = store.create_node()
+    store.set_node_property(node, store.property_keys.get_or_create("v"), 3)
+    evaluation = EvaluationContext(store, {"n": VariableKind.NODE})
+    params = [None] * (parameter.index + 1)
+    params[parameter.index] = 2
+    assert evaluate(expression, {"n": node}, evaluation, params) is True
+    assert evaluate(expression, {"n": node, parameter: 2}, evaluation) is True
+    assert evaluate(expression, {"n": node, parameter: 5}, evaluation) is False

@@ -9,12 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import GraphDatabase, PlannerHints
-from repro.db import patternquery
 from repro.pathindex.maintenance import TRAVERSAL_BASED, traverse_pattern
 from repro.db.patternquery import Anchor, NodeAnchor
 from repro.pathindex.pattern import PathPattern
 
-from tests.engines import ENGINES
+from tests.engines import ENGINES, pin_engine
 
 
 def build_chain_db(strategy="query"):
@@ -330,9 +329,9 @@ class Scenario:
 @contextmanager
 def internal_engine(engine):
     """Run the internal pattern queries on ``engine`` too, not only the
-    Cypher writes (production pins one engine in code)."""
+    Cypher writes."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(patternquery, "ENGINE", engine)
+        pin_engine(patch, engine)
         yield
 
 

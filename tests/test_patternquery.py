@@ -4,7 +4,6 @@ import pytest
 
 from repro import GraphDatabase, PlannerHints
 from repro.cypher.semantics import VariableKind
-from repro.db import patternquery
 from repro.db.patternquery import (
     Anchor,
     NodeAnchor,
@@ -16,7 +15,7 @@ from repro.db.patternquery import (
 )
 from repro.pathindex.pattern import PathPattern
 
-from tests.engines import ENGINES
+from tests.engines import ENGINES, pin_engine
 
 
 @pytest.fixture
@@ -148,7 +147,7 @@ def x_anchors(db):
 
 @pytest.mark.parametrize("engine", ENGINES)
 def test_prepared_query_is_shared_by_anchors_of_one_position(db, engine, monkeypatch):
-    monkeypatch.setattr(patternquery, "ENGINE", engine)
+    pin_engine(monkeypatch, engine)
     queries = PatternQueries(db.store, db.indexes)
     anchors = list(x_anchors(db))
     assert len(anchors) == 3
@@ -165,7 +164,7 @@ def test_prepared_query_is_shared_by_anchors_of_one_position(db, engine, monkeyp
 
 @pytest.mark.parametrize("engine", ENGINES)
 def test_prepared_unanchored_query_equals_oracle(db, engine, monkeypatch):
-    monkeypatch.setattr(patternquery, "ENGINE", engine)
+    pin_engine(monkeypatch, engine)
     queries = PatternQueries(db.store, db.indexes)
     oracle = sorted(run_pattern_query(db.store, db.indexes, PATTERN)[0])
     assert sorted(queries.run(PATTERN)) == oracle

@@ -4,6 +4,8 @@ import pytest
 
 from repro import GraphDatabase, PlannerHints
 
+from tests.engines import ENGINES, execute
+
 BASELINE = PlannerHints(use_path_indexes=False, use_relationship_type_scan=False)
 
 
@@ -330,3 +332,34 @@ def test_first_and_last_result_timing(db):
     result = db.execute("MATCH (n:P) RETURN n")
     result.consume()
     assert 0 <= result.time_to_first_result <= result.time_to_last_result
+
+
+# ---------------------------------------------------------------------------
+# Part boundaries: the boundary runs once per part, not per argument row
+# ---------------------------------------------------------------------------
+
+
+def motivation_db() -> GraphDatabase:
+    """(:A {v:1})-[:R]->(:B {v:2}) and (:A {v:3})-[:R]->(:B {v:2})."""
+    db = GraphDatabase()
+    db.execute("CREATE (:A {v: 1})-[:R]->(:B {v: 2})").consume()
+    db.execute("CREATE (:A {v: 3})-[:R]->(:B {v: 2})").consume()
+    return db
+
+
+@pytest.mark.parametrize("mode", ENGINES)
+@pytest.mark.parametrize(
+    "tail, expected",
+    [
+        ("RETURN count(*) AS n", [{"n": 2}]),
+        ("RETURN a.v AS v ORDER BY v DESC", [{"v": 3}, {"v": 1}]),
+        ("RETURN a.v AS v ORDER BY v LIMIT 1", [{"v": 1}]),
+        ("RETURN DISTINCT b.v AS v", [{"v": 2}]),
+    ],
+)
+def test_second_part_boundary_sees_all_its_rows(mode, tail, expected):
+    """Each of the second part's argument rows matches one path; its
+    aggregation, sort, limit and distinct see both paths at once."""
+    db = motivation_db()
+    query = f"MATCH (a:A) WITH a MATCH (a)-[:R]->(b) {tail}"
+    assert execute(db, query, mode=mode).to_list() == expected

@@ -1,5 +1,8 @@
 """Focused tests for physical operators: path-index operators, skip-scan,
-prefix-seek grouping, and the Row abstraction."""
+prefix-seek grouping, and the slot layout both engines share."""
+
+import sys
+import threading
 
 import pytest
 
@@ -12,38 +15,92 @@ from repro.planner.plans import (
     PlanPathIndexScan,
 )
 from repro.querygraph import build_query_parts
-from repro.runtime import Executor, Row
+from repro.runtime import Executor
+from repro.runtime.slots import LAYOUT, SlotLayout, layout_of
 from repro.storage import PageCache
 
 from tests.engines import ENGINES, execute
 
 
 # ---------------------------------------------------------------------------
-# Row
+# Slot layout and the part boundary
 # ---------------------------------------------------------------------------
 
 
-def test_row_extended_is_persistent():
-    row = Row({"a": 1})
-    extended = row.extended({"b": 2}, (10,))
-    assert row.values == {"a": 1}
-    assert row.rel_ids == frozenset()
-    assert extended.values == {"a": 1, "b": 2}
-    assert extended.rel_ids == frozenset({10})
+@pytest.mark.parametrize("mode", ENGINES)
+def test_projection_resets_relationship_uniqueness(mode):
+    """A WITH boundary starts a new uniqueness scope: the second MATCH may
+    bind the relationship the first one bound."""
+    db = GraphDatabase()
+    x, y = db.create_node(["X"]), db.create_node(["Y"])
+    db.create_relationship(x, y, "R")
+    query = (
+        "MATCH (x)-[r:R]->(y) WITH x, y "
+        "MATCH (x)-[s:R]->(y) RETURN count(*) AS n"
+    )
+    assert execute(db, query, mode=mode).to_list() == [{"n": 1}]
 
 
-def test_row_project_resets_rel_scope():
-    row = Row({"a": 1}, frozenset({10}))
-    projected = row.project({"x": 5})
-    assert projected.values == {"x": 5}
-    assert projected.rel_ids == frozenset()
+def test_layout_gives_every_bound_created_and_projected_name_a_slot():
+    db = GraphDatabase()
+    query = (
+        "MATCH (a:A)-[r:R]->(b) WITH a, count(b) AS c "
+        "CREATE (a)-[w:W]->(n:N {c: c}) RETURN a, w, n, c + 1 AS d"
+    )
+    analyzed = analyze(parse(query))
+    parts = build_query_parts(analyzed)
+    planner = Planner(db.store, db.indexes)
+    planned = [(part, planner.plan_part(part)) for part in parts]
+    layout = SlotLayout.of(planned)
+    assert set(layout.slots) == {"a", "r", "b", "c", "w", "n", "d"}
+    assert sorted(layout.slots.values()) == list(range(layout.width))
 
 
-def test_row_equality_and_contains():
-    assert Row({"a": 1}) == Row({"a": 1})
-    assert Row({"a": 1}) != Row({"a": 2})
-    assert "a" in Row({"a": 1})
-    assert "b" not in Row({"a": 1})
+def test_racing_first_executions_build_equal_layouts():
+    """First executions racing on one plan each build the layout; they
+    build equal ones, and every execution ends up with the one stored."""
+    db = GraphDatabase()
+    db.execute("CREATE (:A)-[:R]->(:B)").consume()
+    cached = db.prepare("MATCH (a:A) WITH a MATCH (a)-[r:R]->(b) RETURN b")
+    planned = cached.planned_parts
+    holder = planned[0][1].__dict__
+    assert SlotLayout.of(planned).slots == SlotLayout.of(planned).slots
+    built, seen = [], []
+    of = SlotLayout.of
+
+    def counting_of(parts):
+        built.append(of(parts))
+        return built[-1]
+
+    workers = 8
+    barrier = threading.Barrier(workers)
+
+    def first_execution():
+        barrier.wait(timeout=10)
+        seen.append(layout_of(planned))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            holder.pop(LAYOUT, None)
+            built.clear()
+            seen.clear()
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(SlotLayout, "of", staticmethod(counting_of))
+                threads = [
+                    threading.Thread(target=first_execution) for _ in range(workers)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=10)
+                    assert not thread.is_alive()
+            assert len(seen) == workers and built
+            assert all(layout.slots == built[0].slots for layout in built)
+            assert all(layout is holder[LAYOUT] for layout in seen)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 # ---------------------------------------------------------------------------
@@ -72,7 +129,8 @@ def run_forced(db, query, index_name):
     plan = Planner(db.store, db.indexes).plan_part(part, hints)
     executor = Executor(db.store, db.indexes, analyzed.variable_kinds)
     rows, profile = executor.execute([(part, plan)])
-    return plan, list(rows), profile
+    columns = [item.output_name for item in part.projection]
+    return plan, [dict(zip(columns, row)) for row in rows], profile
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +156,7 @@ def test_filtered_scan_applies_neq_predicate():
     plan, rows, _ = run_forced(db, query, "two")
     scan = find_op(plan, PlanPathIndexFilteredScan)
     assert scan is not None
-    assert all(row.values["a"] != row.values["c"] for row in rows)
+    assert all(row["a"] != row["c"] for row in rows)
     # 6 choices for a, 5 for b, 4 for c (a<>b<>c and a<>c via predicate).
     assert len(rows) == 6 * 5 * 4
 
@@ -223,7 +281,7 @@ def test_scan_consistency_with_repeated_variable():
     query = "MATCH (a:A)-[x:X]->(b:B)<-[y:Y]-(a) RETURN *"
     plan, rows, _ = run_forced(db, query, "diamond")
     assert len(rows) == 1
-    assert rows[0].values["a"] == a1
+    assert rows[0]["a"] == a1
 
 
 # ---------------------------------------------------------------------------
@@ -356,13 +414,12 @@ def test_argument_bound_leading_variables_bound_the_scan(mode, monkeypatch):
     executor = Executor(db.store, db.indexes, kinds)
     if mode == "compiled":
         executor.compile([(part, plan)])
-    rows, profile = executor.execute(
-        [(part, plan)],
-        initial_row=Row(anchor.bound_variables(), anchor.bound_rel_ids()),
-        mode=mode,
+    initial = layout_of([(part, plan)]).argument_row(
+        anchor.bound_variables(), anchor.bound_rel_ids()
     )
+    rows, profile = executor.execute([(part, plan)], initial_row=initial, mode=mode)
     assert profile.engine == mode
-    entries = [tuple(r.values[v] for v in ("n0", "r0", "n1", "r1", "n2")) for r in rows]
+    entries = list(rows)  # n0, r0, n1, r1, n2: the projection is entry order
     assert len(entries) == 5  # on to every node but target
     assert all(entry[:3] == (source, rel, target) for entry in entries)
     assert prefixes == [(source, rel, target)]

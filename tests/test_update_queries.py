@@ -6,6 +6,9 @@ import pytest
 
 from repro import GraphDatabase
 
+from tests.engines import ENGINES, execute
+from tests.test_query_execution import motivation_db
+
 
 @pytest.fixture
 def db():
@@ -86,3 +89,29 @@ def test_with_boundary_then_create(db):
     assert db.store.statistics.nodes_with_label(db.label("Thing")) == 1
     (rel_id,) = list(db.store.all_relationships())
     assert db.store.relationship(rel_id).start_node == a
+
+
+@pytest.mark.parametrize("mode", ENGINES)
+@pytest.mark.parametrize(
+    "query, expected",
+    [
+        (
+            "MATCH (a:A) CREATE (a)-[:R]->(b:B) RETURN count(*) AS c",
+            [{"c": 2}],
+        ),
+        (
+            "MATCH (a:A) CREATE (a)-[:R]->(b:B) WITH a WHERE a.v = 1 "
+            "RETURN a.v AS v",
+            [{"v": 1}],
+        ),
+        (
+            "MATCH (a:A) CREATE (b:C) RETURN DISTINCT labels(b) AS l",
+            [{"l": ["C"]}],
+        ),
+    ],
+)
+def test_update_part_boundary_is_planned_like_a_read(mode, query, expected):
+    """An update part's aggregation, projection WHERE and DISTINCT run over
+    its written rows, as a read part's run over its matched rows."""
+    db = motivation_db()
+    assert execute(db, query, mode=mode).to_list() == expected

@@ -9,6 +9,7 @@ the caller pulls rows.
 from __future__ import annotations
 
 import time
+from itertools import islice
 from typing import Iterator, Optional, Sequence
 
 from repro.planner.plans import LogicalPlan
@@ -51,9 +52,7 @@ class Result:
         try:
             row = next(self._rows)
         except StopIteration:
-            if self._last_at is None:
-                self._last_at = time.perf_counter()
-            self._exhausted = True
+            self._exhaust()
             raise
         now = time.perf_counter()
         if self._first_at is None:
@@ -62,14 +61,33 @@ class Result:
         self._count += 1
         return dict(zip(self.columns, row))
 
+    def _exhaust(self) -> None:
+        if not self._exhausted:
+            self._last_at = time.perf_counter()
+            self._exhausted = True
+
     def consume(self) -> int:
         """Drain the iterator; returns the number of rows."""
-        for _ in self:
-            pass
+        self._first()
+        self._count += sum(1 for _ in self._rows)
+        self._exhaust()
         return self._count
 
     def to_list(self) -> list[dict[str, object]]:
-        return list(self)
+        """The rows still to come, drained in bulk: no per-row clock read."""
+        out = self._first()
+        columns = self.columns
+        rest = [dict(zip(columns, row)) for row in self._rows]
+        self._count += len(rest)
+        self._exhaust()
+        return out + rest
+
+    def _first(self) -> list[dict[str, object]]:
+        """The first row of the result, pulled through ``__next__`` so it
+        is timed, when it is still to come."""
+        if self._first_at is not None:
+            return []
+        return list(islice(self, 1))
 
     # ------------------------------------------------------------------
     # Metrics

@@ -79,9 +79,10 @@ def _compile(
     name: str,
     stream: bool = False,
     columns: Optional[list[str]] = None,
+    **inputs,
 ) -> CompiledPart:
     source, env, plans = generate_part_source(
-        plan, ctx, layout, seam, stream, columns
+        plan, ctx, layout, seam, stream, columns, **inputs
     )
     namespace = dict(env)
     exec(compile(source, f"<compiled:{name}>", "exec"), namespace)
@@ -111,12 +112,23 @@ def compile_query(
         )
         pattern = pattern_half(plan)
         name = f"part{position}"
+        arguments = part.query_graph.arguments
+        inputs = {
+            "arguments": arguments,
+            # Only the first part's argument row comes from outside, holding
+            # the ids of the relationships it binds (a maintenance anchor's);
+            # later parts' rows leave a projection, which empties the scope.
+            "argument_rels": position == 0
+            and any(var in part.query_graph.relationships for var in arguments),
+        }
         if part.updates:
-            compiled = _compile(pattern, ctx, layout, pattern, name)
+            compiled = _compile(pattern, ctx, layout, pattern, name, **inputs)
             compiled.boundary = _compile(
-                plan, ctx, layout, pattern, f"{name}.boundary", True, columns
+                plan, ctx, layout, pattern, f"{name}.boundary", True, columns, **inputs
             )
         else:
-            compiled = _compile(plan, ctx, layout, pattern, name, columns=columns)
+            compiled = _compile(
+                plan, ctx, layout, pattern, name, columns=columns, **inputs
+            )
         parts.append(compiled)
     return CompiledQuery(parts=parts, morsel_size=ctx.morsel_size)

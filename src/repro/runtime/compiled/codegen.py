@@ -39,7 +39,8 @@ at breakers and sinks.
 Token ids (labels, relationship types, property keys) are resolved when the
 part is compiled, with per-invocation fallback for ids unknown at compile
 time in exactly the places the row engine re-resolves them (primary label
-of a label scan, incomplete expand type sets, compiled expressions). The
+of a label scan, incomplete expand type sets, residual label and type
+filters of the path-index operators, compiled expressions). The
 artifact is kept on the plan, so it is dropped whenever statistics drift
 invalidates the plan itself.
 """
@@ -49,6 +50,7 @@ from __future__ import annotations
 import itertools
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable, Iterable, Optional
 
 from repro.cypher import ast
@@ -96,12 +98,7 @@ from repro.runtime.operators import (
     _skip_target,
     _sort_key,
 )
-from repro.runtime.slots import (
-    SlotLayout,
-    _entry_binder,
-    _merge_rows,
-    _resolve_type_ids,
-)
+from repro.runtime.slots import SlotLayout, _merge_rows, _resolve_type_ids
 
 CHECK_STRIDE = 1024
 """Source-loop iterations between cancellation checks (the default morsel
@@ -164,6 +161,11 @@ class PartCompiler:
     once per argument row (Apply) inside a loop over ``_args``; with
     ``stream`` True the rows of ``_args`` are the seam's output itself (an
     update part's written rows, entering its boundary).
+
+    ``arguments`` names the variables an argument row may bind (the part's
+    ``query_graph.arguments``); ``argument_rels`` says whether its
+    uniqueness scope, ``_R0``, may hold relationship ids. Code reading the
+    argument row emits only the checks these allow to fail.
     """
 
     def __init__(
@@ -173,11 +175,16 @@ class PartCompiler:
         layout: SlotLayout,
         seam: LogicalPlan,
         stream: bool = False,
+        *,
+        arguments: frozenset[str],
+        argument_rels: bool,
     ) -> None:
         self.ctx = ctx
         self.layout = layout
         self.seam = seam
         self.stream = stream
+        self.arguments = arguments
+        self.argument_rels = argument_rels
         self.lines: list[str] = []
         self.indent = 2  # inside `def` + `try`
         self.env: dict[str, object] = {"_W": layout.width}
@@ -573,6 +580,10 @@ def _p_expand(comp: PartCompiler, plan: PlanExpand, consume) -> None:
             target = comp.fresh("tb")
             comp.emit(f"{target} = {comp.ref(scope, plan.to_node)}")
         rels = scope.rels
+        if not rels.isidentifier() and rels != "()":
+            # Read up to three times per relationship: compute it once.
+            rels = comp.fresh("rl")
+            comp.emit(f"{rels} = {scope.rels}")
         rel, neighbour = comp.fresh("rr"), comp.fresh("nb")
         rel_id = comp.fresh("ri")
         comp.emit(
@@ -729,59 +740,245 @@ def _p_filter(comp: PartCompiler, plan: PlanFilter, consume) -> None:
 # ---------------------------------------------------------------------------
 # Path index producers (§5.1)
 # ---------------------------------------------------------------------------
+#
+# An index entry *is* the binding of the pattern's variables: generated code
+# unpacks it into locals and hands consumers a scope over them, so no slot
+# row is built unless a downstream operator materializes one. The checks of
+# the row engine's binder (``repro.runtime.slots._entry_binder``) are
+# emitted only where the plan lets them fail:
+#
+# * pre-bound: only for entry variables the input row may bind;
+# * equality: only at a repeated variable's later positions;
+# * uniqueness against the input row's scope: only when it may hold ids;
+# * uniqueness within the entry: not for pairs the skip-scan proved
+#   (``must_differ``), nor at the prefix positions a seek proved.
 
 
-def _emit_leading_prefix(comp: PartCompiler, plan, constants) -> str:
-    """Emit the run's key prefix (see ``_leading_prefix``) into a local."""
+def _argument_scope(comp: PartCompiler, plan) -> _Scope:
+    """The initial scope with each entry variable an argument row may bind
+    read into a local once per argument row, and ``()`` for a uniqueness
+    scope known to be empty."""
+    scope = comp.initial_scope
+    if not comp.argument_rels:
+        scope = replace(scope, rels="()")
+    hoisted: dict[str, str] = {}
+    for var in dict.fromkeys(plan.entry_vars):
+        if var in comp.arguments:
+            local = comp.fresh("b")
+            comp.emit(f"{local} = {comp.ref(scope, var)}")
+            hoisted[var] = local
+    return scope.binding(**hoisted)
+
+
+def _emit_leading_prefix(
+    comp: PartCompiler, plan, constants, scope: _Scope
+) -> tuple[str, Optional[list[str]]]:
+    """The run's key prefix (see ``_leading_prefix``): ``(code, items)``.
+
+    The prefix cannot extend past a position with neither an ``id(v) = k``
+    constant nor an argument variable, and constants are non-negative ints
+    in every execution; so without argument variables in the run the
+    prefix is known here and ``items`` lists its elements' code. Otherwise
+    ``items`` is None and ``code`` names a local computed per argument row.
+    """
+    run = []
+    for var, constant in zip(plan.entry_vars, constants):
+        if constant is None and var not in comp.arguments:
+            break
+        run.append((var, constant))
+    if all(constant is not None for _, constant in run):
+        items = [comp.value_code(constant) for _, constant in run]
+        return (_tuple_code(items) if items else "()"), items
     prefix_of = comp.add_env("pfx", _leading_prefix)
-    fixed = ", ".join(
-        "None" if value is None else comp.value_code(value) for value in constants
+    fixed = _tuple_code(
+        ["None" if value is None else comp.value_code(value) for _, value in run]
     )
-    bound = ", ".join(comp.ref(comp.initial_scope, var) for var in plan.entry_vars)
+    bound = _tuple_code([comp.ref(scope, var) for var, _ in run])
     prefix = comp.fresh("pf")
-    comp.emit(f"{prefix} = {prefix_of}(({fixed},), ({bound},))")
-    return prefix
+    comp.emit(f"{prefix} = {prefix_of}({fixed}, {bound})")
+    return prefix, None
+
+
+def _entry_filters(comp: PartCompiler, plan) -> list[tuple[str, str]]:
+    """Emit the token lookups of ``plan``'s residual label and type filters
+    and return ``(variable, test)`` pairs: ``test`` formats with the
+    variable's value into code that is true when the entry fails.
+
+    A token unknown at compile time is looked up per argument row, as the
+    row engine builds its binder per execution: a label or type created
+    after compilation must match.
+    """
+    store = comp.ctx.store
+    tests: list[tuple[str, str]] = []
+    for var, label in plan.label_filters:
+        has_label = comp.add_env("hasl", store.has_label)
+        label_id = store.labels.id_of(label)
+        if label_id is not None:
+            tests.append((var, f"not {has_label}({{}}, {label_id})"))
+            continue
+        lookup = comp.add_env(
+            "rlbl", lambda store=store, label=label: store.labels.id_of(label)
+        )
+        local = comp.fresh("lid")
+        comp.emit(f"{local} = {lookup}()")
+        tests.append((var, f"{local} is None or not {has_label}({{}}, {local})"))
+    for var, names in plan.type_filters:
+        relationship = comp.add_env("rel", store.relationship)
+        static = _resolve_type_ids(store, names)
+        if len(static) < len(names):
+            resolver = comp.add_env(
+                "rtypes",
+                lambda store=store, names=names: _resolve_type_ids(store, names),
+            )
+            allowed = comp.fresh("tys")
+            comp.emit(f"{allowed} = {resolver}()")
+        elif len(static) == 1:
+            type_id = next(iter(static))
+            tests.append((var, f"{relationship}({{}}).type_id != {type_id}"))
+            continue
+        else:
+            allowed = comp.add_env("types", frozenset(static))
+        tests.append((var, f"{relationship}({{}}).type_id not in {allowed}"))
+    return tests
+
+
+def _unpack_entry(comp: PartCompiler, entry: str, width: int) -> list[str]:
+    """Emit ``_v0, _v1, ... = entry``; returns the locals."""
+    values = [comp.fresh("v") for _ in range(width)]
+    comp.emit(f"{', '.join(values)}{',' if width == 1 else ''} = {entry}")
+    return values
+
+
+def _emit_reject(comp: PartCompiler, tests: list[str]) -> None:
+    """``continue`` when any of ``tests`` holds."""
+    if tests:
+        joined = " or ".join(
+            f"({test})" if " and " in test or " or " in test else test
+            for test in tests
+        )
+        comp.emit(f"if {joined}:")
+        with comp.block():
+            comp.emit("continue")
+
+
+def _bind_entry(
+    comp: PartCompiler,
+    plan,
+    values: list[str],
+    scope: _Scope,
+    may_bind: frozenset[str],
+    filters: Iterable[tuple[str, str]] = (),
+    skip: int = 0,
+    proven: frozenset = frozenset(),
+) -> _Scope:
+    """Emit the checks binding the unpacked entry ``values`` over ``scope``
+    and return the scope consumers see.
+
+    ``may_bind`` names the variables ``scope`` may already bind (its
+    uniqueness tuple is ``()`` when known empty), ``filters`` come from
+    :func:`_entry_filters`, the first ``skip`` positions are proven equal
+    to ``scope``'s bindings, and ``proven`` holds the relationship position
+    pairs known to differ. The result is ``_entry_binder``'s row for every
+    entry it accepts.
+    """
+    rels = None if scope.rels == "()" else scope.rels
+    tests: list[str] = []
+    first: dict[str, int] = {}
+    # Relationship ids the entry adds to the uniqueness scope: (position,
+    # value, local of its pre-bound value or None when it cannot be bound).
+    added: list[tuple[int, str, Optional[str]]] = []
+    for position, var in enumerate(plan.entry_vars):
+        value = values[position]
+        earlier = first.setdefault(var, position)
+        if position < skip:
+            continue
+        pre = None
+        if earlier != position:
+            tests.append(f"{value} != {values[earlier]}")
+        elif var in may_bind:
+            pre = comp.ref(scope, var)
+            tests.append(f"{pre} is not None and {pre} != {value}")
+        if position % 2 == 0:
+            continue
+        # A relationship bound before the entry re-binds its own id: the id
+        # is not new, so the uniqueness checks skip it and it is not added.
+        for other_position, other, other_pre in added:
+            if (other_position, position) in proven:
+                continue
+            tests.append(
+                f"{value} == {other}"
+                if other_pre is None
+                else f"{value} == {other} and {other_pre} is None"
+            )
+        if earlier == position:
+            if rels is not None:
+                tests.append(
+                    f"{value} in {rels}"
+                    if pre is None
+                    else f"{value} in {rels} and {pre} is None"
+                )
+            added.append((position, value, pre))
+    # Residual filters name entry variables (``IndexMatch``).
+    tests.extend(test.format(values[first[var]]) for var, test in filters)
+    _emit_reject(comp, tests)
+
+    pieces = [] if rels is None else [rels]
+    fixed: list[str] = []
+    for _, value, pre in added:
+        if pre is None:
+            fixed.append(value)
+            continue
+        if fixed:
+            pieces.append(_tuple_code(fixed))
+            fixed = []
+        pieces.append(f"(({value},) if {pre} is None else ())")
+    if fixed:
+        pieces.append(_tuple_code(fixed))
+    return replace(
+        scope.binding(**{var: values[position] for var, position in first.items()}),
+        rels=" + ".join(pieces) or "()",
+    )
 
 
 def _p_path_index_scan(comp: PartCompiler, plan: PlanPathIndexScan, consume) -> None:
-    ctx = comp.ctx
-    index = ctx.index_store.get(plan.index_name)
+    index = comp.ctx.index_store.get(plan.index_name)
     scan = comp.add_env("iscan", index.scan)
     scan_prefix = comp.add_env("ipfx", index.scan_prefix)
-    bind = comp.add_env("bind", _entry_binder(plan, ctx.store, comp.layout))
-    prefix = _emit_leading_prefix(comp, plan, (None,) * len(plan.entry_vars))
-    entry, row = comp.fresh("en"), comp.fresh("rw")
-    comp.emit(f"for {entry} in {scan_prefix}({prefix}) if {prefix} else {scan}():")
+    scope = _argument_scope(comp, plan)
+    prefix, items = _emit_leading_prefix(
+        comp, plan, (None,) * len(plan.entry_vars), scope
+    )
+    if items is None:
+        source = f"{scan_prefix}({prefix}) if {prefix} else {scan}()"
+    else:
+        source = f"{scan_prefix}({prefix})" if items else f"{scan}()"
+    entry = comp.fresh("en")
+    comp.emit(f"for {entry} in {source}:")
     with comp.block():
         comp.tick()
-        comp.emit(f"{row} = {bind}({entry}, _arg)")
-        comp.emit(f"if {row} is None:")
-        with comp.block():
-            comp.emit("continue")
+        values = _unpack_entry(comp, entry, len(plan.entry_vars))
+        bound = _bind_entry(comp, plan, values, scope, comp.arguments)
         comp.count_and_check(plan)
-        consume(comp.row_scope(row))
+        consume(bound)
 
 
 def _p_path_index_filtered_scan(
     comp: PartCompiler, plan: PlanPathIndexFilteredScan, consume
 ) -> None:
-    ctx = comp.ctx
-    index = ctx.index_store.get(plan.index_name)
+    index = comp.ctx.index_store.get(plan.index_name)
     seeker = comp.add_env("isk", index.seeker)
-    bind = comp.add_env("bind", _entry_binder(plan, ctx.store, comp.layout))
     width = len(plan.entry_vars)
     constraints = _filtered_scan_constraints(plan)
-    skip = comp.add_env(
-        "skip",
-        lambda entry, d=constraints.must_differ, e=constraints.must_equal, w=width: (
-            _skip_target(entry, d, e, w)
-        ),
-    )
-    prefix = _emit_leading_prefix(comp, plan, constraints.constants)
+    scope = _argument_scope(comp, plan)
+    filters = _entry_filters(comp, plan)
+    prefix, items = _emit_leading_prefix(comp, plan, constraints.constants, scope)
     seek, lower, again = comp.fresh("sk"), comp.fresh("lo"), comp.fresh("go")
-    entry, row, violation = comp.fresh("en"), comp.fresh("rw"), comp.fresh("vi")
+    entry = comp.fresh("en")
     comp.emit(f"{seek} = {seeker}({prefix})")
-    comp.emit(f"{lower} = {prefix} + (0,) * ({width} - len({prefix}))")
+    if items is None:
+        comp.emit(f"{lower} = {prefix} + (0,) * ({width} - len({prefix}))")
+    else:
+        comp.emit(f"{lower} = {_tuple_code(items + ['0'] * (width - len(items)))}")
     comp.emit(f"{again} = True")
     comp.emit(f"while {again}:")
     with comp.block():
@@ -789,27 +986,48 @@ def _p_path_index_filtered_scan(
         comp.emit(f"for {entry} in {seek}({lower}):")
         with comp.block():
             comp.tick()
-            for position, value in constraints.checks:
-                comp.emit(f"if {entry}[{position}] != {comp.value_code(value)}:")
+            values = _unpack_entry(comp, entry, width)
+            _emit_reject(
+                comp,
+                [
+                    f"{values[position]} != {comp.value_code(value)}"
+                    for position, value in constraints.checks
+                ],
+            )
+            violations = [
+                f"{values[i]} == {values[j]}" for i, j in constraints.must_differ
+            ] + [f"{values[i]} != {values[j]}" for i, j in constraints.must_equal]
+            if violations:
+                # Restart past the violating subtree (§5.1.2).
+                skip = comp.add_env(
+                    "skip",
+                    partial(
+                        _skip_target,
+                        differ=constraints.must_differ,
+                        equal=constraints.must_equal,
+                        width=width,
+                    ),
+                )
+                comp.emit(f"if {' or '.join(violations)}:")
                 with comp.block():
-                    comp.emit("continue")
-            comp.emit(f"{violation} = {skip}({entry})")
-            comp.emit(f"if {violation} is not None:")
-            with comp.block():
-                comp.emit(f"{lower} = {violation}")
-                comp.emit(f"{again} = True")
-                comp.emit("break")
-            comp.emit(f"{row} = {bind}({entry}, _arg)")
-            comp.emit(f"if {row} is None:")
-            with comp.block():
-                comp.emit("continue")
+                    comp.emit(f"{lower} = {skip}({entry})")
+                    comp.emit(f"{again} = True")
+                    comp.emit("break")
+            bound = _bind_entry(
+                comp,
+                plan,
+                values,
+                scope,
+                comp.arguments,
+                filters,
+                proven=frozenset(constraints.must_differ),
+            )
             for predicate in constraints.residual:
-                code = comp.pred_code(predicate, comp.row_scope(row))
-                comp.emit(f"if not ({code}):")
+                comp.emit(f"if not ({comp.pred_code(predicate, bound)}):")
                 with comp.block():
                     comp.emit("continue")
             comp.count_and_check(plan)
-            consume(comp.row_scope(row))
+            consume(bound)
 
 
 def _p_path_index_prefix_seek(
@@ -820,12 +1038,6 @@ def _p_path_index_prefix_seek(
     prepare = comp.add_env("prep", index.prepare_prefix)
     scan_prefix = comp.add_env("ipfx", index.scan_prefix)
     store = comp.add_env("store", ctx.store)
-    bind = comp.add_env(
-        "bind",
-        _entry_binder(
-            plan, ctx.store, comp.layout, skip_positions=plan.prefix_length
-        ),
-    )
     prefix_vars = plan.entry_vars[: plan.prefix_length]
     plan_env = comp.add_env("pl", plan)
     groups = comp.fresh("gr")
@@ -843,23 +1055,33 @@ def _p_path_index_prefix_seek(
         # wholesale at tracker close).
         comp.emit(f"_mem.charge({plan_env}, {ROW_BYTES})")
 
-    comp.produce(plan.children[0], collect)
+    child = plan.children[0]
+    comp.produce(child, collect)
+    filters = _entry_filters(comp, plan)
+    # A child row's uniqueness scope holds the ids its relationships bound.
+    child_rels = comp.argument_rels or bool(child.solved_rels)
     prefix, rows = comp.fresh("pk"), comp.fresh("rs")
-    entry, parent, row = comp.fresh("en"), comp.fresh("pr"), comp.fresh("rw")
+    entry, parent = comp.fresh("en"), comp.fresh("pr")
     comp.emit(f"for {prefix}, {rows} in {groups}.items():")
     with comp.block():
         comp.emit(f"{prepare}({prefix}, {store})")
         comp.emit(f"for {entry} in {scan_prefix}({prefix}):")
         with comp.block():
+            values = _unpack_entry(comp, entry, len(plan.entry_vars))
             comp.emit(f"for {parent} in {rows}:")
             with comp.block():
                 comp.tick()
-                comp.emit(f"{row} = {bind}({entry}, {parent})")
-                comp.emit(f"if {row} is None:")
-                with comp.block():
-                    comp.emit("continue")
+                bound = _bind_entry(
+                    comp,
+                    plan,
+                    values,
+                    comp.row_scope(parent) if child_rels else _Scope(base=parent),
+                    child.available,
+                    filters,
+                    skip=plan.prefix_length,
+                )
                 comp.count_and_check(plan)
-                consume(comp.row_scope(row))
+                consume(bound)
 
 
 # ---------------------------------------------------------------------------
@@ -872,6 +1094,10 @@ def _p_projection(comp: PartCompiler, plan: PlanProjection, consume) -> None:
         bound: dict[str, str] = {}
         for item in plan.items:
             code = comp.expr_code(item.expression, scope)
+            if code.isidentifier():
+                # A local already: consumers read it in this iteration.
+                bound[item.output_name] = code
+                continue
             local = comp.fresh("pj")
             comp.emit(f"{local} = {code}")
             bound[item.output_name] = local
@@ -1137,15 +1363,27 @@ def generate_part_source(
     seam: LogicalPlan,
     stream: bool = False,
     columns: Optional[list[str]] = None,
+    *,
+    arguments: frozenset[str],
+    argument_rels: bool,
 ) -> tuple[str, dict[str, object], list[LogicalPlan]]:
     """Generate the source of one pipeline function (see
-    :class:`PartCompiler` for ``seam`` and ``stream``).
+    :class:`PartCompiler` for ``seam``, ``stream``, ``arguments`` and
+    ``argument_rels``).
 
     Returns ``(source, env, plans)``. The function yields morsels of full
     slot rows, or, given the final part's ``columns``, of tuples holding
     those columns in order.
     """
-    comp = PartCompiler(plan, ctx, layout, seam, stream)
+    comp = PartCompiler(
+        plan,
+        ctx,
+        layout,
+        seam,
+        stream,
+        arguments=arguments,
+        argument_rels=argument_rels,
+    )
 
     def sink(scope: _Scope) -> None:
         if columns is None:

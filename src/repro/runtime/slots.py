@@ -12,8 +12,10 @@ The layout is kept on the part-0 plan node (see :func:`layout_of`), next to
 the codegen artifact, and built on a plan's first execution. Building it is
 deterministic, so racing first executions store equal layouts.
 
-The helpers here — the entry binder and the row merge — are the ones both
-engines share.
+The row merge here is shared by both engines. The path-index entry binder
+is the row engine's: generated code binds entries inline, emitting only
+the checks its plan lets fail (``repro.runtime.compiled.codegen``), and is
+tested against this binder.
 """
 
 from __future__ import annotations

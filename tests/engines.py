@@ -20,12 +20,16 @@ def execute(db, text, hints=None, mode="compiled", **kwargs):
     return result
 
 
-def pin_engine(monkeypatch, engine):
+def pin_engine(monkeypatch, engine, morsel_size=None):
     """Run every ``Executor.execute`` on ``engine``, the internal pattern
-    queries included (production runs those compiled)."""
+    queries included (production runs those compiled); ``morsel_size``
+    also pins generated code's output chunk size."""
     execute = Executor.execute
+    pinned = {"mode": engine}
+    if morsel_size is not None:
+        pinned["morsel_size"] = morsel_size
 
     def on_engine(self, planned_parts, *args, **kwargs):
-        return execute(self, planned_parts, *args, **{**kwargs, "mode": engine})
+        return execute(self, planned_parts, *args, **{**kwargs, **pinned})
 
     monkeypatch.setattr(Executor, "execute", on_engine)

@@ -82,6 +82,24 @@ def test_result_timing_monotonic(db):
     assert 0 <= result.time_to_first_result <= result.time_to_last_result
 
 
+def test_result_drains_exactly_the_remaining_rows(db):
+    for v in range(10):
+        db.create_node(["P"], {"v": v})
+    text = "MATCH (n:P) RETURN n.v AS v ORDER BY v"
+    result = db.execute(text)
+    head = [next(result), next(result)]
+    rest = result.to_list()
+    assert [row["v"] for row in head + rest] == list(range(10))
+    assert result.count == 10
+    assert result.to_list() == [] and result.consume() == 10
+    assert 0 <= result.time_to_first_result <= result.time_to_last_result
+
+    result = db.execute(text)
+    assert next(result) == {"v": 0}
+    assert result.consume() == 10
+    assert result.count == 10 and result.to_list() == []
+
+
 def test_result_empty_query(db):
     result = db.execute("MATCH (n:Nothing) RETURN n")
     assert result.to_list() == []

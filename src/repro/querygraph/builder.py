@@ -123,8 +123,10 @@ class _PartBuilder:
             self._add_pattern(graph, pattern)
         if clause.where is not None:
             for conjunct in _split_conjuncts(clause.where):
-                if isinstance(conjunct, ast.HasLabel) and conjunct.subject in (
-                    graph.nodes
+                if (
+                    isinstance(conjunct, ast.HasLabel)
+                    and conjunct.subject in graph.nodes
+                    and conjunct.subject not in self.bound
                 ):
                     # Fold top-level label predicates into the pattern node.
                     graph.add_node(conjunct.subject, [conjunct.label])
@@ -137,7 +139,15 @@ class _PartBuilder:
         for element in pattern.elements:
             if isinstance(element, ast.NodePatternAst):
                 name = element.variable or self._fresh_name("node")
-                graph.add_node(name, element.labels)
+                if name in self.bound:
+                    # Carried through WITH: no leaf binds it, so its labels
+                    # are checked as predicates.
+                    graph.add_node(name, ())
+                    graph.selections.extend(
+                        ast.HasLabel(name, label) for label in element.labels
+                    )
+                else:
+                    graph.add_node(name, element.labels)
                 for key, value in element.properties.items():
                     graph.selections.append(
                         ast.Comparison(
@@ -149,6 +159,18 @@ class _PartBuilder:
                 if pending_rel is not None:
                     assert previous_node is not None
                     rel_name = pending_rel.variable or self._fresh_name("rel")
+                    if rel_name in self.bound:
+                        # Carried through WITH: the pattern still has to
+                        # match it, with its endpoints and uniquely, so it
+                        # is traversed as a new relationship equal to it.
+                        carried, rel_name = rel_name, self._fresh_name("rel")
+                        graph.selections.append(
+                            ast.Comparison(
+                                ast.ComparisonOp.EQ,
+                                ast.Variable(carried),
+                                ast.Variable(rel_name),
+                            )
+                        )
                     if pending_rel.direction is ast.RelDirection.RIGHT_TO_LEFT:
                         start, end = name, previous_node
                         directed = True

@@ -45,15 +45,6 @@ from repro.tx import Transaction, TransactionManager
 IndexCreationStats = InitializationStats
 
 
-def _closing(rows, tracker):
-    """Release a query's memory grant/spill files when its lazy result is
-    drained (or closed); runs after the executor's profile merge."""
-    try:
-        yield from rows
-    finally:
-        tracker.close()
-
-
 @dataclass
 class SizeReport:
     """Disk footprint, indexes reported separately (§6.3)."""
@@ -76,17 +67,9 @@ class GraphDatabase:
         miss_latency_s: float = DEFAULT_MISS_LATENCY_S,
         dense_node_threshold: int = DEFAULT_DENSE_NODE_THRESHOLD,
         maintenance_strategy: str = QUERY_BASED,
-        execution_mode: str = "compiled",
         memory_budget: Optional[int] = None,
         memory_grant: Optional[int] = None,
     ) -> None:
-        if execution_mode not in ("row", "compiled"):
-            raise ReproError(f"unknown execution mode {execution_mode!r}")
-        #: Default engine for :meth:`execute` — "compiled" (data-centric
-        #: Python codegen for plans that run a second time; a plan's first
-        #: execution runs on the row engine) or "row" (the tuple-at-a-time
-        #: pipeline, the reference the compiled engine is tested against).
-        self.execution_mode = execution_mode
         self.page_cache = PageCache(page_cache_pages, page_size, miss_latency_s)
         self.store = GraphStore(self.page_cache, dense_node_threshold)
         self.indexes = PathIndexStore(self.page_cache, clock=self.store.mvcc)
@@ -127,6 +110,14 @@ class GraphDatabase:
         self.memory_pool = MemoryPool(memory_budget, memory_grant)
         self.spill_manager = SpillManager()
         self._register_cache_gauges()
+
+    @property
+    def execution_mode(self) -> str:
+        """Always ``"compiled"``: every plan runs as generated code. Kept,
+        read-only, with ``Executor.execute``'s ``mode``, as the seam
+        perfbench's traced pass still reads, until the product traces
+        itself."""
+        return "compiled"
 
     def _register_cache_gauges(self) -> None:
         """Account the long-lived shared caches in the pool snapshot."""
@@ -339,7 +330,6 @@ class GraphDatabase:
         hints: Optional[PlannerHints] = None,
         token: Optional[object] = None,
         prepared: Optional[CachedQuery] = None,
-        execution_mode: Optional[str] = None,
         tracker: Optional[object] = None,
         params: Optional[Mapping[str, object]] = None,
     ) -> Result:
@@ -357,23 +347,17 @@ class GraphDatabase:
         while rows flow; a cancelled/timed-out write rolls back.
         ``prepared`` (from :meth:`prepare`) skips the plan-cache lookup —
         the service layer uses it so planning is looked up and timed
-        exactly once. ``execution_mode`` selects the engine per call
-        ("compiled" or "row"), defaulting to the database-wide
-        :attr:`execution_mode`; ``result.profile.engine`` says which ran
-        (a compiled-mode plan's first execution runs on the row engine,
-        later ones on the code it then generates). ``tracker`` is an optional
+        exactly once. A plan compiles on its first execution; later ones
+        reuse the generated code. ``tracker`` is an optional
         :class:`~repro.resources.MemoryTracker` whose grant the caller
         already reserved (the service layer); without one, the query
         reserves its own grant from :attr:`memory_pool` and releases it
-        when the result is drained. A query whose non-spillable buffers
+        when the rows stop: drained, closed, or abandoned. A query whose non-spillable buffers
         exhaust the pool raises
         :class:`~repro.errors.MemoryLimitExceeded`; for writes the
         implicit transaction rolls back first.
         """
         submitted = time.perf_counter()
-        mode = execution_mode if execution_mode is not None else self.execution_mode
-        if mode not in ("row", "compiled"):
-            raise ReproError(f"unknown execution mode {mode!r}")
         cached = (
             prepared
             if prepared is not None
@@ -392,15 +376,13 @@ class GraphDatabase:
                 rows, profile = executor.execute(
                     cached.planned_parts,
                     token=token,
-                    mode=mode,
                     tracker=tracker,
+                    release=own_tracker,
                 )
             except BaseException:
                 if own_tracker:
                     tracker.close()
                 raise
-            if own_tracker:
-                rows = _closing(rows, tracker)
             return Result(rows, cached.columns, profile, submitted)
         durability = self.durability
         if durability is not None:
@@ -411,7 +393,6 @@ class GraphDatabase:
                     cached.planned_parts,
                     transaction=tx,
                     token=token,
-                    mode=mode,
                     tracker=tracker,
                 )
                 materialized = list(rows)
@@ -434,8 +415,8 @@ class GraphDatabase:
         params: Optional[Mapping[str, object]] = None,
     ) -> str:
         """The generated Python pipeline source for a query (the shell's
-        ``:source`` meta-command). Compiles the cached plan now, so its
-        next compiled-mode execution runs the generated code. The source
+        ``:source`` meta-command). Compiles the cached plan now, unless an
+        execution already did. The source
         reads parameter slots as ``_params[i]``: it is the shape's."""
         cached = self._planned(query_text, hints, params)
         executor = Executor(

@@ -134,10 +134,7 @@ def build_pattern_part(
 class PreparedPatternQuery:
     """A planned pattern query; :meth:`run` it once per anchor.
 
-    Every pattern query runs compiled and is compiled when prepared, so
-    even its first run is generated code: anchored queries cost the same
-    on either engine, and the unanchored Algorithm 2 / ``verify_index``
-    scans are fastest compiled.
+    The query is compiled when prepared, so no run pays for codegen.
 
     ``node_count`` / ``relationship_count`` / ``index_signature`` are the
     plan cache's staleness fields. The codegen artifact lives on the plan,
@@ -160,9 +157,7 @@ class PreparedPatternQuery:
             initial = layout_of(self.planned_parts).argument_row(
                 anchor.bound_variables(), anchor.bound_rel_ids()
             )
-        return self.executor.execute(
-            self.planned_parts, initial_row=initial, mode="compiled"
-        )
+        return self.executor.execute(self.planned_parts, initial_row=initial)
 
 
 def prepare_pattern_query(

@@ -61,6 +61,12 @@ class Result:
         self._count += 1
         return dict(zip(self.columns, row))
 
+    def close(self) -> None:
+        """Stop reading: the rows still to come are dropped, which releases
+        the query's memory grant and spill files (as draining does)."""
+        self._rows = iter(())
+        self._exhaust()
+
     def _exhaust(self) -> None:
         if not self._exhausted:
             self._last_at = time.perf_counter()

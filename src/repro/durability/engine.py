@@ -182,7 +182,6 @@ class DurabilityEngine:
         miss_latency_s: Optional[float] = None,
         dense_node_threshold: Optional[int] = None,
         maintenance_strategy: Optional[str] = None,
-        execution_mode: Optional[str] = None,
         memory_budget: Optional[int] = None,
         memory_grant: Optional[int] = None,
     ) -> "GraphDatabase":
@@ -199,8 +198,6 @@ class DurabilityEngine:
             "memory_budget": memory_budget,
             "memory_grant": memory_grant,
         }
-        if execution_mode is not None:
-            db_kwargs["execution_mode"] = execution_mode
         if miss_latency_s is not None:
             db_kwargs["miss_latency_s"] = miss_latency_s
         if maintenance_strategy is not None:

@@ -123,15 +123,14 @@ class _PartBuilder:
             self._add_pattern(graph, pattern)
         if clause.where is not None:
             for conjunct in _split_conjuncts(clause.where):
-                if (
-                    isinstance(conjunct, ast.HasLabel)
-                    and conjunct.subject in graph.nodes
-                    and conjunct.subject not in self.bound
+                if isinstance(conjunct, ast.HasLabel) and conjunct.subject in (
+                    graph.nodes
                 ):
                     # Fold top-level label predicates into the pattern node.
                     graph.add_node(conjunct.subject, [conjunct.label])
-                else:
-                    graph.selections.append(conjunct)
+                    if conjunct.subject not in self.bound:
+                        continue
+                graph.selections.append(conjunct)
 
     def _add_pattern(self, graph: QueryGraph, pattern: ast.PatternPath) -> None:
         previous_node: Optional[str] = None
@@ -139,15 +138,13 @@ class _PartBuilder:
         for element in pattern.elements:
             if isinstance(element, ast.NodePatternAst):
                 name = element.variable or self._fresh_name("node")
+                graph.add_node(name, element.labels)
                 if name in self.bound:
                     # Carried through WITH: no leaf binds it, so its labels
-                    # are checked as predicates.
-                    graph.add_node(name, ())
+                    # are also checked as predicates.
                     graph.selections.extend(
                         ast.HasLabel(name, label) for label in element.labels
                     )
-                else:
-                    graph.add_node(name, element.labels)
                 for key, value in element.properties.items():
                     graph.selections.append(
                         ast.Comparison(

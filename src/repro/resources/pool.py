@@ -377,9 +377,9 @@ class MemoryTracker:
         """True once the query exceeds its grant AND ``op`` itself holds a
         meaningful share of it.
 
-        Both conditions depend only on the engine-independent charge
-        sequence, so both engines still make identical spill
-        decisions. The per-operator share stops a resident upstream buffer
+        Both conditions depend only on the charge sequence, which the
+        flat per-row cost model makes independent of the output chunk
+        size, so spill decisions are too. The per-operator share stops a resident upstream buffer
         (e.g. aggregation states that live until the query ends) from
         forcing a downstream sort to flush a run per row.
         """

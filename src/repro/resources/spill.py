@@ -1,4 +1,4 @@
-"""Spill-to-disk buffers for blocking operators, shared by all engines.
+"""Spill-to-disk buffers for the blocking operators of generated code.
 
 Every buffer here preserves the **exact** output order of its in-memory
 counterpart, so spilled and unconstrained executions return byte-identical
@@ -27,8 +27,8 @@ rows (the differential suites assert this per engine and across engines):
   right side, the update engine's matched-row buffer) that overflows
   wholesale to a single sequential file and replays from disk.
 
-Items must be picklable; both engines' buffered rows (slot lists) and
-codegen's aggregation items (plain tuples) are. Spill files are created through
+Items must be picklable; buffered rows (slot lists) and aggregation
+items (plain tuples) are. Spill files are created through
 a :class:`SpillManager` (one per database) as ``*.spill`` files so crash
 recovery and service shutdown can sweep orphans; the manager calls the
 durability :class:`~repro.durability.faults.FaultInjector`'s spill

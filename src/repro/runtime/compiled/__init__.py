@@ -11,7 +11,7 @@ invalidation (statistics drift, index set changes, eviction).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.planner.plans import LogicalPlan, pattern_half
 from repro.runtime.compiled.codegen import (
@@ -20,8 +20,10 @@ from repro.runtime.compiled.codegen import (
     PartCompiler,
     generate_part_source,
 )
-from repro.runtime.operators import RuntimeContext
 from repro.runtime.slots import SlotLayout
+
+if TYPE_CHECKING:
+    from repro.runtime.executor import RuntimeContext
 
 __all__ = [
     "CHECK_STRIDE",

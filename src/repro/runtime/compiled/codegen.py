@@ -1,6 +1,6 @@
 """Plan-to-Python source compilation (data-centric codegen, §2.2 context).
 
-``compile_part`` walks one query part's :class:`LogicalPlan` tree and emits
+``generate_part_source`` walks one query part's :class:`LogicalPlan` tree and emits
 a single Python generator function in which all operators of a pipeline are
 fused into one loop nest: scans become ``for`` loops over store/index
 iterators, variable bindings become plain locals, and predicates/projections
@@ -13,21 +13,21 @@ argument rows, and its boundary operators consume that loop's output once
 per part. An update part is two functions, its pattern half and its
 boundary, with the writes applied between them.
 
-The generated function preserves the row engine's observable contract:
+The generated function's contract:
 
-* per-logical-operator row counts (flushed once per call via the
-  ``_flush`` argument; operators that produced nothing are skipped, as
-  the row engine records no count for them),
+* per-logical-operator row counts: each operator counts the rows it
+  outputs, flushed once per call via the ``_flush`` argument (operators
+  that produced nothing get no count); the counts, and so the max
+  intermediate cardinality, do not depend on the output chunk size,
 * cooperative cancellation (``_check`` is called every
   :data:`CHECK_STRIDE` source-loop iterations),
-* relationship-uniqueness semantics and binder/filter ordering; output
-  is chunked into morsel-sized lists so results still stream,
+* Cypher's relationship-uniqueness semantics (paper §7.1, footnote 2);
+  output is chunked into morsel-sized lists so results still stream,
 * per-query memory accounting: the optional ``_mem`` argument is the
   query's :class:`~repro.resources.pool.MemoryTracker`, and every
-  pipeline breaker buffers through the same spill-aware structures
-  (:mod:`repro.resources.spill`) as the row engine, with identical
-  per-row cost estimates — so both engines spill at the same input
-  cardinalities and remain row-identical under any budget.
+  pipeline breaker buffers through the spill-aware structures of
+  :mod:`repro.resources.spill` with a flat per-row cost, so spill
+  decisions and rows are the same under any budget and chunk size.
 
 Codegen is a produce/consume recursion (Neumann-style): ``produce(plan)``
 emits the loops that generate rows and invokes the parent's ``consume``
@@ -37,10 +37,11 @@ local, or as a slot of a materialized row — so rows are only materialized
 at breakers and sinks.
 
 Token ids (labels, relationship types, property keys) are resolved when the
-part is compiled, with per-invocation fallback for ids unknown at compile
-time in exactly the places the row engine re-resolves them (primary label
-of a label scan, incomplete expand type sets, residual label and type
-filters of the path-index operators, compiled expressions). The
+part is compiled, with a per-invocation lookup for ids unknown at compile
+time (primary label of a label scan, incomplete expand type sets,
+residual label and type filters of the path-index operators, compiled
+expressions): a token created later, by an earlier part of the same
+query or by a write after compilation, must match. The
 artifact is kept on the plan, so it is dropped whenever statistics drift
 invalidates the plan itself.
 """
@@ -51,7 +52,7 @@ import itertools
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Callable, Iterable, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
 from repro.cypher import ast
 from repro.errors import ReproError
@@ -86,8 +87,7 @@ from repro.planner.plans import (
     PlanSort,
 )
 from repro.runtime.expressions import compile_expression, compile_predicate
-from repro.runtime.operators import (
-    RuntimeContext,
+from repro.runtime.compiled.helpers import (
     _Accumulator,
     _aggregate_calls,
     _filtered_scan_constraints,
@@ -99,6 +99,9 @@ from repro.runtime.operators import (
     _sort_key,
 )
 from repro.runtime.slots import SlotLayout, _merge_rows, _resolve_type_ids
+
+if TYPE_CHECKING:
+    from repro.runtime.executor import RuntimeContext
 
 CHECK_STRIDE = 1024
 """Source-loop iterations between cancellation checks (the default morsel
@@ -371,7 +374,7 @@ def _emit_post_label_checks(comp: PartCompiler, post, value: str) -> bool:
     """Emit per-label filters on ``value`` (an int node-id local).
 
     Returns False when a label is unknown at compile time: the row can
-    never match (row-engine parity), a bare ``continue`` was emitted, and
+    never match, a bare ``continue`` was emitted, and
     the caller must stop emitting code for this output.
     """
     if not post:
@@ -489,7 +492,7 @@ def _p_relationship_by_type_scan(
                 label_id = ctx.store.labels.id_of(label)
                 value = comp.ref(inner, var)
                 if label_id is None:
-                    # An unknown label can never match (row-engine parity).
+                    # An unknown label can never match.
                     comp.emit("continue")
                     return
                 has_label = comp.add_env("hasl", ctx.store.has_label)
@@ -544,7 +547,7 @@ def _p_expand(comp: PartCompiler, plan: PlanExpand, consume) -> None:
                 type_set = comp.add_env("types", frozenset(static))
         else:
             # Some types unknown at compile time: re-resolve per
-            # invocation, mirroring the row engine's per-run retry.
+            # invocation.
             resolver = comp.add_env(
                 "rtypes",
                 lambda store=ctx.store, names=plan.types: _resolve_type_ids(
@@ -555,8 +558,7 @@ def _p_expand(comp: PartCompiler, plan: PlanExpand, consume) -> None:
             single = comp.fresh("st")
             filt = comp.fresh("ts")
             comp.emit(f"{resolved} = {resolver}()")
-            # Guard the whole subtree: no matching types, no child work
-            # (the row operator returns before consuming its child).
+            # Guard the whole subtree: no matching types, no child work.
             type_guard = resolved
             comp.emit(f"if {resolved}:")
             comp.indent += 1
@@ -743,15 +745,16 @@ def _p_filter(comp: PartCompiler, plan: PlanFilter, consume) -> None:
 #
 # An index entry *is* the binding of the pattern's variables: generated code
 # unpacks it into locals and hands consumers a scope over them, so no slot
-# row is built unless a downstream operator materializes one. The checks of
-# the row engine's binder (``repro.runtime.slots._entry_binder``) are
-# emitted only where the plan lets them fail:
+# row is built unless a downstream operator materializes one. Binding checks
+# are emitted only where the plan lets them fail:
 #
 # * pre-bound: only for entry variables the input row may bind;
 # * equality: only at a repeated variable's later positions;
-# * uniqueness against the input row's scope: only when it may hold ids;
-# * uniqueness within the entry: not for pairs the skip-scan proved
-#   (``must_differ``), nor at the prefix positions a seek proved.
+# * uniqueness against the input row's scope: only when it may hold ids.
+#
+# Uniqueness within the entry needs no check: an occurrence never repeats a
+# relationship, so no entry Algorithms 1 and 2 store does either (pinned by
+# ``tests/test_maintenance.py``).
 
 
 def _argument_scope(comp: PartCompiler, plan) -> _Scope:
@@ -804,9 +807,8 @@ def _entry_filters(comp: PartCompiler, plan) -> list[tuple[str, str]]:
     and return ``(variable, test)`` pairs: ``test`` formats with the
     variable's value into code that is true when the entry fails.
 
-    A token unknown at compile time is looked up per argument row, as the
-    row engine builds its binder per execution: a label or type created
-    after compilation must match.
+    A token unknown at compile time is looked up per argument row: a
+    label or type created after compilation must match.
     """
     store = comp.ctx.store
     tests: list[tuple[str, str]] = []
@@ -869,24 +871,21 @@ def _bind_entry(
     may_bind: frozenset[str],
     filters: Iterable[tuple[str, str]] = (),
     skip: int = 0,
-    proven: frozenset = frozenset(),
 ) -> _Scope:
     """Emit the checks binding the unpacked entry ``values`` over ``scope``
     and return the scope consumers see.
 
     ``may_bind`` names the variables ``scope`` may already bind (its
     uniqueness tuple is ``()`` when known empty), ``filters`` come from
-    :func:`_entry_filters`, the first ``skip`` positions are proven equal
-    to ``scope``'s bindings, and ``proven`` holds the relationship position
-    pairs known to differ. The result is ``_entry_binder``'s row for every
-    entry it accepts.
+    :func:`_entry_filters`, and the first ``skip`` positions are proven
+    equal to ``scope``'s bindings.
     """
     rels = None if scope.rels == "()" else scope.rels
     tests: list[str] = []
     first: dict[str, int] = {}
-    # Relationship ids the entry adds to the uniqueness scope: (position,
-    # value, local of its pre-bound value or None when it cannot be bound).
-    added: list[tuple[int, str, Optional[str]]] = []
+    # Relationship ids the entry adds to the uniqueness scope: (value, local
+    # of its pre-bound value or None when it cannot be bound).
+    added: list[tuple[str, Optional[str]]] = []
     for position, var in enumerate(plan.entry_vars):
         value = values[position]
         earlier = first.setdefault(var, position)
@@ -901,15 +900,7 @@ def _bind_entry(
         if position % 2 == 0:
             continue
         # A relationship bound before the entry re-binds its own id: the id
-        # is not new, so the uniqueness checks skip it and it is not added.
-        for other_position, other, other_pre in added:
-            if (other_position, position) in proven:
-                continue
-            tests.append(
-                f"{value} == {other}"
-                if other_pre is None
-                else f"{value} == {other} and {other_pre} is None"
-            )
+        # is not new, so the uniqueness check skips it and it is not added.
         if earlier == position:
             if rels is not None:
                 tests.append(
@@ -917,14 +908,14 @@ def _bind_entry(
                     if pre is None
                     else f"{value} in {rels} and {pre} is None"
                 )
-            added.append((position, value, pre))
+            added.append((value, pre))
     # Residual filters name entry variables (``IndexMatch``).
     tests.extend(test.format(values[first[var]]) for var, test in filters)
     _emit_reject(comp, tests)
 
     pieces = [] if rels is None else [rels]
     fixed: list[str] = []
-    for _, value, pre in added:
+    for value, pre in added:
         if pre is None:
             fixed.append(value)
             continue
@@ -1020,7 +1011,6 @@ def _p_path_index_filtered_scan(
                 scope,
                 comp.arguments,
                 filters,
-                proven=frozenset(constraints.must_differ),
             )
             for predicate in constraints.residual:
                 comp.emit(f"if not ({comp.pred_code(predicate, bound)}):")

@@ -1,27 +1,22 @@
 """Query execution across parts, including update application.
 
-All parts of a query run on its one slot-row layout (see
-:mod:`repro.runtime.slots`), and each part consumes the previous part's row
-stream as it is. A part's pattern half runs once per incoming argument row
-(Apply semantics across WITH boundaries); its boundary operators run once
-per part. For parts carrying CREATE/DELETE actions the pattern half runs to
-completion first, the updates are applied to every matched row inside the
-active transaction, and the boundary consumes the written rows — matching
-Cypher's clause ordering. The final part yields one tuple per row, holding
-its columns in order.
-
-Two engines run the parts: the row engine (``mode="row"``,
-:mod:`repro.runtime.operators`) and generated code (``mode="compiled"``,
-:mod:`repro.runtime.compiled`). In compiled mode a plan's first execution
-runs on the row engine, its second compiles the codegen artifact, and
-later executions reuse it: generating code for a text that never repeats
-costs more than the row engine spends running it.
+Every plan runs as generated code (:mod:`repro.runtime.compiled`),
+compiled on its first execution and reused after that. All parts of a
+query run on its one slot-row layout (see :mod:`repro.runtime.slots`),
+and each part consumes the previous part's row stream as it is. A part's
+pattern half runs once per incoming argument row (Apply semantics across
+WITH boundaries); its boundary operators run once per part. For parts
+carrying CREATE/DELETE actions the pattern half runs to completion first,
+the updates are applied to every matched row inside the active
+transaction, and the boundary consumes the written rows — matching
+Cypher's clause ordering. The final part yields morsels of column tuples;
+:meth:`Executor.execute` flattens them into one tuple per row.
 
 Planned parts may hold :class:`~repro.cypher.ast.Parameter` slots; their
 values travel with the parts as ``planned_parts.params`` (the plan cache's
 per-text entries carry a list with that attribute), so one plan and one
-artifact serve every text of a shape. The row engine binds them when it
-builds an execution's pipeline; generated code receives them per call.
+artifact serve every text of a shape: generated code receives them per
+call.
 """
 
 from __future__ import annotations
@@ -32,12 +27,11 @@ from typing import Callable, Iterator, Optional, Sequence
 from repro.cypher.semantics import VariableKind
 from repro.errors import ReproError, TransactionError
 from repro.pathindex.store import PathIndexStore
-from repro.planner.plans import LogicalPlan, pattern_half
+from repro.planner.plans import LogicalPlan
 from repro.querygraph import QueryPart, UpdateAction
-from repro.resources import ROW_BYTES, AppendSpillBuffer
+from repro.resources import NULL_TRACKER, ROW_BYTES, AppendSpillBuffer
 from repro.runtime.compiled import CompiledPart, CompiledQuery, compile_query
 from repro.runtime.expressions import EvaluationContext, compile_expression
-from repro.runtime.operators import OperatorProfile, RuntimeContext, compile_plan
 from repro.runtime.slots import SlotLayout, layout_of
 from repro.storage.graphstore import GraphStore
 from repro.tx.transaction import Transaction
@@ -48,43 +42,112 @@ part-0 plan node, the one place the artifact is kept (next to its slot
 layout, ``repro.runtime.slots.LAYOUT``). Plans are immutable
 and live exactly as long as the cache entry holding them, so eviction,
 index DDL and statistics drift drop the artifact with the plan, and every
-holder of the planned parts reaches it. A key present with value None
-marks a plan executed once and not compiled yet."""
+holder of the planned parts reaches it."""
 
 
 def _no_check() -> None:
-    """Cancellation no-op for tokenless compiled executions."""
+    """Cancellation no-op for tokenless executions."""
 
 
-def _accounted(rows: Iterator[tuple], tracker, profile) -> Iterator[tuple]:
-    """Merge the tracker's per-operator peaks into the profile when the
-    (possibly lazily consumed) row iterator finishes or is abandoned."""
+def _accounted(
+    morsels: Iterator[list], tracker, profile, release: bool
+) -> Iterator[list]:
+    """The final part's morsels; when they stop — drained, closed or
+    abandoned — the tracker's per-operator peaks merge into the profile,
+    and the tracker is closed when ``release`` hands it over."""
     try:
-        yield from rows
+        yield from morsels
     finally:
         tracker.merge_into_profile(profile.operators)
+        if release:
+            tracker.close()
 
 
-def _columns(rows: Iterator[list], slots: list[int]) -> Iterator[tuple]:
-    """The final part's column tuples (the row engine's output)."""
-    for row in rows:
-        yield tuple([row[slot] for slot in slots])
+class OperatorProfile:
+    """Rows produced per operator, keyed by plan-node identity.
+
+    ``peak_bytes`` / ``spills`` carry the memory tracker's per-operator
+    accounting (peak buffered bytes and spill-run counts); keys are
+    ``id(plan)`` for plan operators and plain strings for non-plan buffers
+    (the update buffer, index initialization).
+    """
+
+    def __init__(self) -> None:
+        self.rows: dict[int, int] = {}
+        self.descriptions: dict[int, str] = {}
+        self.peak_bytes: dict = {}
+        self.spills: dict = {}
+
+    def record(self, plan: LogicalPlan, count: int) -> None:
+        key = id(plan)
+        self.rows[key] = self.rows.get(key, 0) + count
+        if key not in self.descriptions:
+            self.descriptions[key] = plan.description
+
+    def record_memory(self, key, peak: int, spills: int, description: str) -> None:
+        self.peak_bytes[key] = max(self.peak_bytes.get(key, 0), peak)
+        if spills:
+            self.spills[key] = self.spills.get(key, 0) + spills
+        if key not in self.descriptions:
+            self.descriptions[key] = description
+
+    def max_intermediate_cardinality(self) -> int:
+        return max(self.rows.values(), default=0)
+
+    def by_operator(self) -> list[tuple[str, int]]:
+        return [
+            (self.descriptions[key], count) for key, count in self.rows.items()
+        ]
+
+    def bytes_by_operator(self) -> list[tuple[str, int, int]]:
+        """``(description, peak_bytes, spill_runs)`` per charged operator."""
+        return [
+            (self.descriptions.get(key, str(key)), peak, self.spills.get(key, 0))
+            for key, peak in self.peak_bytes.items()
+        ]
+
+    def total_spill_runs(self) -> int:
+        return sum(self.spills.values())
 
 
-def _same(rows: Iterator[list]) -> Iterator[list]:
-    """An update part's boundary source: the written rows themselves."""
-    return rows
+class RuntimeContext:
+    """Shared state for one query execution.
+
+    ``morsel_size`` is the output chunk size of generated code.
+
+    ``tracker`` (when set) is a per-query
+    :class:`~repro.resources.MemoryTracker`: blocking operators charge it as
+    their buffers grow and spill to disk once the query's grant is
+    exceeded. Without one, :meth:`mem` returns a no-op tracker, so operator
+    code charges unconditionally.
+    """
+
+    def __init__(
+        self,
+        store: GraphStore,
+        index_store: Optional[PathIndexStore],
+        eval_ctx: EvaluationContext,
+        profile: OperatorProfile,
+        morsel_size: int = 1024,
+        tracker=None,
+    ) -> None:
+        self.store = store
+        self.index_store = index_store
+        self.eval_ctx = eval_ctx
+        self.profile = profile
+        self.morsel_size = morsel_size
+        self.tracker = tracker
+
+    def mem(self):
+        return self.tracker if self.tracker is not None else NULL_TRACKER
 
 
 class ExecutionProfile:
     """Execution statistics: per-operator row counts, memory, and plans."""
 
-    def __init__(self, plans: Sequence[LogicalPlan], engine: str) -> None:
+    def __init__(self, plans: Sequence[LogicalPlan]) -> None:
         self.plans = list(plans)
         self.operators = OperatorProfile()
-        #: The engine that ran the query: "row", or "compiled" when a
-        #: codegen artifact did.
-        self.engine = engine
 
     @property
     def max_intermediate_cardinality(self) -> int:
@@ -144,126 +207,84 @@ class Executor:
             )
         return artifact
 
-    def _tiered(
-        self, planned_parts: Sequence[tuple[QueryPart, LogicalPlan]]
-    ) -> Optional[CompiledQuery]:
-        """Compiled mode's artifact for this execution: None (run on the
-        row engine) the first time a plan executes, compiled the second
-        time, reused after that."""
-        holder = planned_parts[0][1].__dict__
-        if ARTIFACT not in holder:
-            holder.setdefault(ARTIFACT, None)  # a racing compile wins
-            return None
-        return self.compile(planned_parts)
-
     def execute(
         self,
         planned_parts: Sequence[tuple[QueryPart, LogicalPlan]],
         transaction: Optional[Transaction] = None,
         initial_row: Optional[list] = None,
         token: Optional[object] = None,
-        mode: str = "row",
+        mode: str = "compiled",
         morsel_size: Optional[int] = None,
         tracker=None,
+        release: bool = False,
     ) -> tuple[Iterator[tuple], ExecutionProfile]:
         """Build the iterator of the query's column tuples; lazy for reads.
 
         ``initial_row`` is the first part's argument row, built with
         ``layout_of(planned_parts).argument_row(...)`` (default: nothing
         bound). ``token`` is an optional cooperative cancellation token
-        (see ``repro.service.cancellation``) checked at row boundaries (row
-        engine) or every ~``CHECK_STRIDE`` source-loop iterations
-        (generated code). ``mode`` selects the engine; in compiled mode a
-        plan's first execution runs on the row engine (see
-        :meth:`_tiered`) and :attr:`ExecutionProfile.engine` says which
-        ran. ``morsel_size`` overrides the generated code's output chunk
-        size (tests); an artifact built for another size is recompiled
-        for this execution only. ``tracker`` is the query's
+        (see ``repro.service.cancellation``) checked every
+        ``CHECK_STRIDE`` source-loop iterations. ``morsel_size`` overrides
+        the output chunk size (tests); an artifact built for another size
+        is recompiled for this execution only. ``tracker`` is the query's
         :class:`~repro.resources.MemoryTracker`; blocking operators charge
         it (and spill through it), and its per-operator peaks merge into
-        the profile when the iterator finishes. Slot values are read from
-        ``planned_parts.params`` when the parts carry it.
+        the profile when the rows stop, after which it is closed if
+        ``release`` is set (the caller hands it over). Slot values are
+        read from ``planned_parts.params`` when the parts carry it.
+
+        ``mode`` accepts only ``"compiled"``: it and the read-only
+        ``GraphDatabase.execution_mode`` are the seam perfbench's traced
+        pass still calls through, kept until the product traces itself.
         """
-        if mode not in ("row", "compiled"):
+        if mode != "compiled":
             raise ReproError(f"unknown execution mode {mode!r}")
         layout = layout_of(planned_parts)
-        artifact = self._tiered(planned_parts) if mode == "compiled" else None
-        profile = ExecutionProfile(
-            [plan for _, plan in planned_parts],
-            "row" if artifact is None else "compiled",
-        )
+        artifact = self.compile(planned_parts)
+        profile = ExecutionProfile([plan for _, plan in planned_parts])
         ctx = RuntimeContext(
             self.store,
             self.index_store,
             self.eval_ctx.bound(getattr(planned_parts, "params", ())),
             profile.operators,
-            token=token,
             tracker=tracker,
         )
-        if morsel_size is not None:
+        if morsel_size is not None and morsel_size != artifact.morsel_size:
             ctx.morsel_size = morsel_size
-        rows = iter([layout.empty_row() if initial_row is None else initial_row])
-        if artifact is None:
-            for part, plan in planned_parts:
-                rows = self._run_part(rows, part, plan, ctx, transaction, layout)
-            final = planned_parts[-1][0]
-            rows = _columns(
-                rows, [layout.slot_of(item.output_name) for item in final.projection]
-            )
+            artifact = compile_query(planned_parts, ctx, layout)
+        if token is None:
+            check = _no_check
         else:
-            if artifact.morsel_size != ctx.morsel_size:
-                artifact = compile_query(planned_parts, ctx, layout)
-            if token is None:
-                check = _no_check
-            else:
-                check = getattr(token, "check_batch", None) or token.check
-            for (part, _), cpart in zip(planned_parts, artifact.parts):
-                rows = _stream(cpart, rows, ctx, check)
-                if part.updates:
-                    written = self._write(rows, part, transaction, ctx, layout)
-                    rows = _stream(cpart.boundary, written, ctx, check)
-        if tracker is not None:
-            rows = _accounted(rows, tracker, profile)
+            check = getattr(token, "check_batch", None) or token.check
+        rows = iter([layout.empty_row() if initial_row is None else initial_row])
+        last = artifact.parts[-1]
+        for (part, _), cpart in zip(planned_parts, artifact.parts):
+            final = cpart is last
+            if part.updates:
+                matched = _morsels(cpart, rows, ctx, check)
+                written = self._write(matched, part, transaction, ctx, layout)
+                cpart, rows = cpart.boundary, iter(written)
+            morsels = _morsels(cpart, rows, ctx, check)
+            if final and tracker is not None:
+                morsels = _accounted(morsels, tracker, profile, release)
+            rows = chain.from_iterable(morsels)
         return rows, profile
 
     # ------------------------------------------------------------------
 
-    def _run_part(
-        self,
-        rows: Iterator[list],
-        part: QueryPart,
-        plan: LogicalPlan,
-        ctx: RuntimeContext,
-        transaction: Optional[Transaction],
-        layout: SlotLayout,
-    ) -> Iterator[list]:
-        """One part on the row engine: the pattern half per argument row,
-        the writes (if any), then the boundary over the whole stream."""
-        pattern = pattern_half(plan)
-        run = compile_plan(pattern, ctx, layout)
-
-        def apply(arguments: Iterator[list]) -> Iterator[list]:
-            for arg_row in arguments:
-                yield from run(arg_row)
-
-        if not part.updates:
-            return compile_plan(plan, ctx, layout, pattern, apply)(rows)
-        written = self._write(apply(rows), part, transaction, ctx, layout)
-        return compile_plan(plan, ctx, layout, pattern, _same)(written)
-
     def _write(
         self,
-        rows: Iterator[list],
+        morsels: Iterator[list],
         part: QueryPart,
         transaction: Optional[Transaction],
         ctx: RuntimeContext,
         layout: SlotLayout,
-    ) -> Iterator[list]:
+    ) -> list[list]:
         """Apply the part's updates to every matched row; returns the
         written rows.
 
-        Updates are eager: all matches are computed, then all writes
-        applied. The matched-row buffer spills (order-preserving append
+        Updates are eager: all matches (``morsels`` of them) are computed,
+        then all writes applied. The matched-row buffer spills (order-preserving append
         buffer); the written rows are charged non-spillably, so an
         oversized write fails with MemoryLimitExceeded and rolls back.
         """
@@ -271,14 +292,15 @@ class Executor:
             raise TransactionError("update query requires an open transaction")
         mem = ctx.mem()
         matched = AppendSpillBuffer(mem, "update: matched rows")
-        for row in rows:
-            matched.add(row)
+        for morsel in morsels:
+            for row in morsel:
+                matched.add(row)
         write = self._writer(part.updates, transaction, ctx, layout)
         written: list[list] = []
         for row in matched:
             mem.charge("update: written rows", ROW_BYTES)
             written.append(write(row))
-        return iter(written)
+        return written
 
     def _writer(
         self,
@@ -373,14 +395,14 @@ class Executor:
         transaction.delete_node(node_id)
 
 
-def _stream(
+def _morsels(
     cpart: CompiledPart, rows: Iterator[list], ctx: RuntimeContext, check
-) -> Iterator:
-    """Run one generated pipeline function over ``rows``. It receives its
-    per-execution dependencies — the profile flush, the cancellation
-    check, the memory tracker and the parameter tuple — as arguments;
-    everything compile-time (store, index, expression closures, tokens) is
-    baked in."""
+) -> Iterator[list]:
+    """Run one generated pipeline function over ``rows``; it yields
+    morsels. It receives its per-execution dependencies — the profile
+    flush, the cancellation check, the memory tracker and the parameter
+    tuple — as arguments; everything compile-time (store, index,
+    expression closures, tokens) is baked in."""
     plans = cpart.plans
     record = ctx.profile.record
 
@@ -389,6 +411,4 @@ def _stream(
             if count:
                 record(node, count)
 
-    return chain.from_iterable(
-        cpart.fn(rows, flush, check, ctx.tracker, ctx.eval_ctx.params)
-    )
+    return cpart.fn(rows, flush, check, ctx.tracker, ctx.eval_ctx.params)

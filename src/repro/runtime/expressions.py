@@ -1,10 +1,9 @@
 """Expression evaluation with Cypher's ternary (NULL) logic.
 
-``compile_expression`` is the one evaluator, shared by both engines: it
-resolves variable names to slot indices and token names to token ids once,
-when an execution's pipeline is built (row engine) or when a part is
-compiled (generated code), and returns a closure evaluating the expression
-against a slot row. The closure returns a Python value or None (Cypher
+``compile_expression`` is the one evaluator: it resolves variable names to
+slot indices and token names to token ids once, when a part is compiled
+(or a sort's keys per execution), and returns a closure evaluating the
+expression against a slot row. The closure returns a Python value or None (Cypher
 NULL). Comparisons involving NULL yield None; `AND`/`OR`/`NOT` follow
 three-valued logic; a filter keeps a row only when its predicate evaluates
 to exactly True. Property access resolves through the graph store using the

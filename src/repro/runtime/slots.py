@@ -1,4 +1,4 @@
-"""Slot rows: the one row representation of both engines.
+"""Slot rows: the one row representation of generated code.
 
 Each planned query gets one :class:`SlotLayout`, which gives every variable
 its plans bind, every projection and aggregation output and every CREATE
@@ -12,15 +12,14 @@ The layout is kept on the part-0 plan node (see :func:`layout_of`), next to
 the codegen artifact, and built on a plan's first execution. Building it is
 deterministic, so racing first executions store equal layouts.
 
-The row merge here is shared by both engines. The path-index entry binder
-is the row engine's: generated code binds entries inline, emitting only
-the checks its plan lets fail (``repro.runtime.compiled.codegen``), and is
-tested against this binder.
+The row merge here is what generated code calls to join two rows (hash
+join, Cartesian product); path-index entries are bound inline, by the
+code itself (``repro.runtime.compiled.codegen``).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from repro.cypher import ast
 from repro.errors import ReproError
@@ -133,64 +132,3 @@ def _resolve_type_ids(store, names) -> set[int]:
     resolved = {store.types.id_of(name) for name in names}
     resolved.discard(None)
     return resolved
-
-
-def _entry_binder(
-    plan, store, layout: SlotLayout, skip_positions: int = 0
-) -> Callable[[tuple, list], Optional[list]]:
-    """Build a function binding a path-index entry into a slot row.
-
-    Checks, in stored order: binding consistency (repeated variables and
-    pre-bound variables), relationship uniqueness, residual label filters
-    and residual type filters. ``skip_positions`` marks a leading prefix
-    already bound by the row (PathIndexPrefixSeek).
-    """
-    entry_slots = [layout.slot_of(var) for var in plan.entry_vars]
-    label_check_map: dict[int, list[int]] = {}
-    for var, label in getattr(plan, "label_filters", ()):
-        label_id = store.labels.id_of(label)
-        label_check_map.setdefault(layout.slot_of(var), []).append(
-            -1 if label_id is None else label_id
-        )
-    label_checks = list(label_check_map.items())
-    type_checks = [
-        (layout.slot_of(var), frozenset(_resolve_type_ids(store, type_names)))
-        for var, type_names in getattr(plan, "type_filters", ())
-    ]
-    width = layout.width
-
-    def bind(entry: tuple, arg_row: list) -> Optional[list]:
-        arg_rels = arg_row[width]
-        row = arg_row[:]
-        new_rels: list[int] = []
-        for position, slot in enumerate(entry_slots):
-            identifier = entry[position]
-            pre_bound = arg_row[slot]
-            existing = row[slot]
-            if existing is not None and existing != identifier:
-                return None
-            row[slot] = identifier
-            if position % 2 == 1 and position >= skip_positions:
-                if identifier in new_rels:
-                    return None
-                # Uniqueness: reject ids bound to *another* relationship
-                # variable; re-binding the same variable (an anchored or
-                # argument relationship) is consistent, not a duplicate.
-                if identifier in arg_rels and pre_bound != identifier:
-                    return None
-                if pre_bound != identifier:
-                    new_rels.append(identifier)
-        for slot, label_ids in label_checks:
-            node_id = int(row[slot])
-            for label_id in label_ids:
-                if label_id < 0 or not store.has_label(node_id, label_id):
-                    return None
-        for slot, allowed in type_checks:
-            rel = store.relationship(int(row[slot]))
-            if rel.type_id not in allowed:
-                return None
-        if new_rels:
-            row[width] = arg_rels + tuple(new_rels)
-        return row
-
-    return bind

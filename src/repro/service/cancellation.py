@@ -1,12 +1,9 @@
 """Cooperative cancellation tokens for query execution.
 
 A :class:`CancellationToken` carries an optional absolute deadline and an
-explicit cancel flag. The row engine checks the token at iterator row
-boundaries (every row that crosses an operator, see
-``repro.runtime.operators.compile_plan``); generated code checks it every
-``CHECK_STRIDE`` source-loop iterations (``repro.runtime.compiled``). Either
-way a timed-out or cancelled query stops mid-scan instead of running to
-completion.
+explicit cancel flag. Generated code checks it every ``CHECK_STRIDE``
+source-loop iterations (``repro.runtime.compiled``), so a timed-out or
+cancelled query stops mid-scan instead of running to completion.
 
 Checking the cancel flag is a single attribute read per row; the deadline
 (a ``time.monotonic`` call) is only consulted every ``DEADLINE_STRIDE``

@@ -13,9 +13,8 @@ Inside the REPL, statements end with ``;``. Meta-commands:
     :help                       this text
     :quit                       exit (a snapshot is saved if --snapshot set)
     :explain <on|off>           print the plan before each query
-    :mode <row|compiled>        switch the execution engine
     :source <query>             print the generated Python for a query
-                                (compiled engine's codegen output)
+                                (the query's generated code)
     :indexes                    list path indexes with cardinality and size
     :create-index <name> <pattern>   build a path index, e.g.
                                      :create-index k2 (:P)-[:K]->(:P)-[:K]->(:P)
@@ -135,7 +134,6 @@ class Shell:
             ":quit": self._cmd_quit,
             ":exit": self._cmd_quit,
             ":explain": self._cmd_explain,
-            ":mode": self._cmd_mode,
             ":source": self._cmd_source,
             ":indexes": self._cmd_indexes,
             ":create-index": self._cmd_create_index,
@@ -184,13 +182,6 @@ class Shell:
             return
         self.explain = argument == "on"
         self.println(f"explain {'enabled' if self.explain else 'disabled'}")
-
-    def _cmd_mode(self, argument: str) -> None:
-        if argument not in ("row", "compiled"):
-            self.println("usage: :mode <row|compiled>")
-            return
-        self.db.execution_mode = argument
-        self.println(f"execution mode set to {argument}")
 
     def _cmd_source(self, argument: str) -> None:
         if not argument:

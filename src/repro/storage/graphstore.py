@@ -489,7 +489,7 @@ class GraphStore:
         heads: Optional[Iterable[int]] = None,
     ) -> Iterator[tuple[RelationshipRecord, int]]:
         """The store's one relationship-chain walk; every reader of a chain
-        — all engines, Algorithm 1, degrees, densify, restore — goes here.
+        — queries, Algorithm 1, degrees, densify, restore — goes here.
 
         Walks the chains starting at ``heads`` (default: the node's own
         chain, or its matching group chains when dense). Each record

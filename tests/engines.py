@@ -1,35 +1,75 @@
-"""The two execution engines the differential tests compare, and how to run
-a query on a chosen one."""
+"""Generated code at several output chunk sizes, and the oracle check that
+replaces the comparison with a second engine.
+
+Tests parametrized over :data:`CHUNK_SIZES` run a query with generated
+code handing rows downstream in chunks of that many rows (None: the
+default size). :func:`agree` checks a query against the brute-force
+oracle (``tests.oracle``) and checks that chunk sizes 1, 2 and 7, which
+split every operator's output mid-chunk, change neither its rows, nor its
+per-operator profile, nor its max intermediate cardinality.
+"""
+
+from contextlib import contextmanager
+
+import pytest
 
 from repro.runtime import Executor
 
-ENGINES = ("row", "compiled")
+from tests import oracle
+
+CHUNK_SIZES = (None, 7)
+"""The chunk sizes a parametrized test runs at."""
+
+SMALL_CHUNKS = (1, 2, 7)
 
 
-def execute(db, text, hints=None, mode="compiled", **kwargs):
-    """``db.execute(text, hints)`` on engine ``mode``, asserting it ran there.
-
-    Compiled mode runs a plan's first execution on the row engine, so the
-    plan is compiled first (``db.compiled_source``); without that a first
-    execution would compare the row engine with itself.
-    """
-    if mode == "compiled":
-        db.compiled_source(text, hints, params=kwargs.get("params"))
-    result = db.execute(text, hints, execution_mode=mode, **kwargs)
-    assert result.profile.engine == mode, (mode, text)
-    return result
-
-
-def pin_engine(monkeypatch, engine, morsel_size=None):
-    """Run every ``Executor.execute`` on ``engine``, the internal pattern
-    queries included (production runs those compiled); ``morsel_size``
-    also pins generated code's output chunk size."""
+def pin_chunk(monkeypatch, size):
+    """Run every ``Executor.execute`` at chunk size ``size`` (None: the
+    default), the internal pattern queries included."""
     execute = Executor.execute
-    pinned = {"mode": engine}
-    if morsel_size is not None:
-        pinned["morsel_size"] = morsel_size
 
-    def on_engine(self, planned_parts, *args, **kwargs):
-        return execute(self, planned_parts, *args, **{**kwargs, **pinned})
+    def at_size(self, planned_parts, *args, **kwargs):
+        return execute(self, planned_parts, *args, **{**kwargs, "morsel_size": size})
 
-    monkeypatch.setattr(Executor, "execute", on_engine)
+    monkeypatch.setattr(Executor, "execute", at_size)
+
+
+@contextmanager
+def chunked(size):
+    """``pin_chunk`` for the executions started in the block."""
+    with pytest.MonkeyPatch.context() as patch:
+        pin_chunk(patch, size)
+        yield
+
+
+def execute(db, text, hints=None, chunk=None, **kwargs):
+    """``db.execute(text, hints, **kwargs)`` at output chunk size ``chunk``."""
+    with chunked(chunk):
+        return db.execute(text, hints, **kwargs)
+
+
+def agree(db, text, hints=None, graph=None, params=None):
+    """Run ``text`` at the default chunk size and check its rows against
+    the oracle over ``graph`` (default: ``db``'s graph as the query reads
+    it); then at chunk sizes 1, 2 and 7, which must give the same rows in
+    the same order, the same per-operator counts and max intermediate
+    cardinality. Returns the rows."""
+    answer = oracle.run(graph if graph is not None else oracle.snapshot(db), text, params)
+    reference = db.execute(text, hints, params=params)
+    expected = reference.to_list()
+    assert reference.columns == answer.columns, text
+    oracle.check(
+        answer, [tuple(row[c] for c in reference.columns) for row in expected], text
+    )
+    for size in SMALL_CHUNKS:
+        result = execute(db, text, hints, chunk=size, params=params)
+        assert result.to_list() == expected, (text, size)
+        assert result.profile.operators.rows == reference.profile.operators.rows, (
+            text,
+            size,
+        )
+        assert (
+            result.max_intermediate_cardinality
+            == reference.max_intermediate_cardinality
+        ), (text, size)
+    return expected

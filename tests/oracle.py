@@ -108,30 +108,30 @@ def load(db, spec: Spec) -> Graph:
 
 
 def snapshot(db) -> Graph:
-    """The committed graph of ``db``, read through its store (for data a
-    generator wrote rather than a spec)."""
+    """The graph of ``db`` as a query on this thread would read it now —
+    pinned snapshot and open transaction included — read through its
+    store (for data a generator wrote rather than a spec)."""
     store = db.store
     graph = Graph()
-    with db.snapshot():
-        for node in store.all_nodes():
-            graph.nodes[node] = (
-                frozenset(store.labels.name_of(label) for label in store.node_labels(node)),
-                {
-                    store.property_keys.name_of(key): value
-                    for key, value in store.node_properties(node).items()
-                },
-            )
-        for rel in store.all_relationships():
-            record = store.relationship(rel)
-            graph.rels[rel] = (
-                record.start_node,
-                record.end_node,
-                store.types.name_of(record.type_id),
-                {
-                    store.property_keys.name_of(key): value
-                    for key, value in store.relationship_properties(rel).items()
-                },
-            )
+    for node in store.all_nodes():
+        graph.nodes[node] = (
+            frozenset(store.labels.name_of(label) for label in store.node_labels(node)),
+            {
+                store.property_keys.name_of(key): value
+                for key, value in store.node_properties(node).items()
+            },
+        )
+    for rel in store.all_relationships():
+        record = store.relationship(rel)
+        graph.rels[rel] = (
+            record.start_node,
+            record.end_node,
+            store.types.name_of(record.type_id),
+            {
+                store.property_keys.name_of(key): value
+                for key, value in store.relationship_properties(rel).items()
+            },
+        )
     return graph
 
 
@@ -341,9 +341,12 @@ def _aggregate_calls(expr: ast.Expression) -> list[ast.FunctionCall]:
 
 
 def _key(value):
-    """A hashable stand-in for grouping and DISTINCT."""
+    """A hashable stand-in for grouping, DISTINCT and comparing rows."""
+    if isinstance(value, tuple):
+        return tuple(_key(item) for item in value)
     if isinstance(value, list):
-        return ("list", tuple(_key(item) for item in value))
+        # The order collect() gathers values in is the engine's.
+        return ("list", tuple(sorted((_key(item) for item in value), key=repr)))
     if isinstance(value, bool):
         return ("bool", value)
     return value
@@ -511,7 +514,13 @@ def run(graph: Graph, text: str, params: Optional[Mapping[str, object]] = None) 
     )
     env = _Env(graph.copy() if writes else graph, dict(params or {}))
     records: list[dict] = [{}]
+    scope: list[str] = []  # in-scope names, in order of introduction
     for clause in query.clauses:
+        if isinstance(clause, (ast.MatchClause, ast.CreateClause)):
+            for pattern in clause.patterns:
+                for element in pattern.elements:
+                    if element.variable and element.variable not in scope:
+                        scope.append(element.variable)
         if isinstance(clause, ast.MatchClause):
             if clause.optional:
                 raise OracleError("OPTIONAL MATCH")
@@ -527,26 +536,26 @@ def run(graph: Graph, text: str, params: Optional[Mapping[str, object]] = None) 
         elif isinstance(clause, ast.DeleteClause):
             _delete(env, clause, records)
         elif isinstance(clause, ast.WithClause):
-            records = [row for row, _ in _project(env, clause, records)]
+            scope = [item.output_name for item in _items(clause, scope)]
+            records = [row for row, _ in _project(env, clause, records, scope)]
             if clause.where is not None:
                 records = [r for r in records if env.eval(clause.where, r) is True]
         else:
-            return _return(env, clause, records)
+            return _return(env, clause, records, scope)
     return Answer([], [], [], False, 0, None, env.graph)
 
 
-def _items(clause, records: list[dict]) -> list[ast.ProjectionItem]:
+def _items(clause, scope: list[str]) -> list[ast.ProjectionItem]:
     if not clause.star:
         return clause.items
-    names = list(records[0]) if records else []
-    return [ast.ProjectionItem(ast.Variable(name), alias=name) for name in names]
+    return [ast.ProjectionItem(ast.Variable(name), alias=name) for name in scope]
 
 
-def _project(env: _Env, clause, records: list[dict]):
+def _project(env: _Env, clause, records: list[dict], scope: list[str]):
     """``(projected record, record it came from or None)`` pairs: one per
     record, one per group when an item aggregates, duplicates dropped
     under DISTINCT."""
-    items = _items(clause, records)
+    items = _items(clause, scope)
     aggregating = [item for item in items if _aggregate_calls(item.expression)]
     if not aggregating:
         out = [
@@ -590,9 +599,11 @@ def _project(env: _Env, clause, records: list[dict]):
     return out
 
 
-def _return(env: _Env, clause: ast.ReturnClause, records: list[dict]) -> Answer:
-    items = _items(clause, records)
-    projected = _project(env, clause, records)
+def _return(
+    env: _Env, clause: ast.ReturnClause, records: list[dict], scope: list[str]
+) -> Answer:
+    items = _items(clause, scope)
+    projected = _project(env, clause, records, scope)
     columns = [item.output_name for item in items]
     keys = []
     for row, source in projected:

@@ -1,12 +1,13 @@
-"""Differential tests: chunked (batch-at-a-time) compiled execution vs rows.
+"""Chunked generated code against the oracle, on the paper's shapes.
 
-The compiled engine's generated pipelines hand rows downstream in output
-chunks of ``morsel_size`` rows. Chunk size must be invisible: for the
-paper's query shapes with their baseline/forced-index plan variants, the
-core language features, LIMIT queries and random small graphs, chunk sizes
-that split every operator's output mid-chunk must produce identical result
-rows in identical order, identical per-operator profile counts and
-identical max-intermediate-cardinality as the tuple-at-a-time row engine.
+Generated pipelines hand rows downstream in output chunks of
+``morsel_size`` rows. Chunk size must be invisible: for the paper's query
+shapes with their baseline/forced-index plan variants, the core language
+features, LIMIT queries and random small graphs, the rows must be a
+correct answer by the brute-force oracle, and chunk sizes that split every
+operator's output mid-chunk must produce the same rows in the same order,
+the same per-operator profile counts and the same max intermediate
+cardinality as the default size (``tests.engines.agree``).
 """
 
 import pytest
@@ -26,8 +27,8 @@ from repro.datasets import (
     yago,
 )
 from repro.errors import PlannerError
-from repro.runtime import Executor
 
+from tests.engines import agree
 from tests.test_compiled_runtime import (
     BASELINE,
     FEATURE_QUERIES,
@@ -38,36 +39,6 @@ from tests.test_compiled_runtime import (
     build_random_db,
     forced,
 )
-
-CHUNK_SIZES = (1, 2, 7)
-
-
-def run_chunked(db, query, hints=None, chunk_sizes=CHUNK_SIZES):
-    """Run ``query`` on the row engine, then on generated code at every
-    chunk size; assert full equivalence; return the row engine's rows."""
-    reference = db.execute(query, hints, execution_mode="row")
-    expected = reference.to_list()
-    cached = db.prepare(query, hints)
-    executor = Executor(db.store, db.indexes, cached.analyzed.variable_kinds)
-    executor.compile(cached.planned_parts)
-    for size in chunk_sizes:
-        rows, profile = executor.execute(
-            cached.planned_parts, mode="compiled", morsel_size=size
-        )
-        projected = [
-            dict(zip(cached.columns, row)) for row in rows
-        ]
-        assert profile.engine == "compiled"
-        assert projected == expected, (query, size)
-        assert profile.operators.rows == reference.profile.operators.rows, (
-            query,
-            size,
-        )
-        assert (
-            profile.max_intermediate_cardinality
-            == reference.max_intermediate_cardinality
-        ), (query, size)
-    return expected
 
 
 # ----------------------------------------------------------------------
@@ -88,7 +59,7 @@ def correlated_db():
 def test_correlated_shapes_agree(correlated_db):
     db = correlated_db
     for hints in (BASELINE, None, forced("Full"), forced("Sub1"), forced("Sub6")):
-        rows = run_chunked(db, correlated.FULL_QUERY, hints)
+        rows = agree(db, correlated.FULL_QUERY, hints)
         assert len(rows) == 40
 
 
@@ -115,7 +86,7 @@ def test_yago_shapes_agree():
         PlannerHints(use_path_indexes=False, manual_expand_chain=yago.MANUAL_CHAIN),
         PlannerHints(index_seed_chain=("Full", ())),
     ):
-        rows = run_chunked(db, yago.FULL_QUERY, hints)
+        rows = agree(db, yago.FULL_QUERY, hints)
         assert rows
 
 
@@ -127,7 +98,7 @@ def test_geospecies_shapes_agree():
     db.create_path_index("Full", geospecies.FULL_PATTERN)
     db.create_path_index("Sub", geospecies.SUB_PATTERN)
     for hints in (BASELINE, forced("Full"), forced("Sub")):
-        rows = run_chunked(db, geospecies.FULL_QUERY, hints)
+        rows = agree(db, geospecies.FULL_QUERY, hints)
         assert rows
 
 
@@ -143,7 +114,7 @@ def feature_db():
 
 def test_feature_queries_agree(feature_db):
     for query in FEATURE_QUERIES:
-        run_chunked(feature_db, query)
+        agree(feature_db, query)
 
 
 def test_limit_queries_agree(feature_db):
@@ -152,7 +123,7 @@ def test_limit_queries_agree(feature_db):
     for query in LIMIT_QUERIES + [
         "MATCH (n) RETURN labels(n) AS ls, n.v + 1 AS w LIMIT 3",
     ]:
-        run_chunked(feature_db, query)
+        agree(feature_db, query)
 
 
 # ----------------------------------------------------------------------
@@ -167,10 +138,10 @@ def test_random_graphs_agree_across_plan_families(seed):
     for name, pattern in INDEX_PATTERNS.items():
         db.create_path_index(name, pattern)
     for query in RANDOM_QUERIES:
-        run_chunked(db, query, BASELINE)
-        run_chunked(db, query, None)
+        agree(db, query, BASELINE)
+        agree(db, query, None)
         for name in INDEX_PATTERNS:
             try:
-                run_chunked(db, query, forced(name))
+                agree(db, query, forced(name))
             except PlannerError:
                 continue  # index does not embed into this query

@@ -1,16 +1,15 @@
-"""Differential tests: the compiled (codegen) engine vs the row engine.
+"""Generated code against the brute-force oracle.
 
-The compiled engine generates one fused Python pipeline function per query
-part (``repro.runtime.compiled``). For the paper's query shapes, random
-graphs, and the core language features it must produce identical result
-rows, identical per-operator profile counts, and identical
-max-intermediate-cardinality as the tuple-at-a-time row engine, at any
-output chunk size. Deadline aborts and write rollbacks must behave the
-same on both engines.
+Every plan runs as one fused Python pipeline function per query part
+(``repro.runtime.compiled``). For the paper's query shapes, random graphs,
+and the core language features its rows must be a correct answer by the
+oracle (``tests.oracle``), and output chunk sizes 1, 2 and 7 must change
+neither the rows nor the per-operator profile counts nor the max
+intermediate cardinality (``tests.engines.agree``). Deadline aborts and
+write rollbacks are checked at several chunk sizes.
 
-Compiled mode runs a plan's first execution on the row engine, compiles
-it on the second and reuses the artifact afterwards; the tier tests pin
-that rule and the artifact's lifetime.
+A plan compiles on its first execution and later executions reuse the
+artifact; the tests below pin that rule and the artifact's lifetime.
 """
 
 import dataclasses
@@ -48,7 +47,7 @@ from repro.runtime.compiled import PRODUCERS, CompiledQuery
 from repro.runtime.executor import ARTIFACT
 from repro.service.cancellation import CancellationToken
 
-from tests.engines import ENGINES, execute
+from tests.engines import CHUNK_SIZES, agree, execute
 
 BASELINE = PlannerHints(use_path_indexes=False)
 
@@ -59,28 +58,6 @@ def forced(name):
         allowed_indexes=frozenset({name}),
         path_index_cost_factor=1e-9,
     )
-
-
-def run_two(db, query, hints=None):
-    """Execute on both engines; assert full equivalence; return rows.
-
-    The compiled run must come from generated code (``tests.engines``).
-    Both runs share the cached plan objects, so profiles are directly
-    comparable per plan node — exactly, LIMIT included: the compiled
-    engine counts operator output per row like the row engine.
-    """
-    row_result = db.execute(query, hints, execution_mode="row")
-    row_rows = row_result.to_list()
-    compiled_result = execute(db, query, hints, mode="compiled")
-    assert compiled_result.to_list() == row_rows, query
-    assert (
-        compiled_result.profile.operators.rows == row_result.profile.operators.rows
-    ), query
-    assert (
-        compiled_result.max_intermediate_cardinality
-        == row_result.max_intermediate_cardinality
-    ), query
-    return row_rows
 
 
 def artifact(db, text, hints=None):
@@ -106,7 +83,7 @@ def correlated_db():
 def test_correlated_shapes_agree(correlated_db):
     db = correlated_db
     for hints in (BASELINE, None, forced("Full"), forced("Sub1"), forced("Sub6")):
-        rows = run_two(db, correlated.FULL_QUERY, hints)
+        rows = agree(db, correlated.FULL_QUERY, hints)
         assert len(rows) == 40
 
 
@@ -133,7 +110,7 @@ def test_yago_shapes_agree():
         PlannerHints(use_path_indexes=False, manual_expand_chain=yago.MANUAL_CHAIN),
         PlannerHints(index_seed_chain=("Full", ())),
     ):
-        rows = run_two(db, yago.FULL_QUERY, hints)
+        rows = agree(db, yago.FULL_QUERY, hints)
         assert rows
 
 
@@ -145,7 +122,7 @@ def test_geospecies_shapes_agree():
     db.create_path_index("Full", geospecies.FULL_PATTERN)
     db.create_path_index("Sub", geospecies.SUB_PATTERN)
     for hints in (BASELINE, forced("Full"), forced("Sub")):
-        rows = run_two(db, geospecies.FULL_QUERY, hints)
+        rows = agree(db, geospecies.FULL_QUERY, hints)
         assert rows
 
 
@@ -165,7 +142,7 @@ def test_prefix_seek_compiles():
     query = "MATCH (a:A)-[r:R]->(b:B)-[s:S]->(c:C) RETURN id(a) AS a, id(c) AS c"
     hints = PlannerHints(required_indexes=frozenset({"suffix"}))
     assert "PathIndexPrefixSeek" in db.explain(query, hints)
-    rows = run_two(db, query, hints)
+    rows = agree(db, query, hints)
     assert rows == [{"a": anchor, "c": c0}]
 
 
@@ -218,12 +195,12 @@ LIMIT_QUERIES = [
 
 def test_feature_queries_agree(feature_db):
     for query in FEATURE_QUERIES:
-        run_two(feature_db, query)
+        agree(feature_db, query)
 
 
 def test_limit_queries_agree(feature_db):
     for query in LIMIT_QUERIES:
-        run_two(feature_db, query)
+        agree(feature_db, query)
 
 
 def run_with_morsel_size(db, query, morsel_size):
@@ -232,21 +209,18 @@ def run_with_morsel_size(db, query, morsel_size):
     cached = db.prepare(query)
     executor = Executor(db.store, db.indexes, cached.analyzed.variable_kinds)
     executor.compile(cached.planned_parts)
-    rows, profile = executor.execute(
-        cached.planned_parts, mode="compiled", morsel_size=morsel_size
-    )
+    rows, profile = executor.execute(cached.planned_parts, morsel_size=morsel_size)
     projected = [
         dict(zip(cached.columns, row)) for row in rows
     ]
-    assert profile.engine == "compiled"
     return projected, profile
 
 
 def test_small_morsel_sizes_hit_batch_boundaries(feature_db):
     """Chunk size must be invisible: sizes that split every operator's
-    output mid-chunk give the same rows and profile as the row engine."""
+    output mid-chunk give the same rows and profile as the default size."""
     for query in FEATURE_QUERIES + LIMIT_QUERIES:
-        reference = feature_db.execute(query, execution_mode="row")
+        reference = feature_db.execute(query)
         expected = reference.to_list()
         for morsel_size in (1, 2, 7):
             rows, profile = run_with_morsel_size(feature_db, query, morsel_size)
@@ -257,11 +231,18 @@ def test_small_morsel_sizes_hit_batch_boundaries(feature_db):
 
 
 def test_unknown_execution_mode_rejected(feature_db):
-    for mode in ("vectorized", "batched"):
+    """``Executor.execute``'s ``mode`` accepts only "compiled", and the
+    database's ``execution_mode`` only reads it."""
+    cached = feature_db.prepare("MATCH (n) RETURN n")
+    executor = Executor(feature_db.store, feature_db.indexes, {})
+    for mode in ("row", "vectorized"):
         with pytest.raises(ReproError):
-            feature_db.execute("MATCH (n) RETURN n", execution_mode=mode)
-        with pytest.raises(ReproError):
-            GraphDatabase(execution_mode=mode)
+            executor.execute(cached.planned_parts, mode=mode)
+    assert feature_db.execution_mode == "compiled"
+    with pytest.raises(AttributeError):
+        feature_db.execution_mode = "row"
+    with pytest.raises(TypeError):
+        GraphDatabase(execution_mode="row")
 
 
 def test_compiled_source_is_inspectable(feature_db):
@@ -273,7 +254,7 @@ def test_compiled_source_is_inspectable(feature_db):
 
 
 # ----------------------------------------------------------------------
-# The tier rule: row engine first, compile on the second execution
+# One tier: a plan compiles on its first execution
 # ----------------------------------------------------------------------
 
 TIER_QUERY = "MATCH (n:P) RETURN n.i AS i ORDER BY i"
@@ -286,30 +267,19 @@ def tier_db(nodes=10):
     return db
 
 
-def test_compiled_is_the_default_engine():
+def test_compiled_is_the_only_engine():
     assert GraphDatabase().execution_mode == "compiled"
-    assert GraphDatabase(execution_mode="row").execution_mode == "row"
 
 
-def test_second_execution_compiles_and_third_reuses():
+def test_first_execution_compiles_and_later_ones_reuse():
     db = tier_db()
-    engines, artifacts = [], []
+    artifacts = []
     for _ in range(3):
         result = db.execute(TIER_QUERY)
         assert result.to_list() == [{"i": i} for i in range(10)]
-        engines.append(result.profile.engine)
         artifacts.append(artifact(db, TIER_QUERY))
-    assert engines == ["row", "compiled", "compiled"]
-    assert artifacts[0] is None
-    assert isinstance(artifacts[1], CompiledQuery)
-    assert artifacts[2] is artifacts[1]
-
-
-def test_row_mode_never_compiles():
-    db = tier_db()
-    for _ in range(3):
-        assert db.execute(TIER_QUERY, execution_mode="row").profile.engine == "row"
-    assert ARTIFACT not in db.prepare(TIER_QUERY).planned_parts[0][1].__dict__
+    assert isinstance(artifacts[0], CompiledQuery)
+    assert artifacts[2] is artifacts[1] is artifacts[0]
 
 
 def _evict(db):
@@ -339,11 +309,12 @@ def test_invalidation_drops_the_artifact_with_the_plan(invalidate):
     result = db.execute(TIER_QUERY)
     rows = result.to_list()
     assert rows == sorted(rows, key=lambda row: row["i"]) and len(rows) >= 10
-    # A new plan, executed once: back on the row engine, nothing compiled.
-    assert result.profile.engine == "row"
+    # A new plan, executed once: compiled anew.
     fresh = db.prepare(TIER_QUERY).planned_parts
     assert fresh[0][1] is not stale[0][1]
-    assert fresh[0][1].__dict__.get(ARTIFACT) is None
+    compiled = fresh[0][1].__dict__.get(ARTIFACT)
+    assert isinstance(compiled, CompiledQuery)
+    assert compiled is not stale[0][1].__dict__[ARTIFACT]
 
 
 def test_prepared_pattern_query_is_compiled_before_its_first_run():
@@ -355,16 +326,15 @@ def test_prepared_pattern_query_is_compiled_before_its_first_run():
     )
     compiled = prepared.planned_parts[0][1].__dict__.get(ARTIFACT)
     assert isinstance(compiled, CompiledQuery)
-    entries, profile = prepared.run()
+    entries, _ = prepared.run()
     assert len(list(entries)) == 1
-    assert profile.engine == "compiled"
     assert prepared.planned_parts[0][1].__dict__.get(ARTIFACT) is compiled
 
 
 def test_direct_executor_reuses_the_artifact_db_execute_built():
     """A caller driving ``Executor.execute`` with the cached plan and no
     artifact (perfbench's traced pass) runs the plan's artifact instead of
-    compiling per call, and a cold plan follows the same tier rule."""
+    compiling per call, and a cold plan compiles on its first execution."""
     db = tier_db()
     expected = [{"i": i} for i in range(10)]
     for _ in range(2):
@@ -373,16 +343,16 @@ def test_direct_executor_reuses_the_artifact_db_execute_built():
     cached = db.prepare(TIER_QUERY)
     executor = Executor(db.store, db.indexes, cached.analyzed.variable_kinds)
     for _ in range(2):
-        rows, profile = executor.execute(cached.planned_parts, mode="compiled")
+        rows, _ = executor.execute(cached.planned_parts, mode="compiled")
         assert [dict(zip(cached.columns, row)) for row in rows] == expected
-        assert profile.engine == "compiled"
     assert artifact(db, TIER_QUERY) is compiled
     cold = db.prepare("MATCH (n:P) WHERE n.i < 3 RETURN n.i AS i ORDER BY i")
-    engines = [
-        executor.execute(cold.planned_parts, mode="compiled")[1].engine
-        for _ in range(3)
-    ]
-    assert engines == ["row", "compiled", "compiled"]
+    artifacts = []
+    for _ in range(3):
+        executor.execute(cold.planned_parts)
+        artifacts.append(cold.planned_parts[0][1].__dict__[ARTIFACT])
+    assert isinstance(artifacts[0], CompiledQuery)
+    assert artifacts[2] is artifacts[1] is artifacts[0]
 
 
 # ----------------------------------------------------------------------
@@ -458,8 +428,10 @@ def test_node_hash_join_compiles():
         return node
 
     cached.planned_parts[0] = (part, rebuild(plan))
-    rows = run_two(db, query)
-    assert rows == [{"i": i} for i in sorted(both)]
+    # The spliced plan answers n:A AND n:B, not the text: no oracle.
+    for chunk in (None, 1, 2, 7):
+        rows = execute(db, query, chunk=chunk).to_list()
+        assert rows == [{"i": i} for i in sorted(both)], chunk
 
 
 # ----------------------------------------------------------------------
@@ -506,11 +478,11 @@ def test_random_graphs_agree_across_plan_families(seed):
     for name, pattern in INDEX_PATTERNS.items():
         db.create_path_index(name, pattern)
     for query in RANDOM_QUERIES:
-        run_two(db, query, BASELINE)
-        run_two(db, query, None)
+        agree(db, query, BASELINE)
+        agree(db, query, None)
         for name in INDEX_PATTERNS:
             try:
-                run_two(db, query, forced(name))
+                agree(db, query, forced(name))
             except PlannerError:
                 continue  # index does not embed into this query
 
@@ -537,7 +509,7 @@ def run_two_cached(db, query, hints):
     """``run_two``; the compiled execution must come from the plan cache
     (the bound is part of the cached plan, not of a re-plan)."""
     hits = db.plan_cache.hits
-    rows = run_two(db, query, hints)
+    rows = agree(db, query, hints)
     assert db.plan_cache.hits - hits >= 2, query
     return sorted(rows, key=row_key)
 
@@ -610,13 +582,8 @@ def test_id_equality_agrees_under_memory_budget():
 
 
 def engine_rows(db, text, hints=None):
-    """Sorted rows per engine; asserts the two agree."""
-    row_rows, compiled_rows = [
-        sorted(execute(db, text, hints, mode=mode).to_list(), key=row_key)
-        for mode in ENGINES
-    ]
-    assert row_rows == compiled_rows, text
-    return row_rows
+    """Sorted rows, checked against the oracle and across chunk sizes."""
+    return sorted(agree(db, text, hints), key=row_key)
 
 
 def id_texts(k):
@@ -704,24 +671,22 @@ def test_id_equality_visibility_matches_scan_and_filter():
 # ----------------------------------------------------------------------
 
 
-def test_service_runs_the_database_engine():
+def test_service_compiles_on_first_execution():
     query = "MATCH (n:P) RETURN count(*) AS c"
-    for mode in ENGINES:
-        db = tier_db()
-        db.execution_mode = mode
-        with QueryService(db, ServiceConfig()) as service:
-            for _ in range(2):
-                assert service.execute(query).rows == [{"c": 10}]
-        # The second execution compiled the plan only in compiled mode.
-        assert (artifact(db, query) is not None) == (mode == "compiled"), mode
+    db = tier_db()
+    with QueryService(db, ServiceConfig()) as service:
+        assert service.execute(query).rows == [{"c": 10}]
+        compiled = artifact(db, query)
+        assert isinstance(compiled, CompiledQuery)
+        assert service.execute(query).rows == [{"c": 10}]
+    assert artifact(db, query) is compiled
 
 
-@pytest.mark.parametrize("mode", ENGINES)
-def test_deadline_aborts_scan_in_both_modes(mode):
+@pytest.mark.parametrize("chunk", CHUNK_SIZES)
+def test_deadline_aborts_scan_in_both_modes(chunk):
     db = tier_db(400)
-    db.execution_mode = mode
     query = "MATCH (a:P), (b:P) RETURN a.i AS ai, b.i AS bi"
-    full = len(execute(db, query, mode=mode).to_list())
+    full = len(execute(db, query, chunk=chunk).to_list())
     with QueryService(db, ServiceConfig()) as service:
         ticket = service.submit(query, deadline_s=0.02)
         with pytest.raises(QueryTimeoutError):
@@ -730,26 +695,24 @@ def test_deadline_aborts_scan_in_both_modes(mode):
         assert ticket.rows_produced < full
 
 
-@pytest.mark.parametrize("mode", ENGINES)
-def test_cancelled_write_rolls_back_in_both_modes(mode):
+@pytest.mark.parametrize("chunk", CHUNK_SIZES)
+def test_cancelled_write_rolls_back_in_both_modes(chunk):
     db = tier_db(300)
     before = db.store.statistics.node_count
     token = CancellationToken.with_timeout(0.005)
     with pytest.raises(QueryTimeoutError):
-        execute(db, "MATCH (a:P), (b:P) CREATE (c:Q) RETURN c", mode=mode, token=token)
+        execute(db, "MATCH (a:P), (b:P) CREATE (c:Q) RETURN c", chunk=chunk, token=token)
     assert db.store.statistics.node_count == before
     assert len(db.execute("MATCH (c:Q) RETURN c").to_list()) == 0
 
 
 def test_write_queries_agree_across_modes():
     results = []
-    for mode in ENGINES:
+    for chunk in CHUNK_SIZES:
         db = tier_db(6)
         execute(
-            db, "MATCH (a:P) WHERE a.i < 3 CREATE (b:Q {j: a.i}) RETURN b", mode=mode
+            db, "MATCH (a:P) WHERE a.i < 3 CREATE (b:Q {j: a.i}) RETURN b", chunk=chunk
         ).to_list()
-        rows = db.execute(
-            "MATCH (b:Q) RETURN b.j AS j ORDER BY j", execution_mode="row"
-        ).to_list()
+        rows = db.execute("MATCH (b:Q) RETURN b.j AS j ORDER BY j").to_list()
         results.append(rows)
     assert results[0] == results[1] == [{"j": 0}, {"j": 1}, {"j": 2}]

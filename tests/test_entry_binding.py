@@ -1,13 +1,12 @@
-"""Path-index entry binding: the row engine's binder against generated code.
+"""Path-index entry binding in generated code, against the oracle.
 
 Generated code binds an index entry inline and emits only the checks the
-plan lets fail (see ``repro.runtime.compiled.codegen``); the row engine
-runs the full binder, ``repro.runtime.slots._entry_binder``. These cases
-aim at the checks codegen decides to keep or drop — repeated variables,
+plan lets fail (see ``repro.runtime.compiled.codegen``). These cases aim
+at the checks codegen decides to keep or drop — repeated variables,
 argument-bound variables, relationship ids already in the uniqueness scope,
-residual label and type filters, self-loops — and compare rows, operator
-profiles and max intermediate cardinality on both engines, with generated
-code at several output chunk sizes.
+residual label and type filters, self-loops — and check the rows against
+the brute-force oracle, and rows, operator profiles and max intermediate
+cardinality across output chunk sizes 1, 2 and 7.
 """
 
 import inspect
@@ -21,10 +20,8 @@ from repro.planner import plans as plan_nodes
 from repro.runtime.compiled import PRODUCERS, codegen
 from repro.runtime.executor import ARTIFACT
 
-from tests.engines import execute, pin_engine
-
-CHUNK_SIZES = (1, 2, 7)
-
+from tests import oracle
+from tests.engines import CHUNK_SIZES, agree, execute, pin_chunk
 
 def forced(name):
     """Plans must use index ``name``, no other, and as much as they can."""
@@ -88,8 +85,10 @@ CASES = [
         ("PathIndexFilteredScan",),
     ),
     ("MATCH (a:A)-[r:X]->(a) RETURN a, r", "one", ("PathIndexScan",)),
-    # WITH-carried variables bound at non-leading entry positions.
-    (f"{WITH_B}{TWO_X} RETURN a, r, b, s, c", "chain", ("PathIndexScan",)),
+    # WITH-carried variables bound at non-leading entry positions; a label
+    # on a carried node is also a predicate, which the filtered scan takes.
+    (f"{WITH_B}MATCH (a:A)-[r]->(b) RETURN a, r, b", "out", ("PathIndexScan",)),
+    (f"{WITH_B}{TWO_X} RETURN a, r, b, s, c", "chain", ("PathIndexFilteredScan",)),
     (
         f"{WITH_B}{TWO_X} WHERE a <> c RETURN a, b, c",
         "chain",
@@ -98,13 +97,15 @@ CASES = [
     (
         f"{WITH_B}{TWO_X} RETURN a, r, b, s, c",
         "one",
-        ("PathIndexScan", "PathIndexPrefixSeek"),
+        ("PathIndexFilteredScan", "PathIndexPrefixSeek"),
     ),
+    # A relationship carried through WITH is matched again as a new
+    # relationship equal to it: its endpoints and uniqueness are checked.
     (
         "MATCH (x:A)-[s:X]->(y:A) WHERE x.v < 6 WITH s "
         "MATCH (a:A)-[r:X]->(b:A)-[s]->(c:A) RETURN a, r, s, c",
         "out",
-        ("PathIndexPrefixSeek",),
+        ("PathIndexFilteredScan",),
     ),
     # Residual label and type filters, with known and unknown tokens.
     ("MATCH (a:A)-[r:X]->(b:B) RETURN a, r, b", "out", ("PathIndexFilteredScan",)),
@@ -138,35 +139,21 @@ CASES = [
 @pytest.mark.parametrize(
     "text, index, operators", CASES, ids=[f"{i}-{c[1]}" for i, c in enumerate(CASES)]
 )
-def test_engines_agree_on_entry_binding(db, monkeypatch, text, index, operators):
+def test_entry_binding_agrees_with_the_oracle(db, text, index, operators):
     # Required indexes bind every part; a WITH part has no pattern.
     hints = preferred(index) if " WITH " in text else forced(index)
     plan = db.explain(text, hints)
     for operator in operators:
         assert f"{operator}({index}:" in plan, plan
-    reference = execute(db, text, hints, mode="row")
-    expected = reference.to_list()
-    for size in (None,) + CHUNK_SIZES:
-        with monkeypatch.context() as patch:
-            if size is not None:
-                pin_engine(patch, "compiled", size)
-            result = execute(db, text, hints, mode="compiled")
-            rows = result.to_list()
-        assert rows == expected, (text, size)
-        assert result.profile.operators.rows == reference.profile.operators.rows
-        assert (
-            result.max_intermediate_cardinality
-            == reference.max_intermediate_cardinality
-        )
+    agree(db, text, hints, graph=oracle.snapshot(db))
 
 
 @pytest.mark.parametrize("index", ["one", "out", "chain"])
 def test_self_loop_binds_each_relationship_once(db, index):
-    """The differential cannot see a check both engines skip: the loop at
-    a5 must not serve both pattern relationships."""
+    """The loop at a5 must not serve both pattern relationships."""
     text = f"{TWO_X} WHERE a.v = 5 RETURN r, s, c"
-    for mode in ("row", "compiled"):
-        rows = execute(db, text, forced(index), mode=mode).to_list()
+    for chunk in CHUNK_SIZES:
+        rows = execute(db, text, forced(index), chunk=chunk).to_list()
         assert len(rows) == 2
         assert all(row["r"] != row["s"] for row in rows)
 
@@ -186,14 +173,11 @@ def test_anchored_pattern_query_keeps_the_anchor_unique(monkeypatch, index, posi
     )
     assert prepared.planned_parts[0][1].indexes_used == {index}
     runs = []
-    for engine, size in [("row", None), ("compiled", None)] + [
-        ("compiled", size) for size in CHUNK_SIZES
-    ]:
+    for size in (None, 1, 2, 7):
         with monkeypatch.context() as patch:
-            pin_engine(patch, engine, size)
+            pin_chunk(patch, size)
             rows, profile = prepared.run(anchor)
             runs.append((list(rows), profile.operators.rows))
-        assert profile.engine == engine
     assert all(run == runs[0] for run in runs[1:])
     if position == 0:
         assert runs[0][0] == [(a[5], loop, a[5], ids["x5"], a[6])]
@@ -219,8 +203,7 @@ def test_anchored_pattern_query_keeps_the_anchor_unique(monkeypatch, index, posi
 )
 def test_token_created_after_compilation_matches(index, text, create):
     """A residual label or type unknown when the scan compiled must match
-    once created: generated code looks it up per run, as the row engine
-    does, instead of freezing "unknown" into the artifact."""
+    once created: generated code looks it up per run instead of freezing "unknown" into the artifact."""
     db = GraphDatabase()
     for _ in range(50):
         db.create_relationship(db.create_node(["A"]), db.create_node(["B"]), "X")
@@ -231,10 +214,9 @@ def test_token_created_after_compilation_matches(index, text, create):
     compiled = db.prepare(text, hints).planned_parts[0][1].__dict__[ARTIFACT]
     assert compiled is not None
     db.execute(create).consume()
-    for mode in ("compiled", "row"):
-        result = db.execute(text, hints, execution_mode=mode)
-        assert result.to_list() == [{"n": 1}], mode
-        assert result.profile.engine == mode
+    for chunk in CHUNK_SIZES:
+        result = execute(db, text, hints, chunk=chunk)
+        assert result.to_list() == [{"n": 1}], chunk
     # The same artifact answered: the fix is not a recompilation.
     assert db.prepare(text, hints).planned_parts[0][1].__dict__[ARTIFACT] is compiled
 

@@ -41,7 +41,7 @@ from repro.replication import Replica
 from repro.router import Router, RouterConfig
 from repro.server import BackgroundServer, ServerConfig
 
-from tests.engines import ENGINES, execute
+from tests.engines import CHUNK_SIZES, execute
 from tests.test_replication import (
     ReplicaNode,
     fingerprint,
@@ -93,13 +93,13 @@ def seed(addr, count, label="P", start=0):
             client.execute(f"CREATE (:{label} {{i: {i}}})")
 
 
-def assert_identical_on_all_engines(db_a, db_b, query):
-    """Byte-identical rows from both databases on every execution engine."""
-    for mode in ENGINES:
-        got = execute(db_a, query, mode=mode).to_list()
-        want = execute(db_b, query, mode=mode).to_list()
+def assert_identical_at_every_chunk_size(db_a, db_b, query):
+    """Byte-identical rows from both databases at every chunk size."""
+    for chunk in CHUNK_SIZES:
+        got = execute(db_a, query, chunk=chunk).to_list()
+        want = execute(db_b, query, chunk=chunk).to_list()
         assert rows_bytes(got) == rows_bytes(want), (
-            f"row drift in {mode} mode for {query!r}"
+            f"row drift at chunk size {chunk} for {query!r}"
         )
 
 
@@ -217,7 +217,7 @@ def test_old_leader_rejoins_and_divergent_tail_is_discarded(tmp_path):
     """Promote B while A (unfenced) keeps writing: A's timeline diverges
     above the promote LSN. Rejoining as a replica of B re-seeds A from a
     shipped checkpoint — the divergent rows vanish, state converges to
-    B's, byte-identical on every engine."""
+    B's, byte-identical at every chunk size."""
     lead = LeaderNode(tmp_path / "leader")
     b = ReplicaNode(tmp_path / "repB", lead.name)
     try:
@@ -249,7 +249,7 @@ def test_old_leader_rejoins_and_divergent_tail_is_discarded(tmp_path):
             "MATCH (n:Q) RETURN count(n) AS c"
         ).to_list()
         assert gone == [{"c": 0}]
-        assert_identical_on_all_engines(
+        assert_identical_at_every_chunk_size(
             rejoined.rep.db, b.rep.db, "MATCH (n:P) RETURN n.i AS i"
         )
     finally:
@@ -291,7 +291,7 @@ def test_promotion_crash_before_epoch_write_never_promoted(tmp_path, point):
         assert recovered.durability.epoch == 1  # the bump never landed
         assert recovered.durability.promote() == 2  # retry succeeds
         assert fingerprint(recovered) == fingerprint(oracle)
-        assert_identical_on_all_engines(
+        assert_identical_at_every_chunk_size(
             recovered, oracle, "MATCH (n:P) RETURN n.i AS i"
         )
     finally:
@@ -328,7 +328,7 @@ def test_surviving_replica_crash_before_resubscribe_recovers(tmp_path):
             )
             assert revived.rep.db.durability.epoch == 2
             assert revived.rep.db.store.statistics.node_count == 6
-            assert_identical_on_all_engines(
+            assert_identical_at_every_chunk_size(
                 revived.rep.db, b.rep.db, "MATCH (n:P) RETURN n.i AS i"
             )
         finally:
@@ -365,7 +365,7 @@ def test_old_leader_crash_during_revival_recovers(tmp_path):
             )
             assert rejoined.rep.db.durability.epoch == 2
             assert rejoined.rep.db.store.statistics.node_count == 6
-            assert_identical_on_all_engines(
+            assert_identical_at_every_chunk_size(
                 rejoined.rep.db, b.rep.db, "MATCH (n:P) RETURN n.i AS i"
             )
         finally:

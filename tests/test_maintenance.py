@@ -2,7 +2,6 @@
 property-based differential check against full re-initialization."""
 
 import random
-from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +12,7 @@ from repro.pathindex.maintenance import TRAVERSAL_BASED, traverse_pattern
 from repro.db.patternquery import Anchor, NodeAnchor
 from repro.pathindex.pattern import PathPattern
 
-from tests.engines import ENGINES, pin_engine
+from tests.engines import CHUNK_SIZES, chunked
 
 
 def build_chain_db(strategy="query"):
@@ -268,11 +267,9 @@ class Scenario:
     """One database driven by a write sequence; identical sequences give
     identical identifiers, so databases can be compared entry by entry."""
 
-    def __init__(self, engine, budget, strategy="query", clear_cache=False):
+    def __init__(self, budget, strategy="query", clear_cache=False):
         kwargs = {} if budget is None else {"memory_budget": budget, "memory_grant": 4096}
-        self.db = GraphDatabase(
-            execution_mode=engine, maintenance_strategy=strategy, **kwargs
-        )
+        self.db = GraphDatabase(maintenance_strategy=strategy, **kwargs)
         self.clear_cache = clear_cache
         db = self.db
         self.nodes = [db.create_node([LABELS[i % 2]]) for i in range(8)]
@@ -326,24 +323,15 @@ class Scenario:
         return {name: list(self.db.path_index(name).scan()) for name in PATTERNS}
 
 
-@contextmanager
-def internal_engine(engine):
-    """Run the internal pattern queries on ``engine`` too, not only the
-    Cypher writes."""
-    with pytest.MonkeyPatch.context() as patch:
-        pin_engine(patch, engine)
-        yield
-
-
 @pytest.mark.parametrize("budget", BUDGETS)
-@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("chunk", CHUNK_SIZES)
 @settings(max_examples=8, deadline=None)
 @given(ops=write_sequences)
-def test_cached_maintenance_equals_replanned_maintenance(engine, budget, ops):
-    with internal_engine(engine):
-        cached = Scenario(engine, budget)
-        replanned = Scenario(engine, budget, clear_cache=True)
-        traversal = Scenario(engine, budget, strategy="traversal")
+def test_cached_maintenance_equals_replanned_maintenance(chunk, budget, ops):
+    with chunked(chunk):
+        cached = Scenario(budget)
+        replanned = Scenario(budget, clear_cache=True)
+        traversal = Scenario(budget, strategy="traversal")
         for op in ops:
             changes = cached.apply(op)
             assert replanned.apply(op) == changes, op
@@ -494,3 +482,56 @@ def test_report_names_every_queried_index_once_per_commit():
         ("remove", "sub", (a, r1, b)),
         ("add", "sub", (a, new, b)),
     ]
+
+
+# ----------------------------------------------------------------------
+# No entry repeats a relationship
+# ----------------------------------------------------------------------
+
+LOOP_PATTERNS = {
+    "xx": "(:A)-[:X]->(:A)-[:X]->(:A)",
+    "any": "()-[]->()-[]->()",
+    "back": "()-[:X]->()<-[:X]-()",
+    "three": "(:A)-[]->()-[]->()-[]->()",
+}
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    edges=st.lists(
+        st.tuples(st.integers(0, 3), st.integers(0, 3), st.sampled_from(TYPES)),
+        max_size=8,
+    ),
+    ops=write_sequences,
+)
+def test_index_entries_never_repeat_a_relationship(edges, ops):
+    """On four nodes, where self-loops and parallel relationships are
+    common, no entry Algorithm 2 builds or Algorithm 1 maintains binds one
+    relationship twice, and every index equals a fresh traversal. Generated
+    code relies on this: it does not compare an entry's relationships with
+    each other."""
+    db = GraphDatabase()
+    nodes = [db.create_node(["A"] if i % 2 else ["A", "B"]) for i in range(4)]
+    rels = [db.create_relationship(nodes[s], nodes[e], t) for s, e, t in edges]
+    for name, pattern in LOOP_PATTERNS.items():
+        db.create_path_index(name, pattern)
+
+    def check():
+        for name in LOOP_PATTERNS:
+            for entry in db.path_index(name).scan():
+                ids = entry[1::2]
+                assert len(set(ids)) == len(ids), (name, entry)
+            assert db.verify_index(name), name
+
+    check()
+    for kind, a, b, c in ops:
+        start, end = nodes[a % 4], nodes[b % 4]
+        if kind in ("create", "tx", "cypher") or not rels:
+            rels.append(db.create_relationship(start, end, TYPES[c % 2]))
+        elif kind == "delete":
+            db.delete_relationship(rels.pop(a % len(rels)))
+        elif kind == "add_label":
+            db.add_label(start, LABELS[b % 2])
+        else:
+            db.remove_label(start, "A")
+        check()

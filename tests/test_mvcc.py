@@ -2,7 +2,7 @@
 
 The contract under test: a snapshot pinned at commit LSN *t* observes
 exactly the state a fresh database would hold after replaying the first
-*t*-worth of commits — byte-identical rows on both engines — no
+*t*-worth of commits — byte-identical rows at every chunk size — no
 matter how many commits land after the pin. Version GC must then reclaim
 every chain the oldest live snapshot can no longer reach, and recovery
 from a checkpoint must reproduce identical query fingerprints.
@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from repro import GraphDatabase, QueryService
 
-from tests.engines import ENGINES, execute
+from tests.engines import CHUNK_SIZES, execute
 
 QUERIES = [
     "MATCH (n:A) RETURN n.v AS v",
@@ -41,20 +41,19 @@ def apply_op(db, op):
         raise AssertionError(kind)
 
 
-def rows_at(db, mode, run=execute):
-    """Sorted row reprs for every probe query, on one engine."""
+def rows_at(db, chunk, run=execute):
+    """Sorted row reprs for every probe query, at one chunk size."""
     out = []
     for query in QUERIES:
-        result = run(db, query, mode=mode)
+        result = run(db, query, chunk=chunk)
         out.append(sorted(map(repr, result.to_list())))
     return out
 
 
-def tiered(db, query, mode):
-    """Plain ``db.execute``: in compiled mode a plan compiles on its second
-    run. Used where concurrent planners may replace the cached plan
-    between ``execute``'s warm-up and its run."""
-    return db.execute(query, execution_mode=mode)
+def tiered(db, query, chunk):
+    """Plain ``db.execute``, at the default chunk size: used from threads,
+    where pinning a chunk size would patch ``Executor`` for every thread."""
+    return db.execute(query)
 
 
 ops_strategy = st.lists(
@@ -68,7 +67,7 @@ ops_strategy = st.lists(
 
 
 # ----------------------------------------------------------------------
-# Differential: pinned snapshots vs serial replay, both engines
+# Differential: pinned snapshots vs serial replay, every chunk size
 # ----------------------------------------------------------------------
 
 @settings(max_examples=25, deadline=None)
@@ -88,12 +87,12 @@ def test_pinned_snapshots_match_serial_replay(ops):
             reference = GraphDatabase()
             for op in ops[:prefix]:
                 apply_op(reference, op)
-            expected = {mode: rows_at(reference, mode) for mode in ENGINES}
+            expected = {chunk: rows_at(reference, chunk) for chunk in CHUNK_SIZES}
             with clock.reading(snapshot):
-                for mode in ENGINES:
-                    assert rows_at(db, mode) == expected[mode], (
+                for chunk in CHUNK_SIZES:
+                    assert rows_at(db, chunk) == expected[chunk], (
                         f"snapshot at prefix {prefix} drifted from serial "
-                        f"replay in {mode} mode"
+                        f"replay at chunk size {chunk}"
                     )
     finally:
         for snapshot, _ in pinned:
@@ -103,7 +102,7 @@ def test_pinned_snapshots_match_serial_replay(ops):
 
 def test_snapshot_differential_under_memory_budget():
     """The same prefix-equivalence holds when spill-to-disk operators are
-    in play (8 MiB budget), on both engines."""
+    in play (8 MiB budget), at every chunk size."""
     ops = [
         ("create", 0), ("create", 1), ("link", 0),
         ("create", 2), ("link", 1), ("delete", 0), ("link", 2),
@@ -119,10 +118,10 @@ def test_snapshot_differential_under_memory_budget():
             reference = GraphDatabase(memory_budget=8 << 20, memory_grant=4096)
             for op in ops[:prefix]:
                 apply_op(reference, op)
-            for mode in ENGINES:
-                expected = rows_at(reference, mode)
+            for chunk in CHUNK_SIZES:
+                expected = rows_at(reference, chunk)
                 with clock.reading(snapshot):
-                    assert rows_at(db, mode) == expected
+                    assert rows_at(db, chunk) == expected
     finally:
         for snapshot, _ in pinned:
             clock.release(snapshot)
@@ -142,12 +141,12 @@ def test_concurrent_readers_pinned_while_writers_commit():
         snapshot = clock.acquire()
         try:
             with clock.reading(snapshot):
-                baseline = rows_at(db, "row", tiered)
+                baseline = rows_at(db, None, tiered)
                 while not stop.is_set():
-                    for mode in ENGINES:
-                        got = rows_at(db, mode, tiered)
+                    for chunk in CHUNK_SIZES:
+                        got = rows_at(db, chunk, tiered)
                         if got != baseline:
-                            failures.append((snapshot.lsn, mode, got))
+                            failures.append((snapshot.lsn, chunk, got))
                             return
         finally:
             clock.release(snapshot)
@@ -195,9 +194,9 @@ def test_version_gc_collapses_chains_after_checkpoint(tmp_path):
     assert stats["chain_versions"] == 0
     assert stats["index_deltas"] == 0
     assert stats["stats_versions"] == 0
-    # The collapsed state still answers correctly on every engine.
-    for mode in ENGINES:
-        result = execute(db, "MATCH (a:P)-[r:K]->(b:P) RETURN b.v AS v", mode=mode)
+    # The collapsed state still answers correctly at every chunk size.
+    for chunk in CHUNK_SIZES:
+        result = execute(db, "MATCH (a:P)-[r:K]->(b:P) RETURN b.v AS v", chunk=chunk)
         assert sorted(row["v"] for row in result.to_list()) == list(range(1, 9))
     db.close()
 
@@ -227,7 +226,7 @@ def test_live_snapshot_blocks_gc_then_release_unblocks(tmp_path):
 
 def test_recovery_from_checkpoint_reproduces_fingerprints(tmp_path):
     """Checkpoint under MVCC must capture a consistent image: reopening
-    from it yields identical rows for every probe query on every engine."""
+    from it yields identical rows for every probe query at every chunk size."""
     directory = tmp_path / "data"
     db = GraphDatabase.open(directory)
     for i in range(6):
@@ -236,13 +235,13 @@ def test_recovery_from_checkpoint_reproduces_fingerprints(tmp_path):
     db.execute("MATCH (n:B {v: 2}) DETACH DELETE n")
     db.durability.checkpoint()
     db.execute("CREATE (:A {v: 99})")  # post-checkpoint tail, WAL only
-    expected = {mode: rows_at(db, mode) for mode in ENGINES}
+    expected = {chunk: rows_at(db, chunk) for chunk in CHUNK_SIZES}
     db.close()
 
     recovered = GraphDatabase.open(directory)
-    for mode in ENGINES:
-        assert rows_at(recovered, mode) == expected[mode], (
-            f"recovery drifted from pre-close state in {mode} mode"
+    for chunk in CHUNK_SIZES:
+        assert rows_at(recovered, chunk) == expected[chunk], (
+            f"recovery drifted from pre-close state at chunk size {chunk}"
         )
     recovered.close()
 

@@ -9,7 +9,8 @@ predicates, a second part through WITH (carrying nodes and relationships,
 or aggregating), then a RETURN that projects, aggregates or de-duplicates,
 with ORDER BY over every column and SKIP/LIMIT. Each text runs under the
 default plan, without path indexes, and under every ``forced(index)`` hint
-that embeds; writes run on a fresh copy of the graph per plan.
+that embeds, at the default output chunk size and at 7; writes run on a
+fresh copy of the graph per plan.
 """
 
 from hypothesis import HealthCheck, given, settings
@@ -19,7 +20,7 @@ from repro import GraphDatabase, PlannerHints
 from repro.errors import PlannerError
 
 from tests import oracle
-from tests.engines import ENGINES, execute
+from tests.engines import CHUNK_SIZES, execute
 
 INDEXES = {
     "ax": "(:A)-[:X]->()",
@@ -254,15 +255,15 @@ WRITES = [
 
 
 def _run_everywhere(db, text):
-    """``(label, rows)`` for the text under every plan that embeds, on
-    every engine."""
+    """``(label, rows)`` for the text under every plan that embeds, at
+    every chunk size."""
     for hints in HINTS:
-        for mode in ENGINES:
+        for chunk in CHUNK_SIZES:
             try:
-                result = execute(db, text, hints, mode=mode)
+                result = execute(db, text, hints, chunk=chunk)
             except PlannerError:
                 break  # the forced index does not embed
-            yield (hints, mode), oracle.plain_rows(result)
+            yield (hints, chunk), oracle.plain_rows(result)
 
 
 RUNS = {"texts": 0, "plans": 0}
@@ -290,20 +291,20 @@ def test_writes_agree_with_the_oracle(spec, text):
     answer = oracle.run(before, text)
     expected = oracle.graph_form(answer.graph, before)
     for hints in (None, BASELINE, forced("ax"), forced("any")):
-        for mode in ENGINES:
+        for chunk in CHUNK_SIZES:
             db, _ = loaded(spec)
             try:
-                result = execute(db, text, hints, mode=mode)
+                result = execute(db, text, hints, chunk=chunk)
             except PlannerError:
                 break
             rows = oracle.plain_rows(result)
             if answer.columns:
-                oracle.check(answer, rows, (text, hints, mode))
+                oracle.check(answer, rows, (text, hints, chunk))
             else:
                 # Without RETURN the engine yields one empty row per match.
                 assert set(rows) <= {()}, (text, rows)
             after = oracle.graph_form(oracle.snapshot(db), before)
-            assert after == expected, (text, hints, mode)
+            assert after == expected, (text, hints, chunk)
 
 
 def test_grammar_reaches_every_feature():

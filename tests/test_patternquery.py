@@ -15,7 +15,7 @@ from repro.db.patternquery import (
 )
 from repro.pathindex.pattern import PathPattern
 
-from tests.engines import ENGINES, pin_engine
+from tests.engines import CHUNK_SIZES, pin_chunk
 
 
 @pytest.fixture
@@ -145,9 +145,9 @@ def x_anchors(db):
             yield Anchor(0, rel_id, record.start_node, record.end_node)
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_prepared_query_is_shared_by_anchors_of_one_position(db, engine, monkeypatch):
-    pin_engine(monkeypatch, engine)
+@pytest.mark.parametrize("chunk", CHUNK_SIZES)
+def test_prepared_query_is_shared_by_anchors_of_one_position(db, chunk, monkeypatch):
+    pin_chunk(monkeypatch, chunk)
     queries = PatternQueries(db.store, db.indexes)
     anchors = list(x_anchors(db))
     assert len(anchors) == 3
@@ -162,9 +162,9 @@ def test_prepared_query_is_shared_by_anchors_of_one_position(db, engine, monkeyp
     assert cache.hits == 2 * len(anchors)
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_prepared_unanchored_query_equals_oracle(db, engine, monkeypatch):
-    pin_engine(monkeypatch, engine)
+@pytest.mark.parametrize("chunk", CHUNK_SIZES)
+def test_prepared_unanchored_query_equals_oracle(db, chunk, monkeypatch):
+    pin_chunk(monkeypatch, chunk)
     queries = PatternQueries(db.store, db.indexes)
     oracle = sorted(run_pattern_query(db.store, db.indexes, PATTERN)[0])
     assert sorted(queries.run(PATTERN)) == oracle

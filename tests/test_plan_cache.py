@@ -19,7 +19,7 @@ from repro.errors import PathIndexError, PlannerError
 from repro.runtime import Executor
 from repro.runtime.executor import ARTIFACT
 
-from tests.engines import ENGINES, execute
+from tests.engines import CHUNK_SIZES, execute
 
 
 @pytest.fixture
@@ -132,14 +132,14 @@ def xy_db():
     return db, a, b
 
 
-@pytest.mark.parametrize("mode", ENGINES)
-def test_recreated_index_name_does_not_hit_the_old_plan(xy_db, mode):
+@pytest.mark.parametrize("chunk", CHUNK_SIZES)
+def test_recreated_index_name_does_not_hit_the_old_plan(xy_db, chunk):
     db, a, b = xy_db
     # Cheap index operators: the planner picks P while P matches, without
     # the hints *requiring* it.
     hints = PlannerHints(path_index_cost_factor=0.001)
     expected = [{"id(a)": a[0], "id(b)": a[1]}]
-    assert execute(db, X_QUERY, hints, mode=mode).to_list() == expected
+    assert execute(db, X_QUERY, hints, chunk=chunk).to_list() == expected
     assert "PathIndex" in db.explain(X_QUERY, hints)
     invalidations = db.plan_cache.invalidations
 
@@ -149,25 +149,25 @@ def test_recreated_index_name_does_not_hit_the_old_plan(xy_db, mode):
     assert db.plan_cache.invalidations > invalidations and len(db.plan_cache) == 0
 
     hits = db.plan_cache.hits
-    assert db.execute(X_QUERY, hints, execution_mode=mode).to_list() == expected
+    assert execute(db, X_QUERY, hints, chunk=chunk).to_list() == expected
     assert db.plan_cache.hits == hits
     assert "PathIndex" not in db.explain(X_QUERY, hints)
 
 
-@pytest.mark.parametrize("mode", ENGINES)
-def test_plan_forced_onto_a_recreated_index_is_replanned(xy_db, mode):
+@pytest.mark.parametrize("chunk", CHUNK_SIZES)
+def test_plan_forced_onto_a_recreated_index_is_replanned(xy_db, chunk):
     db, a, b = xy_db
     forced = PlannerHints(
         required_indexes=frozenset({"P"}), allowed_indexes=frozenset({"P"})
     )
-    assert len(execute(db, X_QUERY, forced, mode=mode).to_list()) == 1
+    assert len(execute(db, X_QUERY, forced, chunk=chunk).to_list()) == 1
     hits = db.plan_cache.hits
     db.drop_path_index("P")
     db.create_path_index("P", "(:A)-[:Y]->(:B)")
     # The stale entry used to answer with the two Y edges (or, compiled,
     # with the dropped index object); P no longer matches the query at all.
     with pytest.raises(PlannerError):
-        db.execute(X_QUERY, forced, execution_mode=mode)
+        execute(db, X_QUERY, forced, chunk=chunk)
     assert db.plan_cache.hits == hits
 
 
@@ -284,8 +284,8 @@ def partner(db, a):
 def test_texts_of_one_shape_share_the_plan_and_its_artifact(db):
     ids = a_ids(db)
     texts = [SHAPE.format(ids[n], 5) for n in range(3)]
-    engines = [db.execute(text).profile.engine for text in texts]
-    assert engines == ["row", "compiled", "compiled"]  # executions per shape
+    for text in texts:
+        db.execute(text).consume()
     first, second = db.prepare(texts[0]), db.prepare(texts[1])
     assert isinstance(first.planned_parts, BoundParts)
     assert first.planned_parts is not second.planned_parts
@@ -299,9 +299,8 @@ def test_texts_of_one_shape_share_the_plan_and_its_artifact(db):
     # A per-text entry executes on its own: the parts carry their params.
     executor = Executor(db.store, db.indexes, first.analyzed.variable_kinds)
     for entry, a in ((first, ids[0]), (second, ids[1])):
-        rows, profile = executor.execute(entry.planned_parts, mode="compiled")
+        rows, _ = executor.execute(entry.planned_parts)
         assert list(rows) == [(partner(db, a),)]
-        assert profile.engine == "compiled"
     assert plan.__dict__[ARTIFACT] is first.planned_parts[0][1].__dict__[ARTIFACT]
 
 
@@ -449,10 +448,10 @@ def _perfbench():
     return perfbench, embedded
 
 
-def test_adhoc_plan_texts_run_compiled_from_their_shapes_second_text(tmp_path):
+def test_adhoc_plan_texts_compile_once_per_shape(tmp_path):
     """``adhoc_plan``'s never-seen texts: six shapes, so after the first
-    text of each every op skips the parser and the planner and runs the
-    shape's generated code."""
+    text of each every op skips the parser and the planner and reuses the
+    code the shape's first execution generated."""
     perfbench, embedded = _perfbench()
     workload = embedded.AdhocPlan(
         perfbench.DEFAULT_SEED, perfbench.SMOKE, str(tmp_path), False
@@ -460,14 +459,14 @@ def test_adhoc_plan_texts_run_compiled_from_their_shapes_second_text(tmp_path):
     workload.setup()
     try:
         db = workload.db
-        engines = []
+        artifacts = []
         for n in range(60):
             result = db.execute(workload.text(workload.graph, workload.order, n))
             assert len(result.to_list()) == 1
-            engines.append(result.profile.engine)
-        assert engines.count("compiled") >= 0.9 * len(engines)
+            artifacts.append(result.profile.plans[0].__dict__[ARTIFACT])
+        assert len({id(artifact) for artifact in artifacts}) == len(workload.FAMILIES)
         assert db.plan_cache.misses == len(workload.FAMILIES)
-        assert db.plan_cache.hits == len(engines) - len(workload.FAMILIES)
+        assert db.plan_cache.hits == len(artifacts) - len(workload.FAMILIES)
     finally:
         workload.db.close()
 

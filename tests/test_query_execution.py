@@ -4,7 +4,7 @@ import pytest
 
 from repro import GraphDatabase, PlannerHints
 
-from tests.engines import ENGINES, execute
+from tests.engines import CHUNK_SIZES, execute
 
 BASELINE = PlannerHints(use_path_indexes=False, use_relationship_type_scan=False)
 
@@ -347,7 +347,7 @@ def motivation_db() -> GraphDatabase:
     return db
 
 
-@pytest.mark.parametrize("mode", ENGINES)
+@pytest.mark.parametrize("chunk", CHUNK_SIZES)
 @pytest.mark.parametrize(
     "tail, expected",
     [
@@ -357,9 +357,9 @@ def motivation_db() -> GraphDatabase:
         ("RETURN DISTINCT b.v AS v", [{"v": 2}]),
     ],
 )
-def test_second_part_boundary_sees_all_its_rows(mode, tail, expected):
+def test_second_part_boundary_sees_all_its_rows(chunk, tail, expected):
     """Each of the second part's argument rows matches one path; its
     aggregation, sort, limit and distinct see both paths at once."""
     db = motivation_db()
     query = f"MATCH (a:A) WITH a MATCH (a)-[:R]->(b) {tail}"
-    assert execute(db, query, mode=mode).to_list() == expected
+    assert execute(db, query, chunk=chunk).to_list() == expected

@@ -43,7 +43,7 @@ from repro.replication import Replica
 from repro.router import Router, RouterConfig
 from repro.server import BackgroundServer, ServerConfig
 
-from tests.engines import ENGINES
+from tests.engines import CHUNK_SIZES, pin_chunk
 
 PAPER_QUERIES = (
     "MATCH (a:A)-[w:X]->(b:A)-[x:X]->(c:A)-[y:Y]->(d:B) RETURN a",
@@ -100,9 +100,9 @@ def wait_until(predicate, timeout_s=30.0, message="condition"):
 
 
 @contextmanager
-def leader_stack(directory, injector=None, mode=None, **server_kw):
+def leader_stack(directory, injector=None, **server_kw):
     """A durable leader database behind a background server."""
-    db = GraphDatabase.open(directory, fault_injector=injector, execution_mode=mode)
+    db = GraphDatabase.open(directory, fault_injector=injector)
     service = QueryService(db, ServiceConfig(max_concurrency=4))
     server = BackgroundServer(service, ServerConfig(port=0, **server_kw))
     host, port = server.start()
@@ -123,10 +123,8 @@ def leader_stack(directory, injector=None, mode=None, **server_kw):
 class ReplicaNode:
     """A replica plus (optionally) its own serving server."""
 
-    def __init__(self, directory, leader_name, injector=None, serve=True, mode=None):
-        self.rep = Replica(
-            directory, leader_name, injector=injector, execution_mode=mode
-        )
+    def __init__(self, directory, leader_name, injector=None, serve=True):
+        self.rep = Replica(directory, leader_name, injector=injector)
         self.service = self.server = self.addr = self.name = None
         if serve:
             self.service = QueryService(
@@ -208,26 +206,27 @@ def populate_paper_graph(db, paths=25):
     db.create_path_index("y", "(:A)-[:Y]->(:B)")
 
 
-@pytest.mark.parametrize("mode", ENGINES)
-def test_replica_rows_byte_identical_across_engines(tmp_path, mode):
-    with leader_stack(tmp_path / "leader", mode=mode) as lead:
+@pytest.mark.parametrize("chunk", CHUNK_SIZES)
+def test_replica_rows_byte_identical_at_every_chunk_size(tmp_path, chunk, monkeypatch):
+    pin_chunk(monkeypatch, chunk)
+    with leader_stack(tmp_path / "leader") as lead:
         populate_paper_graph(lead.db)
         nodes = [
-            ReplicaNode(tmp_path / f"rep{i}", lead.name, mode=mode)
+            ReplicaNode(tmp_path / f"rep{i}", lead.name)
             for i in range(2)
         ]
         try:
             for node in nodes:
                 node.drain_from(lead)
             with Client(*lead.addr) as leader_client:
-                # Twice: in compiled mode a plan's second run is generated code.
+                # Twice: the second run reuses the generated code.
                 for query in PAPER_QUERIES * 2:
                     expected = leader_client.execute(query).rows
                     for node in nodes:
                         with Client(*node.addr) as replica_client:
                             got = replica_client.execute(query).rows
                         assert rows_bytes(got) == rows_bytes(expected), (
-                            f"replica row drift for {query!r} in {mode} mode"
+                            f"replica row drift for {query!r} at chunk size {chunk}"
                         )
         finally:
             for node in nodes:

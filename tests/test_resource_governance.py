@@ -5,8 +5,8 @@ The acceptance bar for the subsystem:
 
 * with a budget smaller than the working set, sort / aggregation / distinct /
   join shapes complete by spilling and return rows **identical** to
-  unconstrained runs in both engines (the deterministic cost model means
-  the engines also make identical spill decisions);
+  unconstrained runs at every output chunk size (the deterministic cost
+  model means the chunk sizes also make identical spill decisions);
 * pool exhaustion degrades gracefully — the affected query fails fast with
   :class:`MemoryLimitExceeded` (writes roll back to a fingerprint-identical
   store) while the process and every other query keep running;
@@ -16,6 +16,7 @@ The acceptance bar for the subsystem:
 
 from __future__ import annotations
 
+import gc
 import random
 
 import pytest
@@ -26,7 +27,7 @@ from repro import FaultInjector, GraphDatabase, SimulatedCrashError
 from repro.errors import MemoryLimitExceeded, QueryCancelledError
 from repro.service import QueryService, ServiceConfig
 
-from tests.engines import ENGINES, execute
+from tests.engines import CHUNK_SIZES, execute
 from tests.test_durability_recovery import fingerprint
 
 TIGHT = {"memory_budget": 1 << 20, "memory_grant": 4096}
@@ -89,14 +90,14 @@ def tight_db():
 
 
 @pytest.mark.parametrize("query", QUERIES)
-def test_spilled_rows_identical_across_engines(reference_db, tight_db, query):
+def test_spilled_rows_identical_across_chunk_sizes(reference_db, tight_db, query):
     spills = {}
-    for mode in ENGINES:
-        expected = execute(reference_db, query, mode=mode).to_list()
-        result = execute(tight_db, query, mode=mode)
-        assert result.to_list() == expected, mode
-        spills[mode] = result.profile.spill_runs
-    # The flat per-row cost model makes the spill *decisions* engine
+    for chunk in CHUNK_SIZES:
+        expected = execute(reference_db, query, chunk=chunk).to_list()
+        result = execute(tight_db, query, chunk=chunk)
+        assert result.to_list() == expected, chunk
+        spills[chunk] = result.profile.spill_runs
+    # The flat per-row cost model makes the spill *decisions* chunk-size
     # independent, not just the rows.
     assert len(set(spills.values())) == 1, spills
 
@@ -105,18 +106,18 @@ def test_the_tight_budget_actually_spills(tight_db):
     # Guards the fixture against cost-model drift: if a future change stops
     # the suite's queries from spilling, the differential above would pass
     # vacuously.
-    for mode in ENGINES:
-        result = execute(tight_db, QUERIES[0], mode=mode)
+    for chunk in CHUNK_SIZES:
+        result = execute(tight_db, QUERIES[0], chunk=chunk)
         result.to_list()
-        assert result.profile.spill_runs > 0, mode
+        assert result.profile.spill_runs > 0, chunk
     assert tight_db.memory_pool.spill_runs > 0
     assert tight_db.spill_manager.files_created > 0
 
 
 def test_unconstrained_runs_never_spill(reference_db):
     for query in QUERIES:
-        for mode in ENGINES:
-            result = execute(reference_db, query, mode=mode)
+        for chunk in CHUNK_SIZES:
+            result = execute(reference_db, query, chunk=chunk)
             result.to_list()
             assert result.profile.spill_runs == 0
     assert reference_db.memory_pool.spill_runs == 0
@@ -125,8 +126,8 @@ def test_unconstrained_runs_never_spill(reference_db):
 @settings(max_examples=10, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=5000))
 def test_random_graphs_spill_differentially(seed):
-    """Property form: on arbitrary graphs, every engine under a tiny budget
-    agrees with the unconstrained row engine."""
+    """Property form: on arbitrary graphs, every chunk size under a tiny
+    budget agrees with the unconstrained run."""
     rng = random.Random(seed)
     n = rng.randrange(15, 45)
     ops = []
@@ -155,10 +156,10 @@ def test_random_graphs_spill_differentially(seed):
         "MATCH (n) RETURN DISTINCT n.v AS v ORDER BY v",
     ]
     for query in queries:
-        expected = free.execute(query, execution_mode="row").to_list()
-        for mode in ENGINES:
-            got = execute(tight, query, mode=mode).to_list()
-            assert got == expected, (query, mode)
+        expected = free.execute(query).to_list()
+        for chunk in CHUNK_SIZES:
+            got = execute(tight, query, chunk=chunk).to_list()
+            assert got == expected, (query, chunk)
     free.close()
     tight.close()
 
@@ -394,3 +395,37 @@ def test_memory_budget_env_vars(monkeypatch):
     assert db.memory_pool.budget_bytes == 1 << 21
     assert db.memory_pool.grant_bytes == 8192
     db.close()
+
+
+# ----------------------------------------------------------------------
+# The grant is released when a result's rows stop
+# ----------------------------------------------------------------------
+
+
+def test_closed_or_abandoned_result_releases_its_grant():
+    """A drained, a closed and a partly read, abandoned result each give
+    their grant back; a result still being read holds it."""
+    db = GraphDatabase(memory_budget=1 << 20, memory_grant=64 << 10)
+    for i in range(40):
+        db.create_node(["P"], {"i": i})
+    text = "MATCH (a:P), (b:P) RETURN a.i AS a, b.i AS b"
+    pool = db.memory_pool
+    assert pool.in_use_bytes == 0
+
+    drained = db.execute(text)
+    assert pool.in_use_bytes > 0
+    assert len(drained.to_list()) == 1600
+    assert pool.in_use_bytes == 0
+
+    closed = db.execute(text)
+    next(closed)
+    assert pool.in_use_bytes > 0
+    closed.close()
+    assert pool.in_use_bytes == 0
+    assert closed.to_list() == []
+
+    abandoned = db.execute(text)
+    next(abandoned)
+    del abandoned
+    gc.collect()
+    assert pool.in_use_bytes == 0

@@ -1,5 +1,5 @@
 """Focused tests for physical operators: path-index operators, skip-scan,
-prefix-seek grouping, and the slot layout both engines share."""
+prefix-seek grouping, and the slot layout."""
 
 import sys
 import threading
@@ -19,7 +19,7 @@ from repro.runtime import Executor
 from repro.runtime.slots import LAYOUT, SlotLayout, layout_of
 from repro.storage import PageCache
 
-from tests.engines import ENGINES, execute
+from tests.engines import CHUNK_SIZES, execute
 
 
 # ---------------------------------------------------------------------------
@@ -27,8 +27,8 @@ from tests.engines import ENGINES, execute
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("mode", ENGINES)
-def test_projection_resets_relationship_uniqueness(mode):
+@pytest.mark.parametrize("chunk", CHUNK_SIZES)
+def test_projection_resets_relationship_uniqueness(chunk):
     """A WITH boundary starts a new uniqueness scope: the second MATCH may
     bind the relationship the first one bound."""
     db = GraphDatabase()
@@ -38,7 +38,7 @@ def test_projection_resets_relationship_uniqueness(mode):
         "MATCH (x)-[r:R]->(y) WITH x, y "
         "MATCH (x)-[s:R]->(y) RETURN count(*) AS n"
     )
-    assert execute(db, query, mode=mode).to_list() == [{"n": 1}]
+    assert execute(db, query, chunk=chunk).to_list() == [{"n": 1}]
 
 
 def test_layout_gives_every_bound_created_and_projected_name_a_slot():
@@ -327,8 +327,8 @@ FORCED_ONE = PlannerHints(
 )
 
 
-@pytest.mark.parametrize("mode", ENGINES)
-def test_leading_id_equality_bounds_the_scan(mode, monkeypatch):
+@pytest.mark.parametrize("chunk", CHUNK_SIZES)
+def test_leading_id_equality_bounds_the_scan(chunk, monkeypatch):
     db, sources, rels = build_fan_db()
     calls = traced_seeks(db, "one", monkeypatch)
     source = sources[2]
@@ -336,7 +336,7 @@ def test_leading_id_equality_bounds_the_scan(mode, monkeypatch):
         db,
         f"MATCH (a:A)-[x:X]->(b:A) WHERE id(a) = {source} RETURN id(b) AS b",
         FORCED_ONE,
-        mode=mode,
+        chunk=chunk,
     )
     rows = result.to_list()
     assert sorted(r["b"] for r in rows) == sorted(
@@ -352,8 +352,8 @@ def test_leading_id_equality_bounds_the_scan(mode, monkeypatch):
     assert scan_rows == 3
 
 
-@pytest.mark.parametrize("mode", ENGINES)
-def test_relationship_id_joins_the_bound_only_behind_a_fixed_start(mode, monkeypatch):
+@pytest.mark.parametrize("chunk", CHUNK_SIZES)
+def test_relationship_id_joins_the_bound_only_behind_a_fixed_start(chunk, monkeypatch):
     db, sources, rels = build_fan_db()
     calls = traced_seeks(db, "one", monkeypatch)
     rel, (source, target) = sorted(rels.items())[4]
@@ -361,16 +361,16 @@ def test_relationship_id_joins_the_bound_only_behind_a_fixed_start(mode, monkeyp
         f"MATCH (a:A)-[x:X]->(b:A) WHERE id(x) = {rel} AND {source} = id(a) "
         "RETURN id(b) AS b"
     )
-    assert execute(db, both, FORCED_ONE, mode=mode).to_list() == [{"b": target}]
+    assert execute(db, both, FORCED_ONE, chunk=chunk).to_list() == [{"b": target}]
     assert calls == [((source, rel), (source, rel, 0))]
     del calls[:]
     alone = f"MATCH (a:A)-[x:X]->(b:A) WHERE id(x) = {rel} RETURN id(b) AS b"
-    assert execute(db, alone, FORCED_ONE, mode=mode).to_list() == [{"b": target}]
+    assert execute(db, alone, FORCED_ONE, chunk=chunk).to_list() == [{"b": target}]
     assert calls == [((), (0, 0, 0))]  # a per-entry check, not a bound
 
 
-@pytest.mark.parametrize("mode", ENGINES)
-def test_trailing_constant_keeps_skip_scan_restarts(mode, monkeypatch):
+@pytest.mark.parametrize("chunk", CHUNK_SIZES)
+def test_trailing_constant_keeps_skip_scan_restarts(chunk, monkeypatch):
     db, nodes = build_triangle_db()
     calls = traced_seeks(db, "two", monkeypatch)
     last = nodes[-1]
@@ -381,13 +381,13 @@ def test_trailing_constant_keeps_skip_scan_restarts(mode, monkeypatch):
     hints = PlannerHints(
         required_indexes=frozenset({"two"}), allowed_indexes=frozenset({"two"})
     )
-    rows = execute(db, query, hints, mode=mode).to_list()
+    rows = execute(db, query, hints, chunk=chunk).to_list()
     assert len(rows) == 5 * 4  # a, b among the other five, a <> b
     assert all(prefix == () for prefix, _ in calls)
 
 
-@pytest.mark.parametrize("mode", ENGINES)
-def test_argument_bound_leading_variables_bound_the_scan(mode, monkeypatch):
+@pytest.mark.parametrize("chunk", CHUNK_SIZES)
+def test_argument_bound_leading_variables_bound_the_scan(chunk, monkeypatch):
     """Algorithm 1 binds rel + both endpoints as arguments; at pattern
     position 0 they are a key prefix for the removal-phase scan."""
     from repro.db.patternquery import Anchor, build_pattern_part
@@ -412,13 +412,10 @@ def test_argument_bound_leading_variables_bound_the_scan(mode, monkeypatch):
     plan = Planner(db.store, db.indexes).plan_part(part, hints)
     assert find_op(plan, PlanPathIndexScan) is not None
     executor = Executor(db.store, db.indexes, kinds)
-    if mode == "compiled":
-        executor.compile([(part, plan)])
     initial = layout_of([(part, plan)]).argument_row(
         anchor.bound_variables(), anchor.bound_rel_ids()
     )
-    rows, profile = executor.execute([(part, plan)], initial_row=initial, mode=mode)
-    assert profile.engine == mode
+    rows, profile = executor.execute([(part, plan)], initial_row=initial, morsel_size=chunk)
     entries = list(rows)  # n0, r0, n1, r1, n2: the projection is entry order
     assert len(entries) == 5  # on to every node but target
     assert all(entry[:3] == (source, rel, target) for entry in entries)
@@ -454,8 +451,8 @@ def test_overlay_is_resolved_once_per_bounded_run(monkeypatch):
         key=lambda row: (row["b"], row["c"]),
     )
     assert added is not None and {row["b"] for row in expected} == set(nodes[2:])
-    for mode in ENGINES:
+    for chunk in CHUNK_SIZES:
         del merges[:]
-        rows = execute(db, query, hints, mode=mode).to_list()
+        rows = execute(db, query, hints, chunk=chunk).to_list()
         assert sorted(rows, key=lambda row: (row["b"], row["c"])) == expected
-        assert len(merges) == 1, mode
+        assert len(merges) == 1, chunk

@@ -33,7 +33,7 @@ from repro.datasets import CorrelatedConfig, generate_correlated
 from repro.server import BackgroundServer, ServerConfig
 from repro.shell import Shell
 
-from tests.engines import ENGINES, execute
+from tests.engines import CHUNK_SIZES, execute, pin_chunk
 
 CROSS_QUERY = "MATCH (a:P), (b:P) RETURN a.i AS ai, b.i AS bi"
 
@@ -170,17 +170,17 @@ def correlated_db():
     return db
 
 
-@pytest.mark.parametrize("mode", ENGINES)
-def test_network_rows_identical_to_in_process(correlated_db, mode):
+@pytest.mark.parametrize("chunk", CHUNK_SIZES)
+def test_network_rows_identical_to_in_process(correlated_db, chunk, monkeypatch):
     db = correlated_db
-    db.execution_mode = mode
+    pin_chunk(monkeypatch, chunk)
     with running_server(
         db, service_config=ServiceConfig(max_concurrency=4)
     ) as (server, service):
         host, port = server.address
         with Client(host, port) as client:
             for query in PAPER_QUERIES:
-                local = execute(db, query, mode=mode)
+                local = execute(db, query, chunk=chunk)
                 expected = [
                     {column: row.get(column) for column in local.columns}
                     for row in local.to_list()
@@ -189,7 +189,7 @@ def test_network_rows_identical_to_in_process(correlated_db, mode):
                 assert remote.columns == local.columns
                 assert sorted(map(repr, remote.rows)) == sorted(
                     map(repr, expected)
-                ), f"row drift over the wire for {query!r} in {mode} mode"
+                ), f"row drift over the wire for {query!r} at chunk size {chunk}"
 
 
 # ----------------------------------------------------------------------

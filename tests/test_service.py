@@ -239,7 +239,6 @@ class _FlakyDatabase(GraphDatabase):
         hints=None,
         token=None,
         prepared=None,
-        execution_mode=None,
         tracker=None,
     ):
         cached = prepared if prepared is not None else self.prepare(query_text, hints)
@@ -253,7 +252,6 @@ class _FlakyDatabase(GraphDatabase):
             hints,
             token=token,
             prepared=cached,
-            execution_mode=execution_mode,
             tracker=tracker,
         )
 

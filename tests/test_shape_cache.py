@@ -26,7 +26,7 @@ from repro.planner import Planner
 from repro.querygraph import build_query_parts
 from repro.runtime import Executor
 
-from tests.engines import ENGINES, execute
+from tests.engines import CHUNK_SIZES, execute
 
 SETTINGS = settings(
     max_examples=25,
@@ -55,27 +55,24 @@ def db():
     return build_db()
 
 
-def fresh(db, text, mode):
+def fresh(db, text, chunk):
     """``text`` parsed and planned from its literals, outside any cache."""
     analyzed = analyze(parse(text))
     parts = build_query_parts(analyzed)
     planner = Planner(db.store, db.indexes)
     planned = [(part, planner.plan_part(part)) for part in parts]
     executor = Executor(db.store, db.indexes, analyzed.variable_kinds)
-    if mode == "compiled":
-        executor.compile(planned)
-    rows, profile = executor.execute(planned, mode=mode)
-    assert profile.engine == mode
+    rows, profile = executor.execute(planned, morsel_size=chunk)
     columns = [item.output_name for item in parts[-1].projection]
     result = Result(rows, columns, profile, 0.0)
     return result.columns, result.to_list()
 
 
-def through_shape(db, template, warm, values, mode, params=None):
+def through_shape(db, template, warm, values, chunk, params=None):
     """Warm ``template``'s shape with ``warm``, then run ``values``."""
     for _ in range(2):
         db.execute(template.format(*warm)).consume()
-    result = execute(db, template.format(*values), mode=mode, params=params)
+    result = execute(db, template.format(*values), chunk=chunk, params=params)
     return result.columns, result.to_list()
 
 
@@ -143,23 +140,23 @@ TEMPLATES = [
 ]
 
 
-@pytest.mark.parametrize("mode", ENGINES)
+@pytest.mark.parametrize("chunk", CHUNK_SIZES)
 @pytest.mark.parametrize("template, slots", TEMPLATES, ids=lambda t: str(t)[:40])
-def test_text_through_a_warm_shape_matches_a_fresh_literal_plan(db, mode, template, slots):
+def test_text_through_a_warm_shape_matches_a_fresh_literal_plan(db, chunk, template, slots):
     @SETTINGS
     @given(st.tuples(*slots), st.tuples(*slots))
     def check(warm, drawn):
         literals = [cypher(value) for value in drawn]
         warm_literals = [cypher(value) for value in warm]
         text = template.format(*literals)
-        assert through_shape(db, template, warm_literals, literals, mode) == fresh(
-            db, text, mode
+        assert through_shape(db, template, warm_literals, literals, chunk) == fresh(
+            db, text, chunk
         ), text
 
     check()
 
 
-@pytest.mark.parametrize("mode", ENGINES)
+@pytest.mark.parametrize("chunk", CHUNK_SIZES)
 @SETTINGS
 @given(
     k=st.one_of(node_ids, st.integers(-3, -1)),
@@ -168,7 +165,7 @@ def test_text_through_a_warm_shape_matches_a_fresh_literal_plan(db, mode, templa
     skip=counts,
     limit=counts,
 )
-def test_named_parameters_match_the_inlined_literals(db, mode, k, lo, tag, skip, limit):
+def test_named_parameters_match_the_inlined_literals(db, chunk, k, lo, tag, skip, limit):
     text = (
         "MATCH (a:P)-[r:R]->(b) WHERE id(a) = $k OR a.i >= $lo "
         "RETURN id(a) AS a, id(b) AS b, $tag AS tag ORDER BY a, b SKIP $skip LIMIT $limit"
@@ -178,20 +175,20 @@ def test_named_parameters_match_the_inlined_literals(db, mode, k, lo, tag, skip,
     for name in sorted(params, key=len, reverse=True):
         inlined = inlined.replace(f"${name}", cypher(params[name]))
     db.execute(text, params={**params, "k": abs(k) + 1}).consume()
-    result = execute(db, text, mode=mode, params=params)
-    assert (result.columns, result.to_list()) == fresh(db, inlined, mode)
+    result = execute(db, text, chunk=chunk, params=params)
+    assert (result.columns, result.to_list()) == fresh(db, inlined, chunk)
 
 
-@pytest.mark.parametrize("mode", ENGINES)
+@pytest.mark.parametrize("chunk", CHUNK_SIZES)
 @SETTINGS
 @given(st.lists(st.tuples(st.integers(0, 3), st.one_of(numbers, texts)), min_size=1, max_size=4))
-def test_creates_through_a_shape_write_their_own_literals(mode, writes):
+def test_creates_through_a_shape_write_their_own_literals(chunk, writes):
     template = "CREATE (:W {{worker: {}, n: {}}})"
     shaped, literal = build_db(), build_db()
     shaped.execute(template.format(9, "'warm'")).consume()
     for worker, n in writes:
         text = template.format(worker, cypher(n))
-        execute(shaped, text, mode=mode).consume()
+        execute(shaped, text, chunk=chunk).consume()
         analyzed = analyze(parse(text))
         parts = build_query_parts(analyzed)
         planner = Planner(literal.store, literal.indexes)
@@ -199,7 +196,7 @@ def test_creates_through_a_shape_write_their_own_literals(mode, writes):
         with literal.begin() as tx:
             rows, _ = Executor(
                 literal.store, literal.indexes, analyzed.variable_kinds
-            ).execute(planned, transaction=tx, mode=mode)
+            ).execute(planned, transaction=tx, morsel_size=chunk)
             list(rows)
             tx.success()
     read = "MATCH (w:W) WHERE w.worker < 9 RETURN w.worker AS k, w.n AS n"
@@ -227,7 +224,7 @@ def test_concurrent_texts_of_one_shape_read_their_own_values():
                 result = db.execute(template.format(node, tag))
                 rows = result.to_list()
                 want = [{**row, "tag": tag} for row in expected[node]]
-                if rows != want or result.profile.engine != "compiled":
+                if rows != want:
                     errors.append((node, tag, rows))
         except BaseException as exc:  # noqa: BLE001 - reported below
             errors.append(exc)

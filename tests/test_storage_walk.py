@@ -23,7 +23,7 @@ from repro import GraphDatabase
 from repro.errors import RecordNotFoundError
 from repro.storage import NO_ID, Direction, GraphStore, PageCache
 
-from tests.engines import ENGINES, execute
+from tests.engines import CHUNK_SIZES, execute
 
 
 class RecordingPageCache(PageCache):
@@ -304,17 +304,17 @@ def _dangle_endpoint(rel, store):
     rel.end_node = store.nodes.highest_id + 10
 
 
-@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("chunk", CHUNK_SIZES)
 @pytest.mark.parametrize("corrupt", [_dangle_chain, _dangle_endpoint])
-def test_dangling_references_raise_on_every_engine(engine, corrupt):
+def test_dangling_references_raise_at_every_chunk_size(chunk, corrupt):
     """A chain pointer to no record, or a neighbour id past the node
     store's high-water mark (checked by the label filter), is a
-    ``RecordNotFoundError`` on every engine — never an IndexError."""
+    ``RecordNotFoundError`` at every chunk size — never an IndexError."""
     db, a = _corrupted_db(corrupt)
     text = f"MATCH (a)-[r:R]->(b:B) WHERE id(a) = {a} RETURN id(b) AS b"
     assert "Expand" in db.explain(text)
     with pytest.raises(RecordNotFoundError):
-        execute(db, text, mode=engine).to_list()
+        execute(db, text, chunk=chunk).to_list()
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +335,7 @@ def _perfbench():
 
 
 GOLDEN_TOUCHES = {
-    # Per text, in the workload's order; identical on both engines.
+    # Per text, in the workload's order; identical at every chunk size.
     "scan_join": [5800, 5800, 16200, 11200, 16000],
     "index_read": [4, 4, 32, 2, 2],
 }
@@ -344,23 +344,20 @@ GOLDEN_TOUCHES = {
 @pytest.mark.parametrize("workload", sorted(GOLDEN_TOUCHES))
 def test_golden_page_touches_of_perfbench_texts(workload, tmp_path):
     """``storage.page_touches_per_op`` is part of the benchmark's record:
-    the touches each fixed text makes, on every engine, are pinned."""
+    the touches each fixed text makes, at every chunk size, are pinned."""
     perfbench, embedded = _perfbench()
     cls = {c.name: c for c in embedded.WORKLOADS}[workload]
     run = cls(perfbench.DEFAULT_SEED, perfbench.FULL, str(tmp_path), False)
     run.setup()
     try:
         db = run.db
-        for engine in ENGINES:
+        for chunk in CHUNK_SIZES:
             touches = []
             for read in run.reads:
-                if engine == "compiled":
-                    db.compiled_source(read.text, read.hints)
                 before = db.page_cache.stats.snapshot()
-                result = db.execute(read.text, read.hints, execution_mode=engine)
-                assert result.profile.engine == engine, read.text
-                assert read.check(result.to_list()), (engine, read.text)
+                result = execute(db, read.text, read.hints, chunk=chunk)
+                assert read.check(result.to_list()), (chunk, read.text)
                 touches.append(db.page_cache.stats.delta_since(before).accesses)
-            assert touches == GOLDEN_TOUCHES[workload], engine
+            assert touches == GOLDEN_TOUCHES[workload], chunk
     finally:
         run.db.close()

@@ -6,7 +6,7 @@ import pytest
 
 from repro import GraphDatabase
 
-from tests.engines import ENGINES, execute
+from tests.engines import CHUNK_SIZES, execute
 from tests.test_query_execution import motivation_db
 
 
@@ -91,7 +91,7 @@ def test_with_boundary_then_create(db):
     assert db.store.relationship(rel_id).start_node == a
 
 
-@pytest.mark.parametrize("mode", ENGINES)
+@pytest.mark.parametrize("chunk", CHUNK_SIZES)
 @pytest.mark.parametrize(
     "query, expected",
     [
@@ -110,8 +110,8 @@ def test_with_boundary_then_create(db):
         ),
     ],
 )
-def test_update_part_boundary_is_planned_like_a_read(mode, query, expected):
+def test_update_part_boundary_is_planned_like_a_read(chunk, query, expected):
     """An update part's aggregation, projection WHERE and DISTINCT run over
     its written rows, as a read part's run over its matched rows."""
     db = motivation_db()
-    assert execute(db, query, mode=mode).to_list() == expected
+    assert execute(db, query, chunk=chunk).to_list() == expected

@@ -505,8 +505,8 @@ def row_key(row):
     return tuple(sorted(row.items()))
 
 
-def run_two_cached(db, query, hints):
-    """``run_two``; the compiled execution must come from the plan cache
+def agree_cached(db, query, hints):
+    """``agree``; the executions must come from the plan cache
     (the bound is part of the cached plan, not of a re-plan)."""
     hits = db.plan_cache.hits
     rows = agree(db, query, hints)
@@ -516,9 +516,9 @@ def run_two_cached(db, query, hints):
 
 def check_id_equalities(db, rng):
     """Every pattern x every entry position (leading, middle, trailing;
-    node and relationship) x both operand orders x every plan family: the
-    two engines agree on rows and per-operator profiles, and every plan
-    agrees with the one that may use no index."""
+    node and relationship) x both operand orders x every plan family: rows
+    agree with the oracle and across chunk sizes, and every plan agrees
+    with the one that may use no index."""
     missing = 10_000
     for match, variables in SARGABLE_MATCHES:
         everything = db.execute(f"{match} RETURN *", NO_INDEXES).to_list()
@@ -550,11 +550,11 @@ def check_id_equalities(db, rng):
                         ),
                         key=row_key,
                     )
-                    assert run_two_cached(db, text, NO_INDEXES) == expected, text
-                    assert run_two_cached(db, text, None) == expected, text
+                    assert agree_cached(db, text, NO_INDEXES) == expected, text
+                    assert agree_cached(db, text, None) == expected, text
                     for name in INDEX_PATTERNS:
                         try:
-                            rows = run_two_cached(db, text, forced(name))
+                            rows = agree_cached(db, text, forced(name))
                         except PlannerError:
                             continue  # index does not embed into this query
                         assert rows == expected, (text, name)
@@ -562,7 +562,7 @@ def check_id_equalities(db, rng):
 
 @settings(max_examples=10, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10_000))
-def test_id_equality_agrees_across_engines_and_plans(seed):
+def test_id_equality_agrees_with_the_oracle_across_plans(seed):
     db = build_random_db(seed)
     for name, pattern in INDEX_PATTERNS.items():
         db.create_path_index(name, pattern)
@@ -581,7 +581,7 @@ def test_id_equality_agrees_under_memory_budget():
     check_id_equalities(db, rng)
 
 
-def engine_rows(db, text, hints=None):
+def checked_rows(db, text, hints=None):
     """Sorted rows, checked against the oracle and across chunk sizes."""
     return sorted(agree(db, text, hints), key=row_key)
 
@@ -619,7 +619,7 @@ def test_id_equality_visibility_matches_scan_and_filter():
         for k in (a0, b0, 10_000):  # hit, wrong-label hit, beyond high water
             for sargable, oracle in id_texts(k):
                 try:
-                    assert engine_rows(db, sargable, hints) == engine_rows(
+                    assert checked_rows(db, sargable, hints) == checked_rows(
                         db, oracle, NO_INDEXES
                     ), (sargable, hints)
                 except PlannerError:
@@ -634,20 +634,20 @@ def test_id_equality_visibility_matches_scan_and_filter():
         db.execute(f"MATCH (a:A) WHERE id(a) = {a0} DELETE a")  # id not reused
         assert db.path_index("ix_x").delta_count() > 0  # read through the overlay
         for hints in (None, forced("ix_x")):
-            assert engine_rows(db, id_texts(a0)[1][0], hints) == []
-            assert engine_rows(db, id_texts(new_a)[1][0], hints) == [
+            assert checked_rows(db, id_texts(a0)[1][0], hints) == []
+            assert checked_rows(db, id_texts(new_a)[1][0], hints) == [
                 {"a": new_a, "b": new_b}
             ]
             with clock.reading(pinned):
-                assert engine_rows(db, id_texts(a0)[1][0], hints) == [
+                assert checked_rows(db, id_texts(a0)[1][0], hints) == [
                     {"a": a0, "b": b0}
                 ]
-                assert engine_rows(db, id_texts(new_a)[1][0], hints) == []
-                assert engine_rows(db, id_texts(new_b)[2][0], hints) == []
-        assert engine_rows(db, id_texts(a0)[0][0]) == []
+                assert checked_rows(db, id_texts(new_a)[1][0], hints) == []
+                assert checked_rows(db, id_texts(new_b)[2][0], hints) == []
+        assert checked_rows(db, id_texts(a0)[0][0]) == []
         with clock.reading(pinned):
-            assert engine_rows(db, id_texts(a0)[0][0]) == [{"a": a0}]
-            assert engine_rows(db, id_texts(new_a)[0][0]) == []
+            assert checked_rows(db, id_texts(a0)[0][0]) == [{"a": a0}]
+            assert checked_rows(db, id_texts(new_a)[0][0]) == []
     finally:
         clock.release(pinned)
     # The open transaction's own writes: creates are eager, deletes are
@@ -659,15 +659,15 @@ def test_id_equality_visibility_matches_scan_and_filter():
         tx.delete_node(a1)
         for k in (created, a1):
             sargable, oracle = id_texts(k)[0]
-            assert engine_rows(db, sargable) == engine_rows(db, oracle) == [{"a": k}]
+            assert checked_rows(db, sargable) == checked_rows(db, oracle) == [{"a": k}]
         tx.success()
     for k, expected in ((created, [{"a": created}]), (a1, [])):
         sargable, oracle = id_texts(k)[0]
-        assert engine_rows(db, sargable) == engine_rows(db, oracle) == expected
+        assert checked_rows(db, sargable) == checked_rows(db, oracle) == expected
 
 
 # ----------------------------------------------------------------------
-# Service parity: the database's engine, deadlines and write rollback
+# Service: compile on first execution, deadlines and write rollback
 # ----------------------------------------------------------------------
 
 

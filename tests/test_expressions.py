@@ -1,6 +1,6 @@
 """Unit tests for expression evaluation (Cypher three-valued logic).
 
-Every case runs through the one evaluator both engines use,
+Every case runs through the one evaluator generated code uses,
 ``compile_expression``, over a slot row; the expected values are written by
 hand, so these cases check expressions independently of any engine."""
 

@@ -185,7 +185,7 @@ def rows_bytes(rows):
 
 
 # ---------------------------------------------------------------------------
-# Differential: leader vs replicas, both engines
+# Differential: leader vs replicas, at every chunk size
 # ---------------------------------------------------------------------------
 
 

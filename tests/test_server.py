@@ -159,7 +159,7 @@ def test_auth_token_enforced():
 
 
 # ----------------------------------------------------------------------
-# Differential: network rows == in-process rows, both engines
+# Differential: network rows == in-process rows, at every chunk size
 # ----------------------------------------------------------------------
 
 

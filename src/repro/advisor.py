@@ -23,11 +23,11 @@ from typing import Iterable, Optional
 from repro.bptree.keys import entry_size_bytes
 from repro.cypher import analyze, parse
 from repro.db.database import GraphDatabase
-from repro.db.patternquery import run_pattern_query
+from repro.db.patternquery import PatternQueries
 from repro.errors import ReproError
 from repro.pathindex.pattern import PathPattern, PatternRelationship
 from repro.planner import CardinalityEstimator, PlannerHints
-from repro.querygraph import QueryGraph, build_query_parts
+from repro.querygraph import build_query_parts
 
 _BASELINE = PlannerHints(use_path_indexes=False)
 
@@ -71,6 +71,8 @@ class IndexAdvisor:
 
     def __init__(self, db: GraphDatabase) -> None:
         self.db = db
+        # Its own plans: candidates must not evict the maintainer's.
+        self.queries = PatternQueries(db.store, db.indexes)
         self.estimator = CardinalityEstimator(
             db.store.statistics, db.store.labels, db.store.types
         )
@@ -101,11 +103,10 @@ class IndexAdvisor:
 
     def evaluate(self, pattern: PathPattern) -> IndexCandidate:
         """Count the pattern (exactly) and estimate it (independence model)."""
-        entries, _ = run_pattern_query(
-            self.db.store, self.db.indexes, pattern, hints=_BASELINE
-        )
-        actual = sum(1 for _ in entries)
-        graph = _pattern_query_graph(pattern)
+        cached = self.queries.prepare(pattern, hints=_BASELINE)
+        actual = sum(1 for _ in self.queries.execute(cached))
+        ((part, _),) = cached.planned_parts
+        graph = part.query_graph
         estimate = self.estimator.pattern_cardinality(
             graph, frozenset(graph.relationships), frozenset(graph.nodes)
         )
@@ -207,10 +208,3 @@ def extract_path_pattern(query_text: str) -> Optional[PathPattern]:
     if len(steps) != len(graph.relationships):
         return None
     return PathPattern(labels=tuple(labels), relationships=tuple(steps))
-
-
-def _pattern_query_graph(pattern: PathPattern) -> QueryGraph:
-    from repro.db.patternquery import build_pattern_part
-
-    part, _ = build_pattern_part(pattern)
-    return part.query_graph

@@ -19,12 +19,13 @@ import os
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
-from repro.cypher import analyze, parse
+from repro.cypher import parse
 from repro.cypher.lexer import literal_shape
 from repro.cypher.parser import parse_shape
-from repro.db.plancache import CachedQuery, PlanCache
+from repro.db.plancache import CachedQuery, PlanCache, Planning
 from repro.db.result import Result
 from repro.errors import PathIndexError, ReproError
 from repro.pathindex.index import PathIndex
@@ -32,8 +33,7 @@ from repro.pathindex.initialization import InitializationStats, initialize_index
 from repro.pathindex.maintenance import QUERY_BASED, PathIndexMaintainer
 from repro.pathindex.pattern import PathPattern
 from repro.pathindex.store import PathIndexStore
-from repro.planner import Planner, PlannerHints
-from repro.querygraph import build_query_parts
+from repro.planner import PlannerHints
 from repro.resources import MemoryPool, SpillManager
 from repro.runtime import Executor
 from repro.storage import GraphStore, PageCache
@@ -85,12 +85,9 @@ class GraphDatabase:
         )
         self.tx_manager.register_applier(self.maintainer)
         # The §4.1.1 query cache, keyed by query text and by the text's
-        # shape (literals as typed slots; see repro.db.plancache).
-        # Maintenance queries bypass it by design but no longer re-plan:
-        # Algorithms 1 and 2 and verify_index run prepared pattern queries
-        # from the maintainer's own PlanCache instance, keyed by (pattern,
-        # anchor position, hints incl. forbidden set) — ad-hoc texts cannot
-        # evict them, and this cache's counters keep meaning "queries".
+        # shape (see repro.db.plancache). Maintenance queries bypass it by
+        # design: their texts live in the maintainer's own instance, where
+        # ad-hoc texts cannot evict them.
         self.plan_cache = PlanCache()
         self.maintenance_plan_cache = self.maintainer.queries.plan_cache
         #: Set by :meth:`open` — the durability engine persisting commits to
@@ -361,7 +358,7 @@ class GraphDatabase:
         cached = (
             prepared
             if prepared is not None
-            else self._planned(query_text, hints, params)
+            else self.prepare(query_text, hints, params)
         )
         executor = Executor(
             self.store, self.indexes, cached.analyzed.variable_kinds
@@ -418,7 +415,7 @@ class GraphDatabase:
         ``:source`` meta-command). Compiles the cached plan now, unless an
         execution already did. The source
         reads parameter slots as ``_params[i]``: it is the shape's."""
-        cached = self._planned(query_text, hints, params)
+        cached = self.prepare(query_text, hints, params)
         executor = Executor(
             self.store, self.indexes, cached.analyzed.variable_kinds
         )
@@ -430,94 +427,47 @@ class GraphDatabase:
         hints: Optional[PlannerHints] = None,
         params: Optional[Mapping[str, object]] = None,
     ) -> CachedQuery:
-        """Analyze and plan a query (through the plan cache) without running
-        it — the service layer uses this to classify reads vs. writes and to
-        time planning separately from execution."""
-        return self._planned(query_text, hints, params)
-
-    def _planned(
-        self,
-        query_text: str,
-        hints: Optional[PlannerHints],
-        params: Optional[Mapping[str, object]] = None,
-    ) -> CachedQuery:
-        """Plan a query, consulting the §4.1.1 query cache: its text first
-        (one lookup, no key computation), then its shape."""
-        cache = self.plan_cache
-        generation = cache.generation  # before reading the index set
-        # Visible names, not all names: a snapshot reader planning against
-        # an index attached after its LSN would read entries it must not
-        # see, and a cached plan from the pre-attach window must be
-        # invalidated once the index becomes visible.
-        signature = frozenset(self.indexes.visible_names())
-        stats = self.store.statistics_view()
-        nodes, rels = stats.node_count, stats.relationship_count
-        text_key = None
-        if not params:
-            # Bound values are not part of the text, so only texts without
-            # ``params`` have an entry of their own.
-            text_key = (query_text, hints)
-            entry = cache.lookup(text_key, nodes, rels, signature, count_miss=False)
-            if entry is not None:
-                return entry
-        shape, values, named = literal_shape(query_text, params)
-        if not values:
-            cache.record_miss()
-            entry = self._plan(parse(query_text), hints, stats, signature)
-            cache.store(text_key, entry, generation)
-            return entry
-        shape_key = (shape, hints)
-        entry = cache.lookup(shape_key, nodes, rels, signature)
-        if entry is None:
-            kinds = {
-                tag[0]: tag[1] for tag in shape[1::2] if isinstance(tag, tuple)
-            }
-            query, shared = parse_shape(query_text, kinds)
-            entry = self._plan(query, hints, stats, signature)
-            if not shared:
-                # Planned with its literals: only the $name slots remain.
-                named_values = tuple(
-                    value for value, is_named in zip(values, named) if is_named
-                )
-                if named_values:
-                    return entry.bind(named_values)
-                cache.store(text_key, entry, generation)
-                return entry
-            cache.store(shape_key, entry, generation)
-        bound = entry.bind(values)
-        if text_key is not None:
-            cache.store(text_key, bound, generation)
-        return bound
-
-    def _plan(self, query, hints, stats, signature) -> CachedQuery:
-        analyzed = analyze(query)
-        parts = build_query_parts(analyzed)
-        planner = Planner(self.store, self.indexes)
-        return CachedQuery(
-            analyzed=analyzed,
-            planned_parts=[(part, planner.plan_part(part, hints)) for part in parts],
-            columns=self._result_columns(parts),
-            node_count=stats.node_count,
-            relationship_count=stats.relationship_count,
-            index_signature=signature,
-        )
-
-    def explain(
-        self, query_text: str, hints: Optional[PlannerHints] = None
-    ) -> str:
-        """The logical plan for a query, rendered as a tree."""
-        analyzed = analyze(parse(query_text))
-        parts = build_query_parts(analyzed)
-        planner = Planner(self.store, self.indexes)
-        return "\n".join(
-            planner.plan_part(part, hints).render() for part in parts
+        """Analyze and plan a query without running it — the service layer
+        uses this to classify reads vs. writes and to time planning
+        separately from execution. Through the §4.1.1 query cache: the
+        text first (one lookup, no key computation), then its shape."""
+        # Bound values are not part of the text, so only texts without
+        # ``params`` have an entry of their own.
+        text_key = None if params else (query_text, hints)
+        return self.plan_cache.fetch(
+            text_key,
+            self.store,
+            self.indexes,
+            lambda planning: self._by_shape(planning, query_text, hints, params),
         )
 
     @staticmethod
-    def _result_columns(parts) -> list[str]:
-        if not parts:
-            return []
-        return [item.output_name for item in parts[-1].projection]
+    def _by_shape(planning, query_text, hints, params) -> CachedQuery:
+        """A text's entry when the text has none: its shape's plan bound to
+        its literal values, the shape planned if it is new."""
+        shape, values, named = literal_shape(query_text, params)
+        if not values:
+            return planning.plan(parse(query_text), hints)
+        shape_key = (shape, hints)
+        entry = planning.lookup(shape_key)
+        if entry is None:
+            # A $name slot's tag is (name, type class).
+            kinds = dict(tag for tag in shape[1::2] if isinstance(tag, tuple))
+            query, shared = parse_shape(query_text, kinds)
+            entry = planning.plan(query, hints)
+            if not shared:
+                # Planned with its literals: only the $name slots remain.
+                named_values = tuple(compress(values, named))
+                return entry.bind(named_values) if named_values else entry
+            planning.keep(shape_key, entry)
+        return entry.bind(values)
+
+    def explain(self, query_text: str, hints: Optional[PlannerHints] = None) -> str:
+        """The logical plan for a query, rendered as a tree (planned
+        afresh, not looked up)."""
+        planning = Planning(self.plan_cache, self.store, self.indexes)
+        planned = planning.plan(parse(query_text), hints).planned_parts
+        return "\n".join(plan.render() for _, plan in planned)
 
     # ------------------------------------------------------------------
     # Path indexes

@@ -9,29 +9,29 @@ strategy — expanding outward from the anchor, or prefix-seeking another
 index — exactly the flexibility the paper's approach gains over De Jong's
 self-maintaining translation.
 
-Everything about such a query that does not depend on the anchored
-identifiers — query part, variable kinds, logical plan, codegen artifact —
-is a :class:`PreparedPatternQuery`. :class:`PatternQueries` keeps prepared
-queries in a :class:`~repro.db.plancache.PlanCache` of its own, so a commit
+A pattern query is an ordinary Cypher text (:func:`pattern_text`), planned
+by the same function as every other text
+(:meth:`repro.db.plancache.Planning.plan`) and cached as a
+:class:`~repro.db.plancache.CachedQuery`. :class:`PatternQueries` keeps
+these in a :class:`~repro.db.plancache.PlanCache` of its own, so a commit
 plans each *(pattern, anchor position, forbidden set)* once and afterwards
-only binds identifiers and runs. :func:`run_pattern_query` is the uncached
-plan-then-run form, for one-off callers and as the tests' oracle.
+only binds identifiers and runs. ``verify_index`` and the index advisor use
+the same queries.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from repro.cypher import ast
-from repro.cypher.semantics import VariableKind
-from repro.db.plancache import PlanCache
+from repro.cypher import parse
+from repro.cypher.lexer import KEYWORDS
+from repro.db.plancache import CachedQuery, PlanCache
 from repro.pathindex.pattern import PathPattern
 from repro.pathindex.store import PathIndexStore
-from repro.planner import Planner, PlannerHints
-from repro.querygraph import QueryGraph, QueryPart
+from repro.planner import PlannerHints
 from repro.runtime import Executor
-from repro.runtime.executor import ExecutionProfile
 from repro.runtime.slots import layout_of
 from repro.storage.graphstore import GraphStore
 
@@ -102,109 +102,39 @@ def entry_variables(pattern: PathPattern) -> list[str]:
     return names
 
 
-def build_pattern_part(
-    pattern: PathPattern, anchor=None
-) -> tuple[QueryPart, dict[str, VariableKind]]:
-    """Construct the query part matching ``pattern`` (anchored or not)."""
-    arguments: frozenset[str] = frozenset()
-    if anchor is not None:
-        arguments = frozenset(anchor.bound_variables())
-    graph = QueryGraph(arguments=arguments)
-    kinds: dict[str, VariableKind] = {}
-    for position, label in enumerate(pattern.labels):
-        labels = [label] if label is not None else []
-        graph.add_node(node_var(position), labels)
-        kinds[node_var(position)] = VariableKind.NODE
+def pattern_text(pattern: PathPattern) -> str:
+    """The Cypher text of ``pattern``'s query,
+    ``MATCH (n0:A)-[r0:X]->(n1)… RETURN n0, r0, n1, …``: it returns the
+    entry variables in entry order, so its rows are the pattern's entries."""
+    text = f"MATCH ({node_var(0)}{_constraint(pattern.labels[0])})"
     for position, step in enumerate(pattern.relationships):
-        if step.forward:
-            start, end = node_var(position), node_var(position + 1)
-        else:
-            start, end = node_var(position + 1), node_var(position)
-        types = [step.type] if step.type is not None else []
-        graph.add_relationship(rel_var(position), start, end, types)
-        kinds[rel_var(position)] = VariableKind.RELATIONSHIP
-    projection = [
-        ast.ProjectionItem(ast.Variable(name), alias=name)
-        for name in entry_variables(pattern)
-    ]
-    return QueryPart(query_graph=graph, projection=projection, is_final=True), kinds
+        body = f"[{rel_var(position)}{_constraint(step.type)}]"
+        text += f"-{body}->" if step.forward else f"<-{body}-"
+        text += f"({node_var(position + 1)}{_constraint(pattern.labels[position + 1])})"
+    return f"{text} RETURN {', '.join(entry_variables(pattern))}"
 
 
-@dataclass
-class PreparedPatternQuery:
-    """A planned pattern query; :meth:`run` it once per anchor.
-
-    The query is compiled when prepared, so no run pays for codegen.
-
-    ``node_count`` / ``relationship_count`` / ``index_signature`` are the
-    plan cache's staleness fields. The codegen artifact lives on the plan,
-    so it shares the entry's lifetime.
-    """
-
-    planned_parts: list  # [(QueryPart, LogicalPlan)]
-    executor: Executor
-    node_count: int
-    relationship_count: int
-    index_signature: frozenset[str]
-
-    def run(self, anchor=None) -> tuple[Iterator[tuple[int, ...]], ExecutionProfile]:
-        """Stream the occurrences through ``anchor`` (all, without one) as
-        identifier entries: the query projects the entry variables in entry
-        order, so its rows are the entries. ``anchor`` must be of the kind
-        and position the query was prepared for."""
-        initial = None
-        if anchor is not None:
-            initial = layout_of(self.planned_parts).argument_row(
-                anchor.bound_variables(), anchor.bound_rel_ids()
-            )
-        return self.executor.execute(self.planned_parts, initial_row=initial)
+_IDENTIFIER = re.compile(r"[^\W\d]\w*")  # the lexer's WORD token
 
 
-def prepare_pattern_query(
-    store: GraphStore,
-    index_store: Optional[PathIndexStore],
-    pattern: PathPattern,
-    anchor=None,
-    hints: Optional[PlannerHints] = None,
-) -> PreparedPatternQuery:
-    """Plan ``pattern`` for anchors of ``anchor``'s kind and position."""
-    signature = (
-        frozenset(index_store.visible_names())
-        if index_store is not None
-        else frozenset()
-    )
-    stats = store.statistics_view()
-    part, kinds = build_pattern_part(pattern, anchor)
-    planned_parts = [(part, Planner(store, index_store).plan_part(part, hints))]
-    executor = Executor(store, index_store, kinds)
-    executor.compile(planned_parts)
-    return PreparedPatternQuery(
-        planned_parts=planned_parts,
-        executor=executor,
-        node_count=stats.node_count,
-        relationship_count=stats.relationship_count,
-        index_signature=signature,
-    )
-
-
-def run_pattern_query(
-    store: GraphStore,
-    index_store: Optional[PathIndexStore],
-    pattern: PathPattern,
-    anchor=None,
-    hints: Optional[PlannerHints] = None,
-) -> tuple[Iterator[tuple[int, ...]], ExecutionProfile]:
-    """Plan, then stream all pattern occurrences as identifier entries."""
-    return prepare_pattern_query(store, index_store, pattern, anchor, hints).run(
-        anchor
-    )
+def _constraint(name: Optional[str]) -> str:
+    """``:name`` for a label or type, backticked unless the lexer reads it
+    as a plain identifier (a keyword is not one)."""
+    if name is None:
+        return ""
+    if _IDENTIFIER.fullmatch(name) and name.upper() not in KEYWORDS:
+        return f":{name}"
+    return f":`{name}`"
 
 
 class PatternQueries:
-    """Prepared pattern queries of one database, behind their own
-    :class:`PlanCache` — same class and staleness rule as ``db.plan_cache``
-    (visible-index signature, statistics drift, index DDL), separate
-    instance so ad-hoc query texts cannot evict maintenance plans."""
+    """The pattern queries of one database, planned as Cypher texts
+    (:func:`pattern_text`) behind their own :class:`PlanCache` — the same
+    class, front door and staleness rule as ``db.plan_cache``, a separate
+    instance so ad-hoc query texts cannot evict maintenance plans. The key
+    is ``(pattern, anchor kind, anchor position, hints)``: an anchor's
+    bound variables are the plan's arguments, and only its identifiers
+    change from run to run."""
 
     def __init__(self, store: GraphStore, index_store: PathIndexStore) -> None:
         self.store = store
@@ -216,23 +146,16 @@ class PatternQueries:
         pattern: PathPattern,
         anchor=None,
         hints: Optional[PlannerHints] = None,
-    ) -> PreparedPatternQuery:
+    ) -> CachedQuery:
+        """The query for anchors of ``anchor``'s kind and position (all
+        occurrences without one), planned on first use."""
         key = (pattern, type(anchor), getattr(anchor, "position", None), hints)
-        cache = self.plan_cache
-        generation = cache.generation  # before the index set is looked at
-        stats = self.store.statistics_view()
-        prepared = cache.lookup(
-            key,
-            stats.node_count,
-            stats.relationship_count,
-            frozenset(self.index_store.visible_names()),
-        )
-        if prepared is None:
-            prepared = prepare_pattern_query(
-                self.store, self.index_store, pattern, anchor, hints
-            )
-            cache.store(key, prepared, generation)
-        return prepared
+
+        def plan(planning):
+            bound = () if anchor is None else anchor.bound_variables()
+            return planning.plan(parse(pattern_text(pattern)), hints, frozenset(bound))
+
+        return self.plan_cache.fetch(key, self.store, self.index_store, plan)
 
     def run(
         self,
@@ -240,7 +163,22 @@ class PatternQueries:
         anchor=None,
         hints: Optional[PlannerHints] = None,
     ) -> Iterator[tuple[int, ...]]:
-        return self.prepare(pattern, anchor, hints).run(anchor)[0]
+        """Stream the occurrences through ``anchor`` (all, without one) as
+        identifier entries."""
+        return self.execute(self.prepare(pattern, anchor, hints), anchor)
+
+    def execute(self, cached: CachedQuery, anchor=None) -> Iterator[tuple[int, ...]]:
+        """Run a query :meth:`prepare` returned, binding ``anchor`` (one of
+        the kind and position it was prepared for)."""
+        initial = None
+        if anchor is not None:
+            initial = layout_of(cached.planned_parts).argument_row(
+                anchor.bound_variables(), anchor.bound_rel_ids()
+            )
+        executor = Executor(
+            self.store, self.index_store, cached.analyzed.variable_kinds
+        )
+        return executor.execute(cached.planned_parts, initial_row=initial)[0]
 
 
 def anchors_for_relationship(

@@ -11,52 +11,46 @@ kinds of key in this one cache:
   (:func:`repro.cypher.lexer.literal_shape`).
 
 A shape's plan holds :class:`~repro.cypher.ast.Parameter` slots. A text of
-a known shape binds its literal values as a parameter tuple instead of
-being parsed and planned: its per-text entry shares the shape's planned
-parts — and so the shape's codegen artifact — in a :class:`BoundParts`
-list carrying its own ``params``. A text hit costs one lookup, as it did
-before shapes; only a text miss computes the shape key. Texts whose
-literals would decide the plan or a column name are cached by text only
-(see :func:`repro.cypher.parser.parse_shape`), as are texts without
-literals.
+a known shape binds its literal values instead of being parsed and
+planned: its entry is a **binding**, the shape's planned parts (and so its
+codegen artifact) in a :class:`BoundParts` list carrying the text's
+``params``. A text hit costs one lookup; only a text miss computes the
+shape key. Texts whose literals would decide the plan or a column name are
+cached by text only (:func:`repro.cypher.parser.parse_shape`), as are
+texts without literals.
 
-Counters: ``hits`` counts lookups answered from the cache — a text miss
-answered by its shape is one hit — and ``misses`` counts plannings (one per
-text miss that had to parse and plan). The service metrics
-(``plan_cache.hit``/``plan_cache.miss``), STATUS and the shell's
-``:metrics`` report these counters.
+Plans and bindings share one LRU map and its ``capacity``, so over-full
+traffic of many shapes, each with never-seen literals, can push a shape's
+plan out behind its own texts' bindings.
 
-The paper's maintenance queries had to bypass the query cache ("otherwise
-we had no control over which indexes would be used in the maintenance
-queries"). That bypass is kept — only :class:`GraphDatabase`'s query
-methods use ``db.plan_cache`` — but re-planning is not: the anchored
-pattern queries of Algorithm 1 (and Algorithm 2, and ``verify_index``) go
-through a *second instance of this same class*, owned by the maintainer
-and keyed by
-``(pattern, anchor kind, anchor position, hints)``
-(:class:`repro.db.patternquery.PatternQueries`). The hints carry the
-Algorithm-1 forbidden set, so control over index usage lives in the key.
+``GraphDatabase.prepare`` and the pattern queries come in through
+:meth:`PlanCache.fetch`, which reads the generation, visible index names
+and statistics once (a :class:`Planning`), looks the key up, plans on a
+miss with :meth:`Planning.plan` and stores the result. It counts one
+``hit`` (some lookup answered, a text's shape included) or one ``miss``
+(a planning, also one that fails) per call; ``evictions`` counts
+entries dropped for capacity. The service metrics, STATUS and the
+shell's ``:metrics`` report these counters.
 
-Entries are invalidated when the index set changes or the graph statistics
-drift beyond a threshold — a plan chosen for very different cardinalities is
-likely stale. An entry needs only the three staleness fields
-(``node_count``, ``relationship_count``, ``index_signature``);
-:class:`CachedQuery` is ``db.plan_cache``'s entry type, for both keys.
+The paper's maintenance queries bypassed the query cache, to control
+which indexes they use. Here they are Cypher texts planned by the same
+function, cached in a *second instance of this class* whose key holds the
+Algorithm-1 forbidden set (:class:`repro.db.patternquery.PatternQueries`).
 
-The signature compares index *names*, which cannot see ``DROP P`` followed
-by ``CREATE P`` on another pattern, so index DDL also calls
-:meth:`PlanCache.invalidate_all` under the store's exclusive-writer lock.
-That bumps :attr:`PlanCache.generation`; a planner that read the generation
-before it looked at the index set passes it to :meth:`PlanCache.store`, and
-a plan that raced the DDL is dropped instead of cached.
+Entries are invalidated when the visible index set changes or the graph
+statistics drift beyond a threshold — a plan chosen for very different
+cardinalities is likely stale. The signature compares index *names*,
+which cannot see ``DROP P`` followed by ``CREATE P`` on another pattern,
+so index DDL also calls :meth:`PlanCache.invalidate_all` under the store's
+exclusive-writer lock. That bumps :attr:`PlanCache.generation`; a plan
+whose planning began before the bump is dropped instead of cached.
 
-The cache is thread-safe (a single lock guards the LRU map and its
-counters) so the concurrent query service can share one database across
-worker threads, and capacity evictions are counted. Observers register a
-callback with :meth:`PlanCache.subscribe` to receive
-``"hit" | "miss" | "eviction" | "invalidation"`` events — the service layer
-points one at its metrics registry and detaches it on shutdown, so several
-services (or a replaced service) never steal each other's traffic.
+The cache is thread-safe (one lock guards the LRU map and its counters) so
+the concurrent query service can share one database across worker
+threads. Observers register a callback with :meth:`PlanCache.subscribe`
+to receive ``"hit" | "miss" | "eviction" | "invalidation"`` events — the
+service layer points one at its metrics registry and detaches it on
+shutdown, so several services never steal each other's traffic.
 """
 
 from __future__ import annotations
@@ -65,6 +59,10 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Optional
+
+from repro.cypher import analyze
+from repro.planner import Planner
+from repro.querygraph import build_query_parts
 
 DEFAULT_CAPACITY = 128
 DEFAULT_DRIFT = 0.25
@@ -115,6 +113,63 @@ class CachedQuery:
         )
 
 
+class Planning:
+    """One call through :meth:`PlanCache.fetch`: the cache generation, the
+    visible index names and the graph statistics, read once and in that
+    order, so every entry the call looks up, plans or stores is judged
+    against the same view of the database."""
+
+    __slots__ = (
+        "cache", "store", "index_store", "generation", "signature", "stats", "hit"
+    )
+
+    def __init__(self, cache: "PlanCache", store, index_store) -> None:
+        self.cache = cache
+        self.store = store
+        self.index_store = index_store
+        self.generation = cache.generation  # before reading the index set
+        # Visible names, not all names: a snapshot reader planning against
+        # an index attached after its LSN would read entries it must not
+        # see, and a cached plan from the pre-attach window must be
+        # invalidated once the index becomes visible.
+        self.signature = frozenset(index_store.visible_names())
+        self.stats = store.statistics_view()
+        self.hit = False
+
+    def lookup(self, key):
+        """The fresh entry under ``key``, or None; the call counts once,
+        as a hit if any of its lookups answered."""
+        stats = self.stats
+        entry = self.cache._fresh(
+            key, stats.node_count, stats.relationship_count, self.signature
+        )
+        self.hit |= entry is not None
+        return entry
+
+    def keep(self, key, entry) -> None:
+        """Store ``entry`` unless index DDL ran since the call began."""
+        self.cache.store(key, entry, self.generation)
+
+    def plan(self, query, hints, arguments: frozenset = frozenset()) -> "CachedQuery":
+        """Analyze ``query`` (an AST), split it into parts and plan each.
+        ``arguments`` are variables bound before the first part runs (a
+        pattern query's anchor)."""
+        analyzed = analyze(query)
+        parts = build_query_parts(analyzed)
+        if arguments:
+            parts[0].query_graph.arguments = arguments
+        planner = Planner(self.store, self.index_store)
+        final = parts[-1].projection if parts else []
+        return CachedQuery(
+            analyzed=analyzed,
+            planned_parts=[(part, planner.plan_part(part, hints)) for part in parts],
+            columns=[item.output_name for item in final],
+            node_count=self.stats.node_count,
+            relationship_count=self.stats.relationship_count,
+            index_signature=self.signature,
+        )
+
+
 class PlanCache:
     """Bounded, thread-safe LRU cache of planned queries with staleness
     invalidation."""
@@ -138,48 +193,59 @@ class PlanCache:
         self.generation = 0
         self._subscribers: list[Callable[[str], None]] = []
 
+    def fetch(self, key, store, index_store, plan: Callable[[Planning], object]):
+        """The cache's front door: the fresh entry under ``key``, else the
+        one ``plan`` returns, stored under ``key``. ``plan`` gets the
+        call's :class:`Planning`, through which it may look up other keys
+        (a text's shape) and plan. ``key`` None looks nothing up and stores
+        nothing. Counts one hit, if some lookup answered, or else one miss,
+        also when ``plan`` raises."""
+        planning = Planning(self, store, index_store)
+        try:
+            entry = None if key is None else planning.lookup(key)
+            if entry is None:
+                entry = plan(planning)
+                if key is not None:
+                    planning.keep(key, entry)
+            return entry
+        finally:
+            self._count(planning.hit)
+
     def lookup(
         self,
         key,
         node_count: int,
         relationship_count: int,
         index_signature: frozenset[str],
-        count_miss: bool = True,
     ):
         """A fresh cached entry for ``key``, or None (stale entries are
-        evicted on sight). A hit is counted; an absent entry counts as a
-        miss unless ``count_miss`` is False — the caller then still has
-        another key to try, and records its planning with
-        :meth:`record_miss`."""
-        events: list[str] = []
+        evicted on sight); counts one hit or one miss."""
+        entry = self._fresh(key, node_count, relationship_count, index_signature)
+        self._count(entry is not None)
+        return entry
+
+    def _fresh(self, key, node_count, relationship_count, index_signature):
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
-                if count_miss:
-                    self.misses += 1
-                    events.append("miss")
-            elif entry.index_signature != index_signature or self._drifted(
+                return None
+            if entry.index_signature == index_signature and not self._drifted(
                 entry, node_count, relationship_count
             ):
-                del self._entries[key]
-                self.invalidations += 1
-                events.append("invalidation")
-                if count_miss:
-                    self.misses += 1
-                    events.append("miss")
-                entry = None
-            else:
                 self._entries.move_to_end(key)
-                self.hits += 1
-                events.append("hit")
-        self._emit(events)
-        return entry
+                return entry
+            del self._entries[key]
+            self.invalidations += 1
+        self._emit(["invalidation"])
+        return None
 
-    def record_miss(self) -> None:
-        """Count one planning that no counted lookup recorded."""
+    def _count(self, hit: bool) -> None:
         with self._lock:
-            self.misses += 1
-        self._emit(["miss"])
+            if hit:
+                self.hits += 1
+            else:
+                self.misses += 1
+        self._emit(["hit" if hit else "miss"])
 
     def store(self, key, entry, generation: Optional[int] = None) -> None:
         """Cache ``entry``. ``generation`` is :attr:`generation` as read

@@ -38,7 +38,7 @@ def initialize_index(
     tracker=None,
 ) -> InitializationStats:
     """Populate ``index`` by querying its pattern (Algorithm 2) through the
-    database's prepared pattern queries.
+    database's cached pattern queries.
 
     ``tracker`` (a :class:`repro.resources.MemoryTracker`) accounts the
     transient build cost against the memory pool: one :data:`KEY_BYTES`

@@ -85,7 +85,7 @@ class PathIndexMaintainer(TransactionApplier):
 
     def invalidate(self) -> None:
         """The index set changed (DDL, under the exclusive-writer lock):
-        prepared queries and routes were worked out for the old one."""
+        cached pattern queries and routes were worked out for the old one."""
         self.queries.plan_cache.invalidate_all()
         self._relationship_routes.clear()
         self._label_routes.clear()

@@ -9,7 +9,7 @@ indexes (Algorithm 1, line 17: "Query(P but avoid using index, G)").
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Optional
 
 
@@ -66,14 +66,8 @@ class PlannerHints:
 
     def forbidding(self, *names: str) -> "PlannerHints":
         """A copy with ``names`` added to the forbidden set."""
-        return PlannerHints(
-            use_path_indexes=self.use_path_indexes,
+        return replace(
+            self,
             required_indexes=self.required_indexes - frozenset(names),
             forbidden_indexes=self.forbidden_indexes | frozenset(names),
-            allowed_indexes=self.allowed_indexes,
-            use_relationship_type_scan=self.use_relationship_type_scan,
-            path_index_cost_factor=self.path_index_cost_factor,
-            manual_expand_chain=self.manual_expand_chain,
-            index_seed_chain=self.index_seed_chain,
-            use_index_cardinality=self.use_index_cardinality,
         )

@@ -89,20 +89,23 @@ class IDPSolver:
         if not names:
             return self.factory.with_filters(self.factory.argument())
         # A connected, relationship-free component is a single node.
-        plan = self.factory.node_leaf(names[0])
+        plan = self._node_leaf(names[0])
         for other in names[1:]:  # defensive: isolated nodes grouped together
-            plan = self.factory.cartesian_product(plan, self.factory.node_leaf(other))
+            plan = self.factory.cartesian_product(plan, self._node_leaf(other))
         return plan
+
+    def _node_leaf(self, name: str) -> LogicalPlan:
+        """A node carried in from the previous part is an argument (its
+        labels are selections), never a rescan of the store."""
+        if name in self.factory.arguments:
+            return self.factory.with_filters(self.factory.argument())
+        return self.factory.node_leaf(name)
 
     def _generation_one(self) -> None:
         """The leaf planner (§2.2.1): one bin per relationship, best kept."""
         for rel in self.component.relationships.values():
             for endpoint in dict.fromkeys((rel.start, rel.end)):
-                if endpoint in self.factory.arguments:
-                    base = self.factory.with_filters(self.factory.argument())
-                else:
-                    base = self.factory.node_leaf(endpoint)
-                plan = self.factory.expand(base, rel)
+                plan = self.factory.expand(self._node_leaf(endpoint), rel)
                 if plan is not None:
                     self._consider(plan)
             self._consider_type_scan(rel)

@@ -281,7 +281,8 @@ class Executor:
         layout: SlotLayout,
     ) -> list[list]:
         """Apply the part's updates to every matched row; returns the
-        written rows.
+        written rows, or none when the part projects nothing (a write
+        without RETURN returns no rows).
 
         Updates are eager: all matches (``morsels`` of them) are computed,
         then all writes applied. The matched-row buffer spills (order-preserving append
@@ -298,8 +299,10 @@ class Executor:
         write = self._writer(part.updates, transaction, ctx, layout)
         written: list[list] = []
         for row in matched:
-            mem.charge("update: written rows", ROW_BYTES)
-            written.append(write(row))
+            row = write(row)
+            if part.projection:
+                mem.charge("update: written rows", ROW_BYTES)
+                written.append(row)
         return written
 
     def _writer(
@@ -357,8 +360,10 @@ class Executor:
                     )
                     set_property = transaction.set_relationship_property
                 for key, value_of in properties:
-                    key_id = store.property_keys.get_or_create(key)
-                    set_property(entity, key_id, value_of(row))
+                    value = value_of(row)
+                    if value is not None:  # a NULL value leaves it unset
+                        key_id = store.property_keys.get_or_create(key)
+                        set_property(entity, key_id, value)
                 row[slot_of(action.variable)] = entity
             return row
 

@@ -761,11 +761,10 @@ def plain_rows(result) -> list[tuple]:
 
 def graph_form(graph: Graph, before: Graph) -> tuple:
     """``graph`` with the ids of entities not in ``before`` (those a query
-    created) erased, for comparing the graph a write left behind. A
-    property holding NULL reads as an absent one, so it is left out."""
+    created) erased, for comparing the graph a write left behind."""
 
     def properties(props):
-        return tuple(sorted((k, v) for k, v in props.items() if v is not None))
+        return tuple(sorted(props.items()))
 
     def node_form(node):
         labels, props = graph.nodes[node]

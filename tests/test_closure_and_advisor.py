@@ -163,6 +163,17 @@ def test_advisor_ranks_correlated_full_pattern_first():
     assert best.misprediction_factor > 3
 
 
+def test_advisor_leaves_the_maintenance_plan_cache_alone():
+    db = correlated_advisor_db()
+    before = db.maintenance_plan_cache.counters()
+    advisor = IndexAdvisor(db)
+    candidates = advisor.candidates(["MATCH (a:A)-[x:X]->(b:B)-[y:Y]->(c:A) RETURN *"])
+    assert db.maintenance_plan_cache.counters() == before
+    # One planning per candidate, each prepared once and run from that plan.
+    assert advisor.queries.plan_cache.counters()["misses"] == len(candidates)
+    assert advisor.queries.plan_cache.counters()["hits"] == 0
+
+
 def test_advisor_budget_constrains_selection():
     db = correlated_advisor_db()
     advisor = IndexAdvisor(db)

@@ -317,18 +317,19 @@ def test_invalidation_drops_the_artifact_with_the_plan(invalidate):
     assert compiled is not stale[0][1].__dict__[ARTIFACT]
 
 
-def test_prepared_pattern_query_is_compiled_before_its_first_run():
+def test_pattern_query_compiles_on_its_first_run():
     db = tier_db()
     p = list(db.store.nodes_with_label(db.label("P")))
     db.create_relationship(p[0], p[1], "K")
-    prepared = PatternQueries(db.store, db.indexes).prepare(
-        PathPattern.parse("(:P)-[:K]->(:P)")
-    )
-    compiled = prepared.planned_parts[0][1].__dict__.get(ARTIFACT)
+    queries = PatternQueries(db.store, db.indexes)
+    pattern = PathPattern.parse("(:P)-[:K]->(:P)")
+    plan = queries.prepare(pattern).planned_parts[0][1]
+    assert plan.__dict__.get(ARTIFACT) is None
+    assert len(list(queries.run(pattern))) == 1
+    compiled = plan.__dict__.get(ARTIFACT)
     assert isinstance(compiled, CompiledQuery)
-    entries, _ = prepared.run()
-    assert len(list(entries)) == 1
-    assert prepared.planned_parts[0][1].__dict__.get(ARTIFACT) is compiled
+    assert len(list(queries.run(pattern))) == 1
+    assert plan.__dict__.get(ARTIFACT) is compiled
 
 
 def test_direct_executor_reuses_the_artifact_db_execute_built():
@@ -394,7 +395,7 @@ def test_node_hash_join_compiles():
             both.append(node)
 
     query = "MATCH (n:A) RETURN id(n) AS i ORDER BY i"
-    cached = db._planned(query, None)
+    cached = db.prepare(query)
     part, plan = cached.planned_parts[0]
 
     def find_scan(node):

@@ -18,15 +18,14 @@ from repro.datasets import (
     generate_yago,
 )
 from repro.datasets import correlated, geospecies, independent, yago
-from repro.db.patternquery import run_pattern_query
 from repro.pathindex.pattern import PathPattern
 
 BASELINE = PlannerHints(use_path_indexes=False)
 
 
 def pattern_count(db, pattern_text):
-    entries, _ = run_pattern_query(
-        db.store, db.indexes, PathPattern.parse(pattern_text), hints=BASELINE
+    entries = db.maintainer.queries.run(
+        PathPattern.parse(pattern_text), hints=BASELINE
     )
     return sum(1 for _ in entries)
 

@@ -18,10 +18,12 @@ from repro.datasets import CorrelatedConfig, correlated, generate_correlated
 from repro.db.patternquery import Anchor, PatternQueries
 from repro.planner import plans as plan_nodes
 from repro.runtime.compiled import PRODUCERS, codegen
+from repro.runtime import Executor
 from repro.runtime.executor import ARTIFACT
+from repro.runtime.slots import layout_of
 
 from tests import oracle
-from tests.engines import CHUNK_SIZES, agree, execute, pin_chunk
+from tests.engines import CHUNK_SIZES, agree, execute
 
 def forced(name):
     """Plans must use index ``name``, no other, and as much as they can."""
@@ -160,7 +162,7 @@ def test_self_loop_binds_each_relationship_once(db, index):
 
 @pytest.mark.parametrize("index", ["chain", "one"])
 @pytest.mark.parametrize("position", [0, 1])
-def test_anchored_pattern_query_keeps_the_anchor_unique(monkeypatch, index, position):
+def test_anchored_pattern_query_keeps_the_anchor_unique(index, position):
     """Algorithm 1's anchored query starts with the anchor's relationship
     id in the uniqueness scope (``_R0``); anchored at a self-loop, no entry
     may use the loop a second time."""
@@ -172,12 +174,16 @@ def test_anchored_pattern_query_keeps_the_anchor_unique(monkeypatch, index, posi
         pattern, anchor, forced(index)
     )
     assert prepared.planned_parts[0][1].indexes_used == {index}
+    executor = Executor(db.store, db.indexes, prepared.analyzed.variable_kinds)
+    initial = layout_of(prepared.planned_parts).argument_row(
+        anchor.bound_variables(), anchor.bound_rel_ids()
+    )
     runs = []
     for size in (None, 1, 2, 7):
-        with monkeypatch.context() as patch:
-            pin_chunk(patch, size)
-            rows, profile = prepared.run(anchor)
-            runs.append((list(rows), profile.operators.rows))
+        rows, profile = executor.execute(
+            prepared.planned_parts, initial_row=initial, morsel_size=size
+        )
+        runs.append((list(rows), profile.operators.rows))
     assert all(run == runs[0] for run in runs[1:])
     if position == 0:
         assert runs[0][0] == [(a[5], loop, a[5], ids["x5"], a[6])]

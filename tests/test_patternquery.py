@@ -1,4 +1,6 @@
-"""Tests for the internal pattern-query machinery (Algorithms 1/2 substrate)."""
+"""Tests for the internal pattern queries (Algorithms 1/2 substrate): a
+pattern is a Cypher text, planned and cached like any other, and its
+anchored runs are checked against the brute-force oracle on that text."""
 
 import pytest
 
@@ -9,12 +11,12 @@ from repro.db.patternquery import (
     NodeAnchor,
     PatternQueries,
     anchors_for_relationship,
-    build_pattern_part,
     entry_variables,
-    run_pattern_query,
+    pattern_text,
 )
 from repro.pathindex.pattern import PathPattern
 
+from tests import oracle
 from tests.engines import CHUNK_SIZES, pin_chunk
 
 
@@ -33,61 +35,95 @@ def db():
 PATTERN = PathPattern.parse("(:A)-[:X]->(:B)<-[:Y]-(:C)")
 
 
+def oracle_entries(db, pattern, anchor=None):
+    """The oracle's answer to the pattern's text, through ``anchor``."""
+    answer = oracle.run(oracle.snapshot(db), pattern_text(pattern))
+    entries = [tuple(row) for row in answer.rows]
+    if anchor is None:
+        return entries
+    bound = anchor.bound_variables()
+    names = entry_variables(pattern)
+    return [
+        entry
+        for entry in entries
+        if all(entry[names.index(name)] == value for name, value in bound.items())
+    ]
+
+
 def test_entry_variables_order():
     assert entry_variables(PATTERN) == ["n0", "r0", "n1", "r1", "n2"]
 
 
-def test_build_pattern_part_structure():
-    part, kinds = build_pattern_part(PATTERN)
+def test_pattern_text_returns_the_entry_variables():
+    assert pattern_text(PATTERN) == (
+        "MATCH (n0:A)-[r0:X]->(n1:B)<-[r1:Y]-(n2:C) RETURN n0, r0, n1, r1, n2"
+    )
+    loose = PathPattern.parse("()-[]->(:`Match`)<-[:`a b`]-(:C)")
+    assert pattern_text(loose) == (
+        "MATCH (n0)-[r0]->(n1:`Match`)<-[r1:`a b`]-(n2:C) RETURN n0, r0, n1, r1, n2"
+    )
+
+
+def test_pattern_query_structure(db):
+    cached = PatternQueries(db.store, db.indexes).prepare(PATTERN)
+    ((part, _),) = cached.planned_parts
     graph = part.query_graph
     assert set(graph.nodes) == {"n0", "n1", "n2"}
     assert graph.nodes["n0"].labels == frozenset({"A"})
     # The backward step is normalized: (n2) -Y-> (n1).
     rel = graph.relationships["r1"]
     assert (rel.start, rel.end) == ("n2", "n1")
-    assert kinds["r0"] is VariableKind.RELATIONSHIP
+    assert cached.analyzed.variable_kinds["r0"] is VariableKind.RELATIONSHIP
+    assert cached.columns == entry_variables(PATTERN)
     assert not graph.arguments
 
 
-def test_build_pattern_part_with_anchor_arguments():
-    part, _ = build_pattern_part(PATTERN, Anchor(0, 99, 1, 2))
-    assert part.query_graph.arguments == frozenset({"n0", "r0", "n1"})
-    part, _ = build_pattern_part(PATTERN, NodeAnchor(2, 7))
-    assert part.query_graph.arguments == frozenset({"n2"})
+def test_anchor_variables_are_the_plan_arguments(db):
+    queries = PatternQueries(db.store, db.indexes)
+    for anchor, expected in (
+        (Anchor(0, 99, 1, 2), {"n0", "r0", "n1"}),
+        (NodeAnchor(2, 7), {"n2"}),
+    ):
+        ((part, _),) = queries.prepare(PATTERN, anchor).planned_parts
+        assert part.query_graph.arguments == expected
 
 
 def test_unanchored_query_finds_all_occurrences(db):
-    entries, _ = run_pattern_query(db.store, db.indexes, PATTERN)
-    assert len(list(entries)) == 3
+    entries = list(db.maintainer.queries.run(PATTERN))
+    assert len(entries) == 3
+    assert sorted(entries) == sorted(oracle_entries(db, PATTERN))
 
 
 def test_rel_anchor_restricts_to_paths_through_relationship(db):
     rel_id = next(iter(db.store.all_relationships()))
     record = db.store.relationship(rel_id)
     anchor = Anchor(0, rel_id, record.start_node, record.end_node)
-    entries = list(run_pattern_query(db.store, db.indexes, PATTERN, anchor)[0])
+    entries = list(db.maintainer.queries.run(PATTERN, anchor))
     assert len(entries) == 1
     assert entries[0][1] == rel_id
+    assert entries == oracle_entries(db, PATTERN, anchor)
 
 
 def test_node_anchor_restricts_to_paths_through_node(db):
     some_b = next(iter(db.store.nodes_with_label(db.label("B"))))
     anchor = NodeAnchor(1, some_b)
-    entries = list(run_pattern_query(db.store, db.indexes, PATTERN, anchor)[0])
+    entries = list(db.maintainer.queries.run(PATTERN, anchor))
     assert len(entries) == 1
     assert entries[0][2] == some_b
+    assert entries == oracle_entries(db, PATTERN, anchor)
 
 
 def test_anchored_query_respects_hints(db):
-    db.create_path_index("helper", "(:B)<-[:Y]-(:C)".replace("<-", "<-"))
+    db.create_path_index("helper", "(:B)<-[:Y]-(:C)")
     rel_id = next(iter(db.store.all_relationships()))
     record = db.store.relationship(rel_id)
     anchor = Anchor(0, rel_id, record.start_node, record.end_node)
     hints = PlannerHints(forbidden_indexes=frozenset({"helper"}))
-    entries = list(
-        run_pattern_query(db.store, db.indexes, PATTERN, anchor, hints)[0]
-    )
-    assert len(entries) == 1
+    queries = db.maintainer.queries
+    entries = list(queries.run(PATTERN, anchor, hints))
+    assert entries == oracle_entries(db, PATTERN, anchor)
+    ((_, plan),) = queries.prepare(PATTERN, anchor, hints).planned_parts
+    assert "helper" not in plan.indexes_used
 
 
 def test_anchors_for_relationship_direction_awareness():
@@ -133,9 +169,8 @@ def test_anchors_for_non_matching_relationship():
 
 
 # ---------------------------------------------------------------------------
-# Prepared pattern queries: plan once per shape, bind identifiers per anchor
+# Cached pattern queries: plan once per shape, bind identifiers per anchor
 # ---------------------------------------------------------------------------
-
 
 
 def x_anchors(db):
@@ -154,9 +189,9 @@ def test_prepared_query_is_shared_by_anchors_of_one_position(db, chunk, monkeypa
     prepared = queries.prepare(PATTERN, anchors[0])
     for anchor in anchors:
         assert queries.prepare(PATTERN, anchor) is prepared
-        oracle = list(run_pattern_query(db.store, db.indexes, PATTERN, anchor)[0])
-        assert list(queries.run(PATTERN, anchor)) == oracle
-        assert len(oracle) == 1 and oracle[0][1] == anchor.rel_id
+        expected = oracle_entries(db, PATTERN, anchor)
+        assert list(queries.run(PATTERN, anchor)) == expected
+        assert len(expected) == 1 and expected[0][1] == anchor.rel_id
     cache = queries.plan_cache
     assert (cache.misses, len(cache)) == (1, 1)
     assert cache.hits == 2 * len(anchors)
@@ -166,10 +201,10 @@ def test_prepared_query_is_shared_by_anchors_of_one_position(db, chunk, monkeypa
 def test_prepared_unanchored_query_equals_oracle(db, chunk, monkeypatch):
     pin_chunk(monkeypatch, chunk)
     queries = PatternQueries(db.store, db.indexes)
-    oracle = sorted(run_pattern_query(db.store, db.indexes, PATTERN)[0])
-    assert sorted(queries.run(PATTERN)) == oracle
-    assert sorted(queries.run(PATTERN)) == oracle
-    assert len(oracle) == 3 and queries.plan_cache.hits == 1
+    expected = sorted(oracle_entries(db, PATTERN))
+    assert sorted(queries.run(PATTERN)) == expected
+    assert sorted(queries.run(PATTERN)) == expected
+    assert len(expected) == 3 and queries.plan_cache.hits == 1
 
 
 def test_key_separates_anchor_kind_position_and_hints(db):
@@ -205,9 +240,8 @@ def test_prepared_entries_see_later_writes(db):
     rel = db.create_relationship(a, b, "X")
     assert len(list(queries.run(PATTERN))) == 4
     assert queries.plan_cache.hits == 1
-    assert list(queries.run(PATTERN, Anchor(0, rel, a, b))) == [
-        next(entry for entry in queries.run(PATTERN) if entry[1] == rel)
-    ]
+    anchor = Anchor(0, rel, a, b)
+    assert list(queries.run(PATTERN, anchor)) == oracle_entries(db, PATTERN, anchor)
 
 
 def test_database_routes_algorithm_2_and_verify_through_the_cache(db):
@@ -217,3 +251,79 @@ def test_database_routes_algorithm_2_and_verify_through_the_cache(db):
     assert db.verify_index("whole") and db.verify_index("whole")
     assert (cache.misses, cache.hits) == (2, 1)
     assert (db.plan_cache.hits, db.plan_cache.misses) == (0, 0)
+
+
+# ---------------------------------------------------------------------------
+# Golden plans: Algorithm 1's anchored queries for perfbench's Full index
+# ---------------------------------------------------------------------------
+
+FULL = "(:A)-[:X]->(:A)-[:X]->(:A)-[:Y]->(:B)-[:X]->(:A)"
+
+
+def golden_db():
+    """Four copies of a Full path plus noise, and write_maintain's three
+    indexes; returns the database and each path's relationships with their
+    endpoints, in pattern order."""
+    db = GraphDatabase()
+    paths = []
+    for _ in range(4):
+        a, b, c, e = (db.create_node(["A"]) for _ in range(4))
+        d = db.create_node(["B"])
+        paths.append(
+            [
+                (db.create_relationship(start, end, kind), start, end)
+                for start, end, kind in ((a, b, "X"), (b, c, "X"), (c, d, "Y"), (d, e, "X"))
+            ]
+        )
+        for _ in range(3):
+            db.create_relationship(a, db.create_node(["A"]), "X")
+            db.create_relationship(db.create_node(["A"]), d, "Y")
+    db.create_path_index("Sub7", "(:A)-[:Y]->(:B)")
+    db.create_path_index("Sub4", "(:A)-[:X]->(:A)-[:Y]->(:B)")
+    db.create_path_index("Full", FULL)
+    return db, paths
+
+
+PROJECTION = "Projection(n0, r0, n1, r1, n2, r2, n3, r3, n4)"
+SUB4_SCAN = """\
+Projection(n0, r0, n1, r1, n2, r2, n3, r3, n4)  [card≈0, cost≈0]
+  Expand(All)((n3)-[r3:X]->(n4))  [card≈0, cost≈0]
+    Expand(All)((n1)<-[r0:X]-(n0))  [card≈0, cost≈0]
+      PathIndexScan(Sub4: n1, r1, n2, r2, n3)  [card≈0, cost≈0]"""
+GOLDEN = {
+    0: f"""\
+{PROJECTION}  [card≈0, cost≈2]
+  Expand(All)((n3)-[r3:X]->(n4))  [card≈0, cost≈2]
+    Expand(All)((n2)-[r2:Y]->(n3))  [card≈0, cost≈2]
+      Expand(All)((n1)-[r1:X]->(n2))  [card≈0, cost≈2]
+        Argument(n0, n1, r0)  [card≈1, cost≈0]""",
+    1: SUB4_SCAN,
+    2: SUB4_SCAN,
+    3: f"""\
+{PROJECTION}  [card≈0, cost≈2]
+  Expand(All)((n1)<-[r0:X]-(n0))  [card≈0, cost≈2]
+    Expand(All)((n2)<-[r1:X]-(n1))  [card≈0, cost≈2]
+      Expand(All)((n3)<-[r2:Y]-(n2))  [card≈0, cost≈2]
+        Argument(n3, n4, r3)  [card≈1, cost≈0]""",
+}
+"""The plans the hand-built pattern query graph got before pattern queries
+became texts (its projection rendered ``n0 AS n0``)."""
+
+
+@pytest.mark.parametrize("position", sorted(GOLDEN))
+def test_algorithm_1_plans_for_full_are_pinned(position):
+    db, paths = golden_db()
+    pattern = db.path_index("Full").pattern
+    hints = PlannerHints().forbidding("Full")  # Full is the index updated
+    queries = db.maintainer.queries
+    for path in paths:
+        rel, start, end = path[position]
+        anchor = Anchor.at(pattern, position, rel, start, end)
+        plan = queries.prepare(pattern, anchor, hints).planned_parts[0][1]
+        assert plan.render() == GOLDEN[position]
+        assert "Full" not in plan.indexes_used
+        entry = (path[0][1],) + tuple(x for rel, _, end in path for x in (rel, end))
+        assert list(queries.run(pattern, anchor, hints)) == [entry]
+        assert oracle_entries(db, pattern, anchor) == [entry]
+    # This position's plan, and the three index builds before it.
+    assert queries.plan_cache.misses == 1 + 3

@@ -434,6 +434,40 @@ def test_parameter_errors_are_raised_before_planning(db, text, params, error):
     assert db.plan_cache.counters()["misses"] <= 1 and len(db.plan_cache) == 0
 
 
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("MATCH (a:A RETURN a", "CypherSyntaxError"),
+        ("MATCH (a:A) WHERE a.v = 1 RETURN b", "CypherSemanticError"),
+        ("MATCH (a:A) RETURN a", None),
+    ],
+)
+def test_every_prepare_counts_one_hit_or_one_miss(db, text, error):
+    """Failed plannings count as misses, as the service metrics expect."""
+    for _ in range(2):
+        if error is None:
+            db.prepare(text)
+        else:
+            with pytest.raises(Exception) as raised:
+                db.prepare(text)
+            assert type(raised.value).__name__ == error
+    counters = db.plan_cache.counters()
+    assert (counters["hits"], counters["misses"]) == ((1, 1) if error is None else (0, 2))
+
+
+def test_index_ddl_empties_plans_and_bindings(db):
+    ids = a_ids(db)
+    for n in range(4):
+        db.execute(SHAPE.format(ids[n], 1)).consume()
+    db.execute("MATCH (a:A) RETURN count(*) AS n").consume()
+    cache = db.plan_cache
+    assert cache.approx_bytes() == 2 * ENTRY_BYTES + 4 * BINDING_BYTES
+    invalidations = cache.invalidations
+    db.create_path_index("ab", "(:A)-[:X]->(:B)")
+    assert (len(cache), cache.items(), cache.approx_bytes()) == (0, [], 0)
+    assert cache.invalidations == invalidations + 6
+
+
 def _perfbench():
     import os
 

@@ -592,3 +592,23 @@ def test_plans_without_id_equality_keep_their_estimates(chain_db):
         "    Filter(id(a) < 7)  [card≈6, cost≈40]\n"
         "      NodeByLabelScan(a:A)  [card≈20, cost≈20]"
     )
+
+
+@pytest.mark.parametrize(
+    "text, leaf",
+    [
+        ("MATCH (a) WITH a MATCH (a:A) RETURN a", ["Filter(a:A)", "Argument(a)"]),
+        ("MATCH (a:A) WITH a MATCH (a) RETURN a", ["Argument(a)"]),
+        ("MATCH (a:A) WITH a MATCH (a:B) RETURN id(a)", ["Filter(a:B)", "Argument(a)"]),
+    ],
+    ids=["label-added", "no-label", "other-label"],
+)
+def test_a_carried_node_is_an_argument_not_a_rescan(text, leaf):
+    from tests.engines import agree
+
+    db = GraphDatabase()
+    db.execute("CREATE (:A), (:B), (:A:B), (:A {v: 1})")
+    last = db.explain(text).split("Projection")[-1]
+    assert "Scan" not in last
+    assert [line.split("  [")[0].strip() for line in last.splitlines()[1:]] == leaf
+    agree(db, text)

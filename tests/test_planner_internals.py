@@ -52,6 +52,32 @@ def test_hints_forbidding_removes_from_required():
     assert hints.forbidden_indexes == frozenset()
 
 
+def test_hints_forbidding_keeps_every_other_field():
+    """Hints are cache keys: a field ``forbidding`` dropped would make
+    Algorithm 1 plan under other controls than the caller's."""
+    import dataclasses
+
+    changed = {
+        "use_path_indexes": False,
+        "required_indexes": frozenset({"a", "b"}),
+        "forbidden_indexes": frozenset({"c"}),
+        "allowed_indexes": frozenset({"b", "d"}),
+        "use_relationship_type_scan": False,
+        "path_index_cost_factor": 0.5,
+        "manual_expand_chain": ("n", ("r",)),
+        "index_seed_chain": ("b", ("r",)),
+        "use_index_cardinality": True,
+    }
+    fields = {field.name for field in dataclasses.fields(PlannerHints)}
+    assert set(changed) == fields  # a new field must be listed here
+    derived = PlannerHints(**changed).forbidding("a")
+    for name in fields - {"required_indexes", "forbidden_indexes"}:
+        assert getattr(derived, name) == changed[name], name
+        assert changed[name] != getattr(PlannerHints(), name), name
+    assert derived.required_indexes == frozenset({"b"})
+    assert derived.forbidden_indexes == frozenset({"a", "c"})
+
+
 def test_hints_are_hashable_for_the_plan_cache():
     key = {(PlannerHints(), "q"): 1}
     assert key[(PlannerHints(), "q")] == 1

@@ -390,7 +390,7 @@ def test_trailing_constant_keeps_skip_scan_restarts(chunk, monkeypatch):
 def test_argument_bound_leading_variables_bound_the_scan(chunk, monkeypatch):
     """Algorithm 1 binds rel + both endpoints as arguments; at pattern
     position 0 they are a key prefix for the removal-phase scan."""
-    from repro.db.patternquery import Anchor, build_pattern_part
+    from repro.db.patternquery import Anchor
 
     db, nodes = build_triangle_db()
     index = db.path_index("two")
@@ -399,7 +399,6 @@ def test_argument_bound_leading_variables_bound_the_scan(chunk, monkeypatch):
         r.id for r in db.store.relationships_of(source) if r.end_node == target
     ]
     anchor = Anchor(0, rel, source, target)
-    part, kinds = build_pattern_part(index.pattern, anchor)
     prefixes = []
     scan_prefix, scan = index.scan_prefix, index.scan
     monkeypatch.setattr(
@@ -409,13 +408,16 @@ def test_argument_bound_leading_variables_bound_the_scan(chunk, monkeypatch):
     hints = PlannerHints(
         required_indexes=frozenset({"two"}), allowed_indexes=frozenset({"two"})
     )
-    plan = Planner(db.store, db.indexes).plan_part(part, hints)
+    cached = db.maintainer.queries.prepare(index.pattern, anchor, hints)
+    ((_, plan),) = cached.planned_parts
     assert find_op(plan, PlanPathIndexScan) is not None
-    executor = Executor(db.store, db.indexes, kinds)
-    initial = layout_of([(part, plan)]).argument_row(
+    executor = Executor(db.store, db.indexes, cached.analyzed.variable_kinds)
+    initial = layout_of(cached.planned_parts).argument_row(
         anchor.bound_variables(), anchor.bound_rel_ids()
     )
-    rows, profile = executor.execute([(part, plan)], initial_row=initial, morsel_size=chunk)
+    rows, profile = executor.execute(
+        cached.planned_parts, initial_row=initial, morsel_size=chunk
+    )
     entries = list(rows)  # n0, r0, n1, r1, n2: the projection is entry order
     assert len(entries) == 5  # on to every node but target
     assert all(entry[:3] == (source, rel, target) for entry in entries)

@@ -115,3 +115,33 @@ def test_update_part_boundary_is_planned_like_a_read(chunk, query, expected):
     its written rows, as a read part's run over its matched rows."""
     db = motivation_db()
     assert execute(db, query, chunk=chunk).to_list() == expected
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "MATCH (a:B) DETACH DELETE a",
+        "MATCH (a:B) CREATE (a)-[:Z]->(c:C)",
+        "CREATE (c:C)",
+        "MATCH (a:B) WITH a CREATE (c:C {v: a.v})",
+    ],
+)
+def test_a_write_without_return_returns_no_rows(text):
+    db = GraphDatabase()
+    for v in (1, 2):
+        db.create_node(["B"], {"v": v})
+    before = db.store.statistics.node_count
+    result = db.execute(text)
+    assert (result.columns, result.to_list()) == ([], [])
+    assert db.store.statistics.node_count != before  # the write happened
+
+
+def test_a_null_map_value_leaves_the_property_unset(db):
+    db.create_node(["B"], {"v": 1})
+    db.create_node(["B"])
+    rows = db.execute(
+        "MATCH (b:B) CREATE (c:C {v: b.v, w: 2}) RETURN c ORDER BY c"
+    ).to_list()
+    stored = [db.store.node_properties(row["c"]) for row in rows]
+    keys = [{db.store.property_keys.name_of(k): v for k, v in p.items()} for p in stored]
+    assert sorted(keys, key=len) == [{"w": 2}, {"v": 1, "w": 2}]

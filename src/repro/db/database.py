@@ -254,7 +254,7 @@ class GraphDatabase:
         """Create a node in its own transaction (or the open one)."""
         with self._write_tx() as (tx, own):
             node_id = tx.create_node([self.label(name) for name in labels])
-            for key, value in (properties or {}).items():
+            for key, value in _set(properties):
                 tx.set_node_property(node_id, self.property_key(key), value)
             if own:
                 tx.success()
@@ -271,7 +271,7 @@ class GraphDatabase:
             rel_id = tx.create_relationship(
                 start, end, self.relationship_type(type_name)
             )
-            for key, value in (properties or {}).items():
+            for key, value in _set(properties):
                 tx.set_relationship_property(rel_id, self.property_key(key), value)
             if own:
                 tx.success()
@@ -444,23 +444,33 @@ class GraphDatabase:
     @staticmethod
     def _by_shape(planning, query_text, hints, params) -> CachedQuery:
         """A text's entry when the text has none: its shape's plan bound to
-        its literal values, the shape planned if it is new."""
+        its literal values, the shape planned if it is new.
+
+        A text whose literals cannot share a plan is planned with them,
+        leaving only its ``$name`` slots. Run with ``params`` it has no
+        text key, so that plan is kept under the text and its shape (the
+        shape tags each ``$name`` with its type class)."""
         shape, values, named = literal_shape(query_text, params)
         if not values:
             return planning.plan(parse(query_text), hints)
         shape_key = (shape, hints)
         entry = planning.lookup(shape_key)
+        if entry is not None:
+            return entry.bind(values)
+        own_key = (query_text, shape, hints) if params else None
+        entry = None if own_key is None else planning.lookup(own_key)
         if entry is None:
             # A $name slot's tag is (name, type class).
             kinds = dict(tag for tag in shape[1::2] if isinstance(tag, tuple))
             query, shared = parse_shape(query_text, kinds)
             entry = planning.plan(query, hints)
-            if not shared:
-                # Planned with its literals: only the $name slots remain.
-                named_values = tuple(compress(values, named))
-                return entry.bind(named_values) if named_values else entry
-            planning.keep(shape_key, entry)
-        return entry.bind(values)
+            if shared:
+                planning.keep(shape_key, entry)
+                return entry.bind(values)
+            if own_key is not None:
+                planning.keep(own_key, entry)
+        named_values = tuple(compress(values, named))
+        return entry.bind(named_values) if named_values else entry
 
     def explain(self, query_text: str, hints: Optional[PlannerHints] = None) -> str:
         """The logical plan for a query, rendered as a tree (planned
@@ -605,3 +615,9 @@ class GraphDatabase:
             f"relationships={self.store.statistics.relationship_count}, "
             f"indexes={len(self.indexes)})"
         )
+
+
+def _set(properties: Optional[dict[str, object]]) -> list[tuple[str, object]]:
+    """The entries of a property map that set a property: a NULL value
+    leaves the property unset, as in Cypher's ``CREATE``."""
+    return [(key, value) for key, value in (properties or {}).items() if value is not None]

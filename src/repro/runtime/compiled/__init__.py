@@ -43,13 +43,16 @@ class CompiledPart:
     and yields morsels: full slot rows, or the final part's column tuples.
     ``plans`` lists the plan nodes in counter order for ``flush``. An
     update part's ``fn`` is its pattern half and ``boundary`` the function
-    consuming its written rows.
+    consuming its written rows; ``creates`` holds, per update action,
+    ``create(row, params)`` returning its property map's values in key
+    order (None: the action has no map).
     """
 
     fn: object
     source: str
     plans: list[LogicalPlan]
     boundary: Optional["CompiledPart"] = None
+    creates: tuple = ()
 
 
 @dataclass
@@ -81,14 +84,22 @@ def _compile(
     name: str,
     stream: bool = False,
     columns: Optional[list[str]] = None,
+    updates: Sequence = (),
     **inputs,
 ) -> CompiledPart:
     source, env, plans = generate_part_source(
-        plan, ctx, layout, seam, stream, columns, **inputs
+        plan, ctx, layout, seam, stream, columns, updates=updates, **inputs
     )
     namespace = dict(env)
     exec(compile(source, f"<compiled:{name}>", "exec"), namespace)
-    return CompiledPart(fn=namespace["_pipeline"], source=source, plans=plans)
+    return CompiledPart(
+        fn=namespace["_pipeline"],
+        source=source,
+        plans=plans,
+        creates=tuple(
+            namespace.get(f"_create{position}") for position in range(len(updates))
+        ),
+    )
 
 
 def compile_query(
@@ -99,10 +110,10 @@ def compile_query(
     """Compile every part of a planned query against its ``layout``.
 
     ``planned_parts`` is the plan cache's ``(QueryPart, LogicalPlan)``
-    sequence; ``ctx`` supplies the store, index store, evaluation context
-    and morsel size the generated code binds at compile time (the profile
-    and token on ``ctx`` are *not* captured — they arrive per execution
-    through the ``flush``/``check`` arguments).
+    sequence; ``ctx`` supplies the store, index store, variable kinds and
+    morsel size the generated code binds at compile time (the profile,
+    token and parameters on ``ctx`` are *not* captured — they arrive per
+    execution as arguments).
     """
     parts: list[CompiledPart] = []
     last = len(planned_parts) - 1
@@ -124,7 +135,9 @@ def compile_query(
             and any(var in part.query_graph.relationships for var in arguments),
         }
         if part.updates:
-            compiled = _compile(pattern, ctx, layout, pattern, name, **inputs)
+            compiled = _compile(
+                pattern, ctx, layout, pattern, name, updates=part.updates, **inputs
+            )
             compiled.boundary = _compile(
                 plan, ctx, layout, pattern, f"{name}.boundary", True, columns, **inputs
             )

@@ -3,9 +3,9 @@
 ``generate_part_source`` walks one query part's :class:`LogicalPlan` tree and emits
 a single Python generator function in which all operators of a pipeline are
 fused into one loop nest: scans become ``for`` loops over store/index
-iterators, variable bindings become plain locals, and predicates/projections
-call expression closures pre-compiled with
-:func:`repro.runtime.expressions.compile_expression`. Pipeline breakers
+iterators, variable bindings become plain locals, and expressions are
+source inlined where they are evaluated
+(:func:`repro.runtime.expressions.expression_source`). Pipeline breakers
 (hash-join build, aggregation, sort, distinct-free buffering points) stay in
 the same function as materialization points between loop nests. A read
 part is one function: its pattern half runs inside a loop over the part's
@@ -39,7 +39,7 @@ at breakers and sinks.
 Token ids (labels, relationship types, property keys) are resolved when the
 part is compiled, with a per-invocation lookup for ids unknown at compile
 time (primary label of a label scan, incomplete expand type sets,
-residual label and type filters of the path-index operators, compiled
+residual label and type filters of the path-index operators,
 expressions): a token created later, by an earlier part of the same
 query or by a write after compilation, must match. The
 artifact is kept on the plan, so it is dropped whenever statistics drift
@@ -52,7 +52,7 @@ import itertools
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import TYPE_CHECKING, Callable, Iterable, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 
 from repro.cypher import ast
 from repro.errors import ReproError
@@ -86,14 +86,15 @@ from repro.planner.plans import (
     PlanRelationshipByTypeScan,
     PlanSort,
 )
-from repro.runtime.expressions import compile_expression, compile_predicate
+from repro.runtime.expressions import expression_source
 from repro.runtime.compiled.helpers import (
-    _Accumulator,
     _aggregate_calls,
+    _feed_group,
     _filtered_scan_constraints,
     _hashable,
     _label_ids,
     _leading_prefix,
+    _new_group,
     _node_id_seeker,
     _skip_target,
     _sort_key,
@@ -101,6 +102,7 @@ from repro.runtime.compiled.helpers import (
 from repro.runtime.slots import SlotLayout, _merge_rows, _resolve_type_ids
 
 if TYPE_CHECKING:
+    from repro.querygraph import UpdateAction
     from repro.runtime.executor import RuntimeContext
 
 CHECK_STRIDE = 1024
@@ -134,21 +136,6 @@ class _Scope:
         merged = dict(self.bound)
         merged.update(names)
         return replace(self, bound=merged)
-
-
-class _MiniSlots:
-    """Slot allocator for one compiled expression: the closure indexes a
-    tuple built from scope references instead of a full slot row."""
-
-    def __init__(self) -> None:
-        self.names: list[str] = []
-
-    def slot_of(self, name: str) -> int:
-        try:
-            return self.names.index(name)
-        except ValueError:
-            self.names.append(name)
-            return len(self.names) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -254,42 +241,17 @@ class PartCompiler:
 
     def expr_code(self, expression: ast.Expression, scope: _Scope) -> str:
         """Code evaluating ``expression`` in ``scope`` (NULL-safe)."""
-        if isinstance(expression, ast.Variable):
-            return self.ref(scope, expression.name)
-        if isinstance(expression, ast.Parameter):
-            return self.value_code(expression)
-        if isinstance(expression, ast.Literal) and isinstance(
-            expression.value, (bool, int, str, type(None))
-        ):
-            return repr(expression.value)
-        mini = _MiniSlots()
-        fn = self.add_env(
-            "e", compile_expression(expression, mini.slot_of, self.ctx.eval_ctx)
+        return expression_source(
+            expression,
+            partial(self.ref, scope),
+            self.ctx.store,
+            self.ctx.variable_kinds,
+            self.env,
         )
-        return f"{fn}({self._ref_tuple(mini, scope)})"
 
     def pred_code(self, expression: ast.Expression, scope: _Scope) -> str:
         """Code for a predicate test (only an exact True passes)."""
-        if isinstance(expression, ast.Variable):
-            return f"{self.ref(scope, expression.name)} is True"
-        mini = _MiniSlots()
-        fn = self.add_env(
-            "p", compile_predicate(expression, mini.slot_of, self.ctx.eval_ctx)
-        )
-        return f"{fn}({self._ref_tuple(mini, scope)})"
-
-    def _ref_tuple(self, mini: _MiniSlots, scope: _Scope) -> str:
-        if not mini.names:
-            return "()"
-        # A compiled expression looks a parameter slot up like a variable
-        # (see ``compile_expression``); its value comes from ``_params``.
-        parts = ", ".join(
-            self.value_code(name)
-            if isinstance(name, ast.Parameter)
-            else self.ref(scope, name)
-            for name in mini.names
-        )
-        return f"({parts},)" if len(mini.names) == 1 else f"({parts})"
+        return f"{self.expr_code(expression, scope)} is True"
 
     # -- row materialization ----------------------------------------------
 
@@ -791,7 +753,7 @@ def _emit_leading_prefix(
         run.append((var, constant))
     if all(constant is not None for _, constant in run):
         items = [comp.value_code(constant) for _, constant in run]
-        return (_tuple_code(items) if items else "()"), items
+        return _tuple_code(items), items
     prefix_of = comp.add_env("pfx", _leading_prefix)
     fixed = _tuple_code(
         ["None" if value is None else comp.value_code(value) for _, value in run]
@@ -1100,68 +1062,21 @@ def _p_projection(comp: PartCompiler, plan: PlanProjection, consume) -> None:
 
 
 def _p_aggregation(comp: PartCompiler, plan: PlanAggregation, consume) -> None:
-    ctx = comp.ctx
     grouping_names = [item.output_name for item in plan.grouping_items]
-
-    # Flat accumulator order: item by item, call by call; a None slot in
-    # the fed tuple marks a count(*) accumulator.
-    item_calls = [
-        (item, _aggregate_calls(item.expression)) for item in plan.aggregate_items
+    # Flat accumulator order: item by item, call by call.
+    flat_calls = [
+        call for item in plan.aggregate_items for call in _aggregate_calls(item.expression)
     ]
-    flat_calls = [call for _, calls in item_calls for call in calls]
-
-    def make_accumulators() -> list:
-        return [_Accumulator(call) for call in flat_calls]
-
-    stars = [call.star for call in flat_calls]
-
-    def feed(accumulators: list, values: tuple) -> None:
-        for accumulator, star, value in zip(accumulators, stars, values):
-            if star:
-                accumulator.count += 1
-            else:
-                accumulator.feed_value(value)
-
-    # Each item expression reads its inputs — grouping outputs, earlier
-    # aggregate outputs, its calls' results, parameter slots — as a tuple.
-    finishers = []
-    for item, calls in item_calls:
-        inputs = _MiniSlots()
-        value_of = compile_expression(item.expression, inputs.slot_of, ctx.eval_ctx)
-        finishers.append((item.output_name, calls, value_of, inputs.names))
-
-    def finish(key_values: tuple, accumulators: list, params: tuple) -> list:
-        known = dict(zip(grouping_names, key_values))
-        out = list(key_values)
-        pending = iter(accumulators)
-        for name, calls, value_of, inputs in finishers:
-            known.update({call: next(pending).result() for call in calls})
-            value = known[name] = value_of(
-                [
-                    params[ref.index] if isinstance(ref, ast.Parameter) else known.get(ref)
-                    for ref in inputs
-                ]
-            )
-            out.append(value)
-        return out
-
+    new_group = partial(_new_group, flat_calls)
     # Spilled items must carry everything the fold needs, because the
     # generated code cannot re-evaluate expressions against a spilled
     # row: each item is (key_values, fed_values), both plain tuples.
-    def new_state(item: tuple) -> tuple:
-        return (item[0], make_accumulators())
-
-    def feed_item(state: tuple, item: tuple) -> None:
-        feed(state[1], item[1])
-
     make_buffer = comp.add_env(
         "mkagg",
-        lambda mem, plan=plan: AggregationSpillBuffer(
-            mem, plan, new_state, feed_item
+        lambda mem, plan=plan, new_group=new_group: AggregationSpillBuffer(
+            mem, plan, new_group, _feed_group
         ),
     )
-    make_env = comp.add_env("mkacc", make_accumulators)
-    finish_env = comp.add_env("fin", finish)
     hashable = comp.add_env("hash", _hashable)
     buffer = comp.fresh("gr")
     comp.emit(f"{buffer} = {make_buffer}(_mem)")
@@ -1172,20 +1087,14 @@ def _p_aggregation(comp: PartCompiler, plan: PlanAggregation, consume) -> None:
             local = comp.fresh("gv")
             comp.emit(f"{local} = {comp.expr_code(item.expression, scope)}")
             key_locals.append(local)
-        hashed = ", ".join(f"{hashable}({local})" for local in key_locals)
-        if len(key_locals) == 1:
-            hashed += ","
-        values = ", ".join(key_locals)
-        if len(key_locals) == 1:
-            values += ","
-        fed = []
-        for call in flat_calls:
-            if call.star:
-                fed.append("None")
-            else:
-                fed.append(comp.expr_code(call.argument, scope))
-        tuple_code = ", ".join(fed) + ("," if len(fed) == 1 else "")
-        comp.emit(f"{buffer}.add(({hashed}), (({values}), ({tuple_code})))")
+        hashed = _tuple_code([f"{hashable}({local})" for local in key_locals])
+        fed = _tuple_code(
+            [
+                "None" if call.star else comp.expr_code(call.argument, scope)
+                for call in flat_calls
+            ]
+        )
+        comp.emit(f"{buffer}.add({hashed}, ({_tuple_code(key_locals)}, {fed}))")
 
     comp.produce(plan.children[0], consume_child)
     states = comp.fresh("gl")
@@ -1195,22 +1104,35 @@ def _p_aggregation(comp: PartCompiler, plan: PlanAggregation, consume) -> None:
         # Global aggregation over zero rows still yields one row.
         comp.emit(f"if {buffer}.is_empty:")
         with comp.block():
-            comp.emit(f"{states} = (((), {make_env}()),)")
+            comp.emit(f"{states} = ({comp.add_env('newgrp', new_group)}(((), ())),)")
         comp.emit("else:")
         with comp.block():
             comp.emit(f"{states} = {buffer}.states()")
-    state, finished = comp.fresh("gs"), comp.fresh("fv")
-    comp.emit(f"for {state} in {states}:")
+    keys, accumulators = comp.fresh("gk"), comp.fresh("ga")
+    comp.emit(f"for {keys}, {accumulators} in {states}:")
     with comp.block():
         comp.tick()
-        comp.emit(f"{finished} = {finish_env}({state}[0], {state}[1], _params)")
-        comp.count_and_check(plan)
-        bound = {
-            name: f"{finished}[{position}]"
-            for position, name in enumerate(
-                grouping_names + [item.output_name for item in plan.aggregate_items]
-            )
+        # Each item reads the grouping outputs, the calls' results and the
+        # items before it; any other name is NULL past the boundary.
+        known: dict[object, str] = {
+            name: f"{keys}[{position}]" for position, name in enumerate(grouping_names)
         }
+        for position, call in enumerate(flat_calls):
+            result = comp.fresh("ag")
+            comp.emit(f"{result} = {accumulators}[{position}].result()")
+            known[call] = result  # equal calls have equal results
+        for item in plan.aggregate_items:
+            code = comp.expr_code(
+                item.expression, _Scope(base=None, bound=known, closed=True)
+            )
+            if not code.isidentifier():
+                local = comp.fresh("av")
+                comp.emit(f"{local} = {code}")
+                code = local
+            known[item.output_name] = code
+        comp.count_and_check(plan)
+        outputs = grouping_names + [item.output_name for item in plan.aggregate_items]
+        bound = {name: known[name] for name in outputs}
         consume(_Scope(base=None, bound=bound, rels="()", closed=True))
 
 
@@ -1248,30 +1170,26 @@ def _p_distinct(comp: PartCompiler, plan: PlanDistinct, consume) -> None:
 
 
 def _p_sort(comp: PartCompiler, plan: PlanSort, consume) -> None:
-    eval_ctx = comp.ctx.eval_ctx
-    slot_of = comp.layout.slot_of
-
-    def make_buffer(mem, params, plan=plan) -> SortSpillBuffer:
-        # The keys compile per execution, reading that execution's slots.
-        keys = [
-            (compile_expression(expression, slot_of, eval_ctx, params), ascending)
-            for expression, ascending in plan.order_by
-        ]
-
-        def composed_key(row: list) -> tuple:
-            # One stable sort on this composed key equals the historical
-            # chain of per-level stable sorts (descending levels invert via
-            # Desc); it also orders the external-sort run files.
-            return tuple(
-                _sort_key(fn(row)) if ascending else Desc(_sort_key(fn(row)))
-                for fn, ascending in keys
-            )
-
-        return SortSpillBuffer(mem, plan, composed_key)
-
+    # One stable sort on the composed key equals the historical chain of
+    # per-level stable sorts (descending levels invert via Desc); it also
+    # orders the external-sort run files. The key function is defined per
+    # execution, so it reads that execution's parameters.
+    sort_key = comp.add_env("skey", _sort_key)
+    desc = comp.add_env("desc", Desc)
+    key, keyed = comp.fresh("key"), comp.fresh("sr")
+    levels = []
+    for expression, ascending in plan.order_by:
+        level = f"{sort_key}({comp.expr_code(expression, _Scope(base=keyed))})"
+        levels.append(level if ascending else f"{desc}({level})")
+    comp.emit(f"def {key}({keyed}):")
+    with comp.block():
+        comp.emit(f"return {_tuple_code(levels)}")
+    make_buffer = comp.add_env(
+        "mksort", lambda mem, key, plan=plan: SortSpillBuffer(mem, plan, key)
+    )
     buffer = comp.fresh("bf")
     append = comp.fresh("ba")
-    comp.emit(f"{buffer} = {comp.add_env('mksort', make_buffer)}(_mem, _params)")
+    comp.emit(f"{buffer} = {make_buffer}(_mem, {key})")
     comp.emit(f"{append} = {buffer}.add")
 
     def consume_child(scope: _Scope) -> None:
@@ -1356,6 +1274,7 @@ def generate_part_source(
     *,
     arguments: frozenset[str],
     argument_rels: bool,
+    updates: Sequence[UpdateAction] = (),
 ) -> tuple[str, dict[str, object], list[LogicalPlan]]:
     """Generate the source of one pipeline function (see
     :class:`PartCompiler` for ``seam``, ``stream``, ``arguments`` and
@@ -1363,7 +1282,9 @@ def generate_part_source(
 
     Returns ``(source, env, plans)``. The function yields morsels of full
     slot rows, or, given the final part's ``columns``, of tuples holding
-    those columns in order.
+    those columns in order. For each of ``updates`` (an update part's
+    actions) with a property map the source also defines
+    ``_create{i}(row, params)``, returning the map's values.
     """
     comp = PartCompiler(
         plan,
@@ -1387,6 +1308,19 @@ def generate_part_source(
             comp.emit("_append = _out.append")
 
     comp.produce(plan, sink)
+    # A CREATE map's values, per action in key order: ``_create{i}`` reads
+    # the written row as the earlier actions left it.
+    creates = []
+    for position, action in enumerate(updates):
+        if action.properties:
+            values = [
+                comp.expr_code(value, _Scope(base="_r"))
+                for value in action.properties.values()
+            ]
+            creates += [
+                f"def _create{position}(_r, _params):",
+                f"    return {_tuple_code(values)}",
+            ]
 
     counters = [f"_ct{i}" for i in range(len(comp.plans))]
     comp.env["_M"] = ctx.morsel_size
@@ -1415,5 +1349,5 @@ def generate_part_source(
         "    finally:",
         f"        _flush({_tuple_code(counters)})",
     ]
-    source = "\n".join(header + comp.lines + footer) + "\n"
+    source = "\n".join(header + comp.lines + footer + creates) + "\n"
     return source, comp.env, comp.plans

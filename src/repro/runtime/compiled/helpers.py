@@ -1,7 +1,7 @@
 """What generated code calls at run time, and what codegen derives from
-plans: the aggregate accumulator, the skip-scan's entry constraints and
-restart keys (§5.1.2), the scan's leading key prefix, the node-id seek
-test, the sort key and the grouping key.
+plans: the aggregate accumulator and group state, the skip-scan's entry
+constraints and restart keys (§5.1.2), the scan's leading key prefix, the
+node-id seek test, the sort key and the grouping key.
 """
 
 from __future__ import annotations
@@ -187,10 +187,13 @@ def _neq_entry_pair(predicate, position_of) -> Optional[tuple[int, int]]:
 class _Accumulator:
     """State for one aggregate function call within one group."""
 
-    __slots__ = ("call", "count", "total", "minimum", "maximum", "values", "seen")
+    __slots__ = (
+        "call", "star", "count", "total", "minimum", "maximum", "values", "seen"
+    )
 
     def __init__(self, call: ast.FunctionCall) -> None:
         self.call = call
+        self.star = call.star
         self.count = 0
         self.total = 0
         self.minimum = None
@@ -199,7 +202,10 @@ class _Accumulator:
         self.seen: set = set()
 
     def feed_value(self, value) -> None:
-        """Accumulate one evaluated argument (count(*) counts directly)."""
+        """Accumulate one evaluated argument (count(*) counts every row)."""
+        if self.star:
+            self.count += 1
+            return
         name = self.call.name
         if value is None:
             return  # aggregates skip NULLs (Cypher semantics)
@@ -235,6 +241,18 @@ class _Accumulator:
         if name == "collect":
             return self.values
         raise ReproError(f"unknown aggregate {name}()")
+
+
+def _new_group(calls: Sequence[ast.FunctionCall], item: tuple) -> tuple:
+    """A group's state from its first item ``(key_values, fed_values)``:
+    the key values and one accumulator per aggregate call."""
+    return (item[0], [_Accumulator(call) for call in calls])
+
+
+def _feed_group(state: tuple, item: tuple) -> None:
+    """Fold an item's fed values (one per call) into a group's state."""
+    for accumulator, value in zip(state[1], item[1]):
+        accumulator.feed_value(value)
 
 
 def _aggregate_calls(expression: ast.Expression) -> list[ast.FunctionCall]:

@@ -31,7 +31,6 @@ from repro.planner.plans import LogicalPlan
 from repro.querygraph import QueryPart, UpdateAction
 from repro.resources import NULL_TRACKER, ROW_BYTES, AppendSpillBuffer
 from repro.runtime.compiled import CompiledPart, CompiledQuery, compile_query
-from repro.runtime.expressions import EvaluationContext, compile_expression
 from repro.runtime.slots import SlotLayout, layout_of
 from repro.storage.graphstore import GraphStore
 from repro.tx.transaction import Transaction
@@ -113,6 +112,8 @@ class OperatorProfile:
 class RuntimeContext:
     """Shared state for one query execution.
 
+    ``variable_kinds`` come from semantic analysis (expressions read
+    properties by them); ``params`` is the execution's parameter tuple.
     ``morsel_size`` is the output chunk size of generated code.
 
     ``tracker`` (when set) is a per-query
@@ -126,17 +127,19 @@ class RuntimeContext:
         self,
         store: GraphStore,
         index_store: Optional[PathIndexStore],
-        eval_ctx: EvaluationContext,
+        variable_kinds: dict[str, VariableKind],
         profile: OperatorProfile,
         morsel_size: int = 1024,
         tracker=None,
+        params: Sequence[object] = (),
     ) -> None:
         self.store = store
         self.index_store = index_store
-        self.eval_ctx = eval_ctx
+        self.variable_kinds = variable_kinds
         self.profile = profile
         self.morsel_size = morsel_size
         self.tracker = tracker
+        self.params = params
 
     def mem(self):
         return self.tracker if self.tracker is not None else NULL_TRACKER
@@ -184,7 +187,6 @@ class Executor:
         self.store = store
         self.index_store = index_store
         self.variable_kinds = variable_kinds
-        self.eval_ctx = EvaluationContext(store, variable_kinds)
 
     def compile(
         self, planned_parts: Sequence[tuple[QueryPart, LogicalPlan]]
@@ -192,15 +194,16 @@ class Executor:
         """Compile ``planned_parts`` now, unless already compiled; returns
         the artifact kept on the plan (see :data:`ARTIFACT`).
 
-        The artifact binds the store, indexes and expression closures at
-        compile time but takes profile/cancellation hooks per execution,
-        so one artifact serves every later execution of the plan.
+        The artifact binds the store, indexes and token ids at compile
+        time but takes profile/cancellation hooks and parameters per
+        execution, so one artifact serves every later execution of the
+        plan.
         """
         holder = planned_parts[0][1].__dict__
         artifact = holder.get(ARTIFACT)
         if artifact is None:
             ctx = RuntimeContext(
-                self.store, self.index_store, self.eval_ctx, OperatorProfile()
+                self.store, self.index_store, self.variable_kinds, OperatorProfile()
             )
             artifact = holder[ARTIFACT] = compile_query(
                 planned_parts, ctx, layout_of(planned_parts)
@@ -245,9 +248,10 @@ class Executor:
         ctx = RuntimeContext(
             self.store,
             self.index_store,
-            self.eval_ctx.bound(getattr(planned_parts, "params", ())),
+            self.variable_kinds,
             profile.operators,
             tracker=tracker,
+            params=getattr(planned_parts, "params", ()),
         )
         if morsel_size is not None and morsel_size != artifact.morsel_size:
             ctx.morsel_size = morsel_size
@@ -262,7 +266,7 @@ class Executor:
             final = cpart is last
             if part.updates:
                 matched = _morsels(cpart, rows, ctx, check)
-                written = self._write(matched, part, transaction, ctx, layout)
+                written = self._write(matched, part, cpart, transaction, ctx, layout)
                 cpart, rows = cpart.boundary, iter(written)
             morsels = _morsels(cpart, rows, ctx, check)
             if final and tracker is not None:
@@ -276,6 +280,7 @@ class Executor:
         self,
         morsels: Iterator[list],
         part: QueryPart,
+        cpart: CompiledPart,
         transaction: Optional[Transaction],
         ctx: RuntimeContext,
         layout: SlotLayout,
@@ -296,7 +301,7 @@ class Executor:
         for morsel in morsels:
             for row in morsel:
                 matched.add(row)
-        write = self._writer(part.updates, transaction, ctx, layout)
+        write = self._writer(part.updates, cpart.creates, transaction, ctx, layout)
         written: list[list] = []
         for row in matched:
             row = write(row)
@@ -308,31 +313,24 @@ class Executor:
     def _writer(
         self,
         updates: Sequence[UpdateAction],
+        creates: Sequence[Optional[Callable]],
         transaction: Transaction,
         ctx: RuntimeContext,
         layout: SlotLayout,
     ) -> Callable[[list], list]:
         """``write(row)``: apply ``updates`` for one matched row, returning
-        the row with the created entities bound."""
+        the row with the created entities bound. ``creates`` are the
+        compiled part's property-map functions, one per action."""
         store = self.store
         slot_of = layout.slot_of
-        eval_ctx = ctx.eval_ctx
-        actions = [
-            (
-                action,
-                [
-                    (key, compile_expression(value, slot_of, eval_ctx, eval_ctx.params))
-                    for key, value in action.properties.items()
-                ],
-            )
-            for action in updates
-        ]
+        params = ctx.params
+        actions = list(zip(updates, creates))
         deleted_rels: set[int] = set()
         deleted_nodes: set[int] = set()
 
         def write(row: list) -> list:
             row = row[:]
-            for action, properties in actions:
+            for action, create in actions:
                 if action.kind == "delete":
                     self._apply_delete(
                         action,
@@ -359,8 +357,8 @@ class Executor:
                         int(start), int(end), store.types.get_or_create(action.type)
                     )
                     set_property = transaction.set_relationship_property
-                for key, value_of in properties:
-                    value = value_of(row)
+                values = () if create is None else create(row, params)
+                for key, value in zip(action.properties, values):
                     if value is not None:  # a NULL value leaves it unset
                         key_id = store.property_keys.get_or_create(key)
                         set_property(entity, key_id, value)
@@ -407,7 +405,7 @@ def _morsels(
     morsels. It receives its per-execution dependencies — the profile
     flush, the cancellation check, the memory tracker and the parameter
     tuple — as arguments; everything compile-time (store, index,
-    expression closures, tokens) is baked in."""
+    tokens) is baked in."""
     plans = cpart.plans
     record = ctx.profile.record
 
@@ -416,4 +414,4 @@ def _morsels(
             if count:
                 record(node, count)
 
-    return cpart.fn(rows, flush, check, ctx.tracker, ctx.eval_ctx.params)
+    return cpart.fn(rows, flush, check, ctx.tracker, ctx.params)

@@ -1,65 +1,68 @@
-"""Expression evaluation with Cypher's ternary (NULL) logic.
+"""Expressions as generated source, with Cypher's ternary (NULL) logic.
 
-``compile_expression`` is the one evaluator: it resolves variable names to
-slot indices and token names to token ids once, when a part is compiled
-(or a sort's keys per execution), and returns a closure evaluating the
-expression against a slot row. The closure returns a Python value or None (Cypher
-NULL). Comparisons involving NULL yield None; `AND`/`OR`/`NOT` follow
-three-valued logic; a filter keeps a row only when its predicate evaluates
-to exactly True. Property access resolves through the graph store using the
-variable-kind annotations from semantic analysis. Token ids unknown at
-compile time (a label or property key created by an earlier part of the
-same query) fall back to a per-call lookup.
+:func:`expression_source` is the one place an expression AST becomes code:
+it returns a Python expression that generated code evaluates inline.
+``ref(name)`` gives the code reading a variable, or an aggregate call's
+result, where the expression sits; a parameter reads ``_params[i]``. Token
+ids are resolved at compile time, with a per-call lookup for a label or
+property key unknown then (one created by an earlier part of the same
+query, or by a write after compilation).
+
+The source calls the helpers below, so the semantics live here alone.
+Every value is a Python value or None (Cypher NULL). Comparisons involving
+NULL yield None; `AND`/`OR`/`XOR`/`NOT` follow three-valued logic and
+evaluate both operands; a filter keeps a row only when its predicate is
+exactly True. Property access reads the graph store according to the
+variable-kind annotations of semantic analysis.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+import math
+from typing import Callable
 
 from repro.cypher import ast
 from repro.cypher.semantics import VariableKind
 from repro.errors import ReproError
 from repro.storage.graphstore import GraphStore
 
-
-class EvaluationContext:
-    """Everything expression evaluation needs: store + variable kinds, and
-    the parameter tuple of the execution (``params[i]`` is the value of
-    :class:`~repro.cypher.ast.Parameter` slot ``i``)."""
-
-    def __init__(
-        self,
-        store: GraphStore,
-        variable_kinds: dict[str, VariableKind],
-        params: Sequence[object] = (),
-    ) -> None:
-        self.store = store
-        self.variable_kinds = variable_kinds
-        self.params = params
-
-    def bound(self, params: Sequence[object]) -> "EvaluationContext":
-        """This context for one execution binding ``params``."""
-        if params is self.params or not (params or self.params):
-            return self
-        return EvaluationContext(self.store, self.variable_kinds, params)
+_ENTITIES = (VariableKind.NODE, VariableKind.RELATIONSHIP)
 
 
-def _apply_scalar_function(name: str, argument, ctx: EvaluationContext):
+def _apply_scalar_function(name: str, argument, store: GraphStore):
     if argument is None:
         return None
     if name == "id":
         return int(argument)
     if name == "type":
-        record = ctx.store.relationship(int(argument))
-        return ctx.store.types.name_of(record.type_id)
+        record = store.relationship(int(argument))
+        return store.types.name_of(record.type_id)
     if name == "labels":
-        label_ids = ctx.store.node_labels(int(argument))
-        return sorted(ctx.store.labels.name_of(label_id) for label_id in label_ids)
+        label_ids = store.node_labels(int(argument))
+        return sorted(store.labels.name_of(label_id) for label_id in label_ids)
     if name == "size":
         if isinstance(argument, (list, str)):
             return len(argument)
         raise ReproError(f"size() expects a list or string, got {argument!r}")
     raise ReproError(f"unknown function {name}()")
+
+
+def _property(getter, value, key_id, text: str = ""):
+    """``value.key``: NULL on a NULL subject or a key no entity has.
+    ``getter`` reads a node's or a relationship's property; None when the
+    subject ``text`` names is not an entity."""
+    if value is None or key_id is None:
+        return None
+    if getter is None:
+        raise ReproError(f"cannot access property {text}: not a node or relationship")
+    return getter(int(value), key_id)
+
+
+def _has_label(has_label, value, label_id):
+    """``value:Label``: NULL on a NULL subject, false for a label no node has."""
+    if value is None:
+        return None
+    return label_id is not None and has_label(int(value), label_id)
 
 
 # ---------------------------------------------------------------------------
@@ -69,21 +72,21 @@ def _truthy(value: object) -> bool:
     return bool(value)
 
 
-def _compare(op: ast.ComparisonOp, left, right):
+def _compare(op: str, left, right):
     if left is None or right is None:
         return None
-    if op is ast.ComparisonOp.EQ:
+    if op == "=":
         return _eq(left, right)
-    if op is ast.ComparisonOp.NEQ:
+    if op == "<>":
         equal = _eq(left, right)
         return None if equal is None else not equal
     if not _orderable(left, right):
         return None
-    if op is ast.ComparisonOp.LT:
+    if op == "<":
         return left < right
-    if op is ast.ComparisonOp.GT:
+    if op == ">":
         return left > right
-    if op is ast.ComparisonOp.LE:
+    if op == "<=":
         return left <= right
     return left >= right
 
@@ -152,156 +155,97 @@ def _arithmetic(op: str, left, right):
 
 
 # ---------------------------------------------------------------------------
-# Compilation to slot-row closures
+# Emission
 # ---------------------------------------------------------------------------
 
-SlotFn = Callable[[Sequence], object]
-"""A compiled expression: slot row in, value (or None = NULL) out."""
 
-
-def compile_expression(
+def expression_source(
     expression: ast.Expression,
-    slot_of: Callable[[str], int],
-    ctx: EvaluationContext,
-    params: Optional[Sequence[object]] = None,
-) -> SlotFn:
-    """Compile ``expression`` into a closure over slot indices.
+    ref: Callable[[object], str],
+    store: GraphStore,
+    variable_kinds: dict[str, VariableKind],
+    env: dict[str, object],
+) -> str:
+    """Code evaluating ``expression`` (NULL-safe).
 
-    ``slot_of`` maps a variable name to its slot. A
-    :class:`~repro.cypher.ast.Parameter` reads ``params`` when given (a
-    closure for one execution); otherwise it is looked up like a variable,
-    ``slot_of(parameter)``, and the caller puts the execution's value in
-    that slot, so the closure itself holds no value. An aggregate call is
-    looked up the same way, ``slot_of(call)``: the aggregation operator
-    puts the call's result there (``count(x) + 1``).
+    ``ref(name)`` is the code reading variable ``name``, or the result of
+    an aggregate call (``ref(call)``, as in ``count(x) + 1``). The code
+    reads ``_params`` and the names it adds to ``env``: the helpers above
+    and the store's accessors, under fixed names.
     """
-    if isinstance(expression, ast.Parameter):
-        if params is not None:
-            bound = params[expression.index]
-            return lambda row: bound
-        slot = slot_of(expression)
-        return lambda row: row[slot]
-    if isinstance(expression, ast.Literal):
-        value = expression.value
-        return lambda row: value
-    if isinstance(expression, ast.Variable):
-        slot = slot_of(expression.name)
-        return lambda row: row[slot]
-    if isinstance(expression, ast.FunctionCall):
-        return _compile_function(expression, slot_of, ctx, params)
-    if isinstance(expression, ast.PropertyAccess):
-        return _compile_property(expression, slot_of, ctx)
-    if isinstance(expression, ast.HasLabel):
-        return _compile_has_label(expression, slot_of, ctx)
-    if isinstance(expression, ast.Comparison):
-        op = expression.op
-        left = compile_expression(expression.left, slot_of, ctx, params)
-        right = compile_expression(expression.right, slot_of, ctx, params)
-        return lambda row: _compare(op, left(row), right(row))
-    if isinstance(expression, ast.Not):
-        operand = compile_expression(expression.operand, slot_of, ctx, params)
 
-        def negate(row):
-            value = operand(row)
-            return None if value is None else not _truthy(value)
+    def use(name: str, value: object) -> str:
+        env[name] = value
+        return name
 
-        return negate
-    if isinstance(expression, ast.BooleanOp):
-        op = expression.op
-        left = compile_expression(expression.left, slot_of, ctx, params)
-        right = compile_expression(expression.right, slot_of, ctx, params)
-        return lambda row: _boolean_value(op, left(row), right(row))
-    if isinstance(expression, ast.Arithmetic):
-        op = expression.op
-        left = compile_expression(expression.left, slot_of, ctx, params)
-        right = compile_expression(expression.right, slot_of, ctx, params)
-        return lambda row: _arithmetic(op, left(row), right(row))
-    raise ReproError(f"cannot evaluate expression {expression!r}")
-
-
-def compile_predicate(
-    expression: ast.Expression,
-    slot_of: Callable[[str], int],
-    ctx: EvaluationContext,
-    params: Optional[Sequence[object]] = None,
-) -> Callable[[Sequence], bool]:
-    """Predicate semantics: only an exact True passes."""
-    compiled = compile_expression(expression, slot_of, ctx, params)
-    return lambda row: compiled(row) is True
-
-
-def _compile_function(
-    expression: ast.FunctionCall,
-    slot_of: Callable[[str], int],
-    ctx: EvaluationContext,
-    params: Optional[Sequence[object]],
-) -> SlotFn:
-    name = expression.name
-    if expression.is_aggregate:
-        slot = slot_of(expression)
-        return lambda row: row[slot]
-    if expression.argument is None:
-        # No argument means a NULL argument, and every scalar function maps
-        # NULL to NULL.
-        return lambda row: None
-    argument = compile_expression(expression.argument, slot_of, ctx, params)
-    return lambda row: _apply_scalar_function(name, argument(row), ctx)
-
-
-def _compile_property(
-    expression: ast.PropertyAccess,
-    slot_of: Callable[[str], int],
-    ctx: EvaluationContext,
-) -> SlotFn:
-    subject = expression.subject
-    key = expression.key
-    slot = slot_of(subject)
-    store = ctx.store
-    keys = store.property_keys
-    key_id_static = keys.id_of(key)
-    kind = ctx.variable_kinds.get(subject)
-    if kind is VariableKind.RELATIONSHIP:
-        getter = store.relationship_property
-    elif kind is VariableKind.NODE:
-        getter = store.node_property
-    else:
-        getter = None
-
-    def fn(row):
-        value = row[slot]
-        key_id = key_id_static if key_id_static is not None else keys.id_of(key)
-        if key_id is None or value is None:
-            return None
-        if getter is None:
-            raise ReproError(
-                f"cannot access property {key!r} of value {subject!r}"
+    def code(node: ast.Expression) -> str:
+        if isinstance(node, ast.Parameter):
+            return f"_params[{node.index}]"
+        if isinstance(node, ast.Literal):
+            value = node.value
+            if isinstance(value, float) and not math.isfinite(value):
+                return f"float({str(value)!r})"
+            return repr(value)
+        if isinstance(node, ast.Variable):
+            return ref(node.name)
+        if isinstance(node, ast.FunctionCall):
+            if node.is_aggregate:
+                return ref(node)
+            if node.argument is None:
+                # No argument means a NULL argument, and every scalar
+                # function maps NULL to NULL.
+                return "None"
+            argument = code(node.argument)
+            if (
+                node.name == "id"
+                and isinstance(node.argument, ast.Variable)
+                and variable_kinds.get(node.argument.name) in _ENTITIES
+            ):
+                return argument  # an entity's value is its id
+            function = use("_function", _apply_scalar_function)
+            return f"{function}({node.name!r}, {argument}, {use('_store', store)})"
+        if isinstance(node, ast.PropertyAccess):
+            keys = store.property_keys
+            key_id = keys.id_of(node.key)
+            key = (
+                repr(key_id)
+                if key_id is not None
+                else f"{use('_key_id', keys.id_of)}({node.key!r})"
             )
-        return getter(int(value), key_id)
+            getter = {
+                VariableKind.NODE: ("_node_property", store.node_property),
+                VariableKind.RELATIONSHIP: (
+                    "_relationship_property",
+                    store.relationship_property,
+                ),
+            }.get(variable_kinds.get(node.subject))
+            subject = ref(node.subject)
+            if getter is None:
+                return f"{use('_property', _property)}(None, {subject}, {key}, {str(node)!r})"
+            return f"{use('_property', _property)}({use(*getter)}, {subject}, {key})"
+        if isinstance(node, ast.HasLabel):
+            labels = store.labels
+            label_id = labels.id_of(node.label)
+            label = (
+                repr(label_id)
+                if label_id is not None
+                else f"{use('_label_id', labels.id_of)}({node.label!r})"
+            )
+            has_label = use("_node_has_label", store.has_label)
+            return f"{use('_has_label', _has_label)}({has_label}, {ref(node.subject)}, {label})"
+        if isinstance(node, ast.Comparison):
+            compare = use("_compare", _compare)
+            return f"{compare}({node.op.value!r}, {code(node.left)}, {code(node.right)})"
+        if isinstance(node, ast.Not):
+            # NOT x is x XOR TRUE in three-valued logic.
+            return f"{use('_boolean', _boolean_value)}('XOR', {code(node.operand)}, True)"
+        if isinstance(node, ast.BooleanOp):
+            boolean = use("_boolean", _boolean_value)
+            return f"{boolean}({node.op!r}, {code(node.left)}, {code(node.right)})"
+        if isinstance(node, ast.Arithmetic):
+            arithmetic = use("_arithmetic", _arithmetic)
+            return f"{arithmetic}({node.op!r}, {code(node.left)}, {code(node.right)})"
+        raise ReproError(f"cannot evaluate expression {expression!r}")
 
-    return fn
+    return code(expression)
 
-
-def _compile_has_label(
-    expression: ast.HasLabel,
-    slot_of: Callable[[str], int],
-    ctx: EvaluationContext,
-) -> SlotFn:
-    slot = slot_of(expression.subject)
-    label = expression.label
-    store = ctx.store
-    label_id_static = store.labels.id_of(label)
-
-    def fn(row):
-        value = row[slot]
-        if value is None:
-            return None
-        label_id = (
-            label_id_static
-            if label_id_static is not None
-            else store.labels.id_of(label)
-        )
-        if label_id is None:
-            return False
-        return store.has_label(int(value), label_id)
-
-    return fn

@@ -39,6 +39,27 @@ def test_create_relationship_with_properties(db):
     assert db.store.relationship_property(rel, db.property_key("since")) == 1840
 
 
+def test_direct_writes_leave_null_properties_unset(db):
+    """A NULL map value sets nothing, as in Cypher's CREATE: the store
+    holds what the oracle's graph holds after the same CREATE."""
+    from tests import oracle
+
+    node = db.create_node(["A"], {"v": None, "w": 1})
+    other = db.create_node(["A"], {"v": 2})
+    rel = db.create_relationship(node, other, "X", {"v": None, "w": 3})
+    assert db.store.node_properties(node) == {db.property_key("w"): 1}
+    assert db.store.relationship_properties(rel) == {db.property_key("w"): 3}
+    empty = oracle.Graph()
+    created = oracle.run(
+        empty, "CREATE (:A {v: NULL, w: 1})-[:X {v: NULL, w: 3}]->(:A {v: 2})"
+    ).graph
+    assert oracle.graph_form(oracle.snapshot(db), empty) == oracle.graph_form(
+        created, empty
+    )
+    text = "MATCH (a:A)-[r:X]->(b) RETURN a.v AS av, a.w AS aw, r.v AS rv, b.v AS bv"
+    oracle.check(oracle.run(created, text), oracle.plain_rows(db.execute(text)))
+
+
 def test_direct_writes_join_open_transaction(db):
     with db.begin() as tx:
         node = db.create_node(["P"])  # joins tx instead of nesting

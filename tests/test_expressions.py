@@ -1,27 +1,24 @@
 """Unit tests for expression evaluation (Cypher three-valued logic).
 
-Every case runs through the one evaluator generated code uses,
-``compile_expression``, over a slot row; the expected values are written by
-hand, so these cases check expressions independently of any engine."""
+Every case goes through the one emitter generated code uses,
+``expression_source``, and runs the emitted source over a row; the
+expected values are written by hand, so these cases check expressions
+independently of any plan."""
 
 import pytest
 
 from repro.cypher import ast, parse
 from repro.cypher.semantics import VariableKind
 from repro.errors import ReproError
-from repro.runtime.expressions import (
-    EvaluationContext,
-    compile_expression,
-    compile_predicate,
-)
+from repro.runtime.expressions import expression_source
 from repro.storage import GraphStore
+
+KINDS = {"n": VariableKind.NODE, "r": VariableKind.RELATIONSHIP}
 
 
 @pytest.fixture
 def ctx():
-    store = GraphStore()
-    kinds = {"n": VariableKind.NODE, "r": VariableKind.RELATIONSHIP}
-    return store, EvaluationContext(store, kinds)
+    return GraphStore(), KINDS
 
 
 def expr(text: str) -> ast.Expression:
@@ -36,33 +33,40 @@ def returned(text: str) -> ast.Expression:
     return query.clauses[-1].items[0].expression
 
 
-def slot_row(compiler, expression, evaluation, bound=None, params=None):
-    """Compile ``expression`` with ``compiler`` over a slot per name it
-    looks up — variables, and parameters or aggregate calls left to slots —
-    and run it on the row holding ``bound`` (missing names: NULL)."""
+def emitted(expression, evaluation, predicate=False):
+    """``(fn, names)``: the emitted source as ``fn(row, params)``, reading
+    the name ``ref`` was asked for at ``row[i]`` — variables and aggregate
+    calls."""
+    store, kinds = evaluation
     names: list = []
 
-    def slot_of(name):
+    def ref(name):
         if name not in names:
             names.append(name)
-        return names.index(name)
+        return f"_row[{names.index(name)}]"
 
-    compiled = compiler(expression, slot_of, evaluation, params)
+    env: dict = {}
+    code = expression_source(expression, ref, store, kinds, env)
+    if predicate:
+        code = f"{code} is True"
+    return eval(f"lambda _row, _params: {code}", env), names
+
+
+def evaluate(expression, bound, evaluation, params=()):
+    """Run ``expression`` on the row holding ``bound`` (missing names:
+    NULL) with the parameter tuple ``params``."""
+    fn, names = emitted(expression, evaluation)
     bound = bound or {}
-    return compiled([bound.get(name) for name in names])
-
-
-def evaluate(expression, bound, evaluation, params=None):
-    return slot_row(compile_expression, expression, evaluation, bound, params)
+    return fn([bound.get(name) for name in names], params)
 
 
 def is_true(expression, bound, evaluation) -> bool:
-    return slot_row(compile_predicate, expression, evaluation, bound)
+    fn, names = emitted(expression, evaluation, predicate=True)
+    return fn([bound.get(name) for name in names], ())
 
 
 def value(text: str, row=None, ctx=None):
-    evaluation = ctx[1] if ctx else EvaluationContext(GraphStore(), {})
-    return evaluate(expr(text), row, evaluation)
+    return evaluate(expr(text), row, ctx or (GraphStore(), {}))
 
 
 # ---------------------------------------------------------------------------
@@ -99,6 +103,15 @@ def test_arithmetic_errors():
 
 def test_arithmetic_with_null_is_null():
     assert value("1 + NULL = 2") is None
+    for op in "+-*/%":
+        assert value(f"NULL {op} 2 = 1") is None, op
+        assert value(f"2 {op} NULL = 1") is None, op
+
+
+def test_integer_division_truncates_and_float_division_does_not():
+    assert evaluate(returned("7 / 2"), {}, (GraphStore(), {})) == 3
+    assert evaluate(returned("7 % 3 - 1"), {}, (GraphStore(), {})) == 0
+    assert evaluate(returned("7.0 / 2"), {}, (GraphStore(), {})) == 3.5
 
 
 # ---------------------------------------------------------------------------
@@ -164,13 +177,27 @@ def test_not():
     assert value("NOT TRUE") is False
     assert value("NOT NULL") is None
     assert value("NOT (1 = 2)") is True
+    assert value("NOT 1 = NULL") is None
+
+
+def test_connectives_evaluate_both_operands():
+    """No short circuit: an error on the right side raises even where the
+    left side decides the value."""
+    for text in (
+        "FALSE AND 1 / 0 = 1",
+        "TRUE OR 1 % 0 = 1",
+        "NULL XOR 1 / 0 = 1",
+        "NOT 1 / 0 = 1",
+    ):
+        with pytest.raises(ReproError):
+            value(text)
 
 
 def test_is_true_only_on_exact_true(ctx):
-    store, evaluation = ctx
-    assert is_true(expr("TRUE"), {}, evaluation)
-    assert not is_true(expr("NULL"), {}, evaluation)
-    assert not is_true(expr("FALSE"), {}, evaluation)
+    assert is_true(expr("TRUE"), {}, ctx)
+    assert not is_true(expr("NULL"), {}, ctx)
+    assert not is_true(expr("FALSE"), {}, ctx)
+    assert not is_true(expr("1 < NULL"), {}, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -179,42 +206,60 @@ def test_is_true_only_on_exact_true(ctx):
 
 
 def test_node_property_access(ctx):
-    store, evaluation = ctx
+    store, _ = ctx
     node = store.create_node()
     store.set_node_property(node, store.property_keys.get_or_create("v"), 42)
     row = {"n": node}
-    assert evaluate(expr("n.v = 42"), row, evaluation) is True
-    assert evaluate(expr("n.missing = 42"), row, evaluation) is None
+    assert evaluate(expr("n.v = 42"), row, ctx) is True
+    assert evaluate(expr("n.missing = 42"), row, ctx) is None
+
+
+def test_token_created_after_emission_is_looked_up(ctx):
+    """A property key or label unknown when the source is emitted is
+    looked up per call, so one created later matches."""
+    store, _ = ctx
+    node = store.create_node()
+    property_fn, property_names = emitted(expr("n.late = 7"), ctx)
+    label_fn, label_names = emitted(expr("n:Late"), ctx)
+    assert property_fn([node], ()) is None
+    assert label_fn([node], ()) is False
+    store.set_node_property(node, store.property_keys.get_or_create("late"), 7)
+    store.add_label(node, store.labels.get_or_create("Late"))
+    assert property_fn([node], ()) is True
+    assert label_fn([node], ()) is True
 
 
 def test_relationship_property_access(ctx):
-    store, evaluation = ctx
+    store, _ = ctx
     a, b = store.create_node(), store.create_node()
     rel = store.create_relationship(a, b, store.types.get_or_create("T"))
     store.set_relationship_property(
         rel, store.property_keys.get_or_create("w"), 0.5
     )
     row = {"r": rel}
-    assert evaluate(expr("r.w = 0.5"), row, evaluation) is True
+    assert evaluate(expr("r.w = 0.5"), row, ctx) is True
+    assert evaluate(returned("type(r)"), row, ctx) == "T"
+    assert evaluate(returned("id(r)"), row, ctx) == rel
 
 
 def test_property_access_on_unbound_is_null(ctx):
-    store, evaluation = ctx
-    assert evaluate(expr("n.v = 1"), {}, evaluation) is None
+    assert evaluate(expr("n.v = 1"), {}, ctx) is None
+    assert evaluate(returned("id(n)"), {}, ctx) is None
 
 
 def test_has_label_predicate(ctx):
-    store, evaluation = ctx
+    store, _ = ctx
     node = store.create_node([store.labels.get_or_create("P")])
     row = {"n": node}
-    assert evaluate(expr("n:P"), row, evaluation) is True
-    assert evaluate(expr("n:Q"), row, evaluation) is False
-    assert evaluate(expr("n:P"), {}, evaluation) is None
+    assert evaluate(expr("n:P"), row, ctx) is True
+    assert evaluate(expr("n:Q"), row, ctx) is False
+    assert evaluate(expr("n:P"), {}, ctx) is None
+    assert evaluate(returned("labels(n)"), row, ctx) == ["P"]
 
 
 def test_property_of_value_variable_raises():
     store = GraphStore()
-    evaluation = EvaluationContext(store, {})  # 'n' has no entity kind
+    evaluation = (store, {})  # 'n' has no entity kind
     node = store.create_node()
     store.set_node_property(node, store.property_keys.get_or_create("v"), 1)
     with pytest.raises(ReproError):
@@ -222,24 +267,25 @@ def test_property_of_value_variable_raises():
 
 
 # ---------------------------------------------------------------------------
-# Slots: parameters and aggregate results
+# Parameters and aggregate results
 # ---------------------------------------------------------------------------
 
 
-def test_aggregate_result_is_read_from_its_slot():
-    """``count(x) + 1``: the aggregation operator puts the call's result
-    in the slot the call is looked up at."""
+def test_aggregate_result_is_read_through_ref():
+    """``count(x) + 1``: the aggregation reads the call's result where
+    ``ref(call)`` says."""
     expression = returned("count(n) + 1")
     call = expression.left
     assert isinstance(call, ast.FunctionCall) and call.is_aggregate
-    evaluation = EvaluationContext(GraphStore(), {})
-    assert evaluate(expression, {call: 4}, evaluation) == 5
-    assert evaluate(expression, {call: None}, evaluation) is None
+    fn, names = emitted(expression, (GraphStore(), {}))
+    assert names == [call]
+    assert fn([4], ()) == 5
+    assert fn([None], ()) is None
 
 
-def test_parameter_slot_reads_the_execution_value():
-    """A parameter is bound at compile time when the execution's values
-    are given, and read from its slot otherwise."""
+def test_parameter_reads_the_execution_value():
+    """A parameter reads ``_params[i]``: the source holds the slot, never
+    its value, so one emission serves every execution."""
     query = parse("MATCH (n) WHERE n.v = $k + 1 RETURN n")
     expression = query.clauses[0].where
     parameter = expression.right.left
@@ -247,9 +293,11 @@ def test_parameter_slot_reads_the_execution_value():
     store = GraphStore()
     node = store.create_node()
     store.set_node_property(node, store.property_keys.get_or_create("v"), 3)
-    evaluation = EvaluationContext(store, {"n": VariableKind.NODE})
+    evaluation = (store, {"n": VariableKind.NODE})
     params = [None] * (parameter.index + 1)
     params[parameter.index] = 2
     assert evaluate(expression, {"n": node}, evaluation, params) is True
-    assert evaluate(expression, {"n": node, parameter: 2}, evaluation) is True
-    assert evaluate(expression, {"n": node, parameter: 5}, evaluation) is False
+    params[parameter.index] = 5
+    assert evaluate(expression, {"n": node}, evaluation, params) is False
+    params[parameter.index] = None
+    assert evaluate(expression, {"n": node}, evaluation, params) is None

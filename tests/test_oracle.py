@@ -7,10 +7,15 @@ to three relationships in every direction, repeated variables (cycles), a
 second comma-separated pattern, ``id()`` equalities, label and property
 predicates, a second part through WITH (carrying nodes and relationships,
 or aggregating), then a RETURN that projects, aggregates or de-duplicates,
-with ORDER BY over every column and SKIP/LIMIT. Each text runs under the
-default plan, without path indexes, and under every ``forced(index)`` hint
-that embeds, at the default output chunk size and at 7; writes run on a
-fresh copy of the graph per plan.
+with ORDER BY over every column and SKIP/LIMIT. Expressions cover
+arithmetic on ints and NULL (divisors 1-3), every comparison, XOR and NOT
+on NULL, string literals compared across types, ``$k`` in WHERE, RETURN
+and ORDER BY, ORDER BY on an expression, and an expression over an
+aggregate; a second grammar nests them over every pair of nodes, so
+each meets rows. Each text runs under the default plan, without path indexes,
+and under every ``forced(index)`` hint that embeds, at the default output
+chunk size and at 7; writes, some building CREATE maps from expressions,
+run on a fresh copy of the graph per plan.
 """
 
 from hypothesis import HealthCheck, given, settings
@@ -138,6 +143,14 @@ def _predicate(draw, nodes, rels):
         f"({node}.v = 1 OR {node}.v = 2)",
         f"{node} <> {draw(st.sampled_from(nodes))}",
         f"{node}.v = {draw(st.sampled_from(nodes))}.v",
+        f"{node}.v + {draw(st.integers(0, 3))} <= {draw(st.integers(0, 6))}",
+        f"{node}.v * {draw(st.integers(0, 2))} - 1 >= {draw(st.integers(-1, 3))}",
+        f"{node}.v % {draw(st.integers(1, 3))} = {draw(st.integers(0, 2))}",
+        f"{node}.v / {draw(st.integers(1, 3))} > 0",
+        f"({node}.v >= 2 XOR {node}:B)",
+        f"NOT ({node}.v <= 1 XOR {node}.v = NULL)",
+        f"{node}.v {draw(st.sampled_from(['=', '<>']))} 'x'",
+        f"{node}.v {draw(st.sampled_from(['<=', '>=']))} $k",
     ]
     if rels:
         rel = draw(st.sampled_from(rels))
@@ -177,7 +190,9 @@ def texts(draw):
         rels = draw(st.lists(st.sampled_from(scope.rels), unique=True)) if scope.rels else []
         if draw(st.integers(0, 2)) == 0:
             nodes, rels = nodes[:1], []
-            text += f" WITH {nodes[0]}, count(*) AS k WHERE k > {draw(st.integers(0, 2))}"
+            # The count, or an expression over it and the grouping node.
+            count = draw(st.sampled_from(["count(*)", f"count(*) + {nodes[0]}.v"]))
+            text += f" WITH {nodes[0]}, {count} AS k WHERE k > {draw(st.integers(0, 2))}"
         else:
             distinct = draw(st.sampled_from(["", "", "DISTINCT "]))
             text += f" WITH {distinct}" + ", ".join(nodes + rels)
@@ -195,7 +210,28 @@ def _return(draw, nodes, rels):
         columns.append((expression, alias))
 
     for node in draw(st.lists(st.sampled_from(nodes), min_size=0, max_size=2, unique=True)):
-        add(draw(st.sampled_from([node, f"{node}.v", f"id({node})", f"size(labels({node}))"])), f"n_{node}")
+        add(
+            draw(
+                st.sampled_from(
+                    [
+                        node,
+                        f"{node}.v",
+                        f"id({node})",
+                        f"size(labels({node}))",
+                        f"{node}.v * $k",
+                        f"{node}.v % 2",
+                        f"{node}.v - NULL",
+                        f"{node}.v / 2 + 1",
+                        f"{node}.v <= 1 XOR {node}:B",
+                        f"{node}.v >= 2",
+                        f"NOT {node}.v < NULL",
+                        f"{node}.v = 'x'",
+                        "'x'",
+                    ]
+                )
+            ),
+            f"n_{node}",
+        )
     if rels:
         for rel in draw(st.lists(st.sampled_from(rels), max_size=2, unique=True)):
             add(draw(st.sampled_from([rel, f"type({rel})", f"{rel}.w"])), f"r_{rel}")
@@ -213,6 +249,7 @@ def _return(draw, nodes, rels):
                         f"max({node}.v)",
                         f"size(collect({node}.v))",
                         f"count(*) + 1",
+                        "count(*) * $k",
                     ]
                 )
             ),
@@ -226,8 +263,15 @@ def _return(draw, nodes, rels):
     text = f" RETURN {distinct}" + ", ".join(f"{e} AS {a}" for e, a in columns)
     if draw(st.booleans()):
         order = draw(st.permutations([alias for _, alias in columns]))
+        if not distinct and "agg" not in order and draw(st.booleans()):
+            # An expression, not an alias: it may read unprojected nodes.
+            node = draw(st.sampled_from(nodes))
+            order.insert(
+                draw(st.integers(0, len(order))),
+                draw(st.sampled_from([f"{node}.v * $k", f"id({node}) - $k", f"{node}.v % 2"])),
+            )
         text += " ORDER BY " + ", ".join(
-            alias + draw(st.sampled_from(["", " DESC", " ASC"])) for alias in order
+            key + draw(st.sampled_from(["", " DESC", " ASC"])) for key in order
         )
         if draw(st.booleans()):
             text += f" SKIP {draw(st.integers(0, 3))}"
@@ -238,6 +282,68 @@ def _return(draw, nodes, rels):
     return text
 
 
+def _number(draw, nodes, depth=2):
+    """An int-or-NULL expression: arithmetic over properties, ids, ``$k``,
+    literals and NULL; divisors are literals 1-3, so nothing raises."""
+    if not depth or draw(st.integers(0, 2)) == 0:
+        node = draw(st.sampled_from(nodes))
+        return draw(
+            st.sampled_from(
+                [f"{node}.v", f"id({node})", "$k", "NULL", str(draw(st.integers(0, 3)))]
+            )
+        )
+    op = draw(st.sampled_from("+-*/%"))
+    left = _number(draw, nodes, depth - 1)
+    right = (
+        str(draw(st.integers(1, 3))) if op in "/%" else _number(draw, nodes, depth - 1)
+    )
+    return f"({left} {op} {right})"
+
+
+def _truth(draw, nodes, depth=2):
+    """A three-valued expression: comparisons (also against a string),
+    labels and NULL under AND/OR/XOR/NOT."""
+    if not depth or draw(st.integers(0, 2)) == 0:
+        if draw(st.integers(0, 3)) == 0:
+            return draw(st.sampled_from([f"{draw(st.sampled_from(nodes))}:A", "NULL", "TRUE"]))
+        op = draw(st.sampled_from(["=", "<>", "<", "<=", ">", ">="]))
+        right = draw(st.sampled_from([_number(draw, nodes, 1), "'x'"]))
+        return f"{_number(draw, nodes, 1)} {op} {right}"
+    if draw(st.integers(0, 3)) == 0:
+        return f"NOT ({_truth(draw, nodes, depth - 1)})"
+    op = draw(st.sampled_from(["AND", "OR", "XOR"]))
+    return f"({_truth(draw, nodes, depth - 1)} {op} {_truth(draw, nodes, depth - 1)})"
+
+
+@st.composite
+def expression_texts(draw):
+    """Texts over every pair of nodes, so expressions meet rows: a filter,
+    then every operator applied to the same drawn operands, ordered by an
+    expression; or an aggregation with expressions over its aggregates."""
+    nodes = ["a", "b"]
+    text = "MATCH (a), (b)"
+    if draw(st.booleans()):
+        text += f" WHERE {_truth(draw, nodes)}"
+    if draw(st.booleans()):
+        return (
+            f"{text} WITH {_number(draw, nodes, 1)} AS g, a, b "
+            f"RETURN g, count(*) + g AS c, sum({_number(draw, nodes)}) * $k AS s, "
+            f"max({_number(draw, nodes)}) - min(id(b)) AS m"
+        )
+    left, right = _number(draw, nodes), _number(draw, nodes)
+    other = draw(st.sampled_from([right, "'x'"]))
+    divisor = draw(st.integers(1, 3))
+    p, q = _truth(draw, nodes), _truth(draw, nodes)
+    columns = (
+        [f"{left} {op} {other}" for op in ("=", "<>", "<", "<=", ">", ">=")]
+        + [f"{left} {op} {right}" for op in "+-*"]
+        + [f"{left} / {divisor}", f"{left} % {divisor}", f"NOT ({p})"]
+        + [f"({p}) {op} ({q})" for op in ("AND", "OR", "XOR")]
+    )
+    projected = ", ".join(f"{column} AS c{i}" for i, column in enumerate(columns))
+    return f"{text} RETURN {projected} ORDER BY {_number(draw, nodes)} DESC, c9"
+
+
 WRITES = [
     "MATCH (a:A)-[r:X]->(b) CREATE (a)-[:Z {w: 1}]->(c:C {v: b.v})",
     "MATCH (a:A)-[r:X]->(b) WHERE a.v < 2 CREATE (b)<-[:Z]-(c:C) RETURN b.v AS v ORDER BY v",
@@ -246,7 +352,17 @@ WRITES = [
     "MATCH (a:A)-[r]-(b:A) DELETE r",
     "MATCH (a:A) WITH a, count(*) AS k CREATE (c:C {v: k}) RETURN c.v AS v",
     "MATCH (a)-[r:X]->(b)-[s:X]->(c) DETACH DELETE b",
+    "MATCH (a:A)-[r:X]->(b) CREATE (c:C {v: a.v * 2 - b.v, w: r.w % 2, u: NULL, s: 'x'})",
+    "MATCH (a:A) CREATE (c:C {v: a.v + $k, w: NULL}) RETURN c.v AS v, c.w AS w ORDER BY v",
 ]
+
+PARAMS = st.one_of(st.none(), st.integers(0, 3))
+"""Values of ``$k``, the one parameter texts use."""
+
+
+def used(text, k):
+    """The parameters ``text`` uses: ``$k`` or none."""
+    return {"k": k} if "$k" in text else None
 
 
 # ----------------------------------------------------------------------
@@ -254,13 +370,13 @@ WRITES = [
 # ----------------------------------------------------------------------
 
 
-def _run_everywhere(db, text):
+def _run_everywhere(db, text, params):
     """``(label, rows)`` for the text under every plan that embeds, at
     every chunk size."""
     for hints in HINTS:
         for chunk in CHUNK_SIZES:
             try:
-                result = execute(db, text, hints, chunk=chunk)
+                result = execute(db, text, hints, chunk=chunk, params=params)
             except PlannerError:
                 break  # the forced index does not embed
             yield (hints, chunk), oracle.plain_rows(result)
@@ -271,25 +387,41 @@ def _run_everywhere(db, text):
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
-@given(spec=specs(), text=texts())
-def test_reads_agree_with_the_oracle(spec, text):
+@given(spec=specs(), text=texts(), k=PARAMS)
+def test_reads_agree_with_the_oracle(spec, text, k):
     db, graph = loaded(spec)
-    answer = oracle.run(graph, text)
-    for context, rows in _run_everywhere(db, text):
-        oracle.check(answer, rows, (text, context))
+    params = used(text, k)
+    answer = oracle.run(graph, text, params)
+    for context, rows in _run_everywhere(db, text, params):
+        oracle.check(answer, rows, (text, params, context))
+
+
+@settings(max_examples=150, deadline=None)
+@given(spec=specs(), text=expression_texts(), k=PARAMS)
+def test_expressions_agree_with_the_oracle(spec, text, k):
+    """Every pair of nodes is a row, so each drawn expression is evaluated
+    on values (random texts' patterns often match nothing)."""
+    db, graph = loaded(spec)
+    params = used(text, k)
+    answer = oracle.run(graph, text, params)
+    for hints in (None, BASELINE):
+        for chunk in CHUNK_SIZES:
+            rows = oracle.plain_rows(execute(db, text, hints, chunk=chunk, params=params))
+            oracle.check(answer, rows, (text, params, hints, chunk))
 
 
 @settings(max_examples=40, deadline=None)
-@given(spec=specs(), text=st.sampled_from(WRITES))
-def test_writes_agree_with_the_oracle(spec, text):
+@given(spec=specs(), text=st.sampled_from(WRITES), k=PARAMS)
+def test_writes_agree_with_the_oracle(spec, text, k):
     before = loaded(spec)[1]
-    answer = oracle.run(before, text)
+    params = used(text, k)
+    answer = oracle.run(before, text, params)
     expected = oracle.graph_form(answer.graph, before)
     for hints in (None, BASELINE, forced("ax"), forced("any")):
         for chunk in CHUNK_SIZES:
             db, _ = loaded(spec)
             try:
-                result = execute(db, text, hints, chunk=chunk)
+                result = execute(db, text, hints, chunk=chunk, params=params)
             except PlannerError:
                 break
             oracle.check(answer, oracle.plain_rows(result), (text, hints, chunk))
@@ -297,11 +429,38 @@ def test_writes_agree_with_the_oracle(spec, text):
             assert after == expected, (text, hints, chunk)
 
 
+def _order_by(text):
+    return text.partition(" ORDER BY ")[2]
+
+
+EXPRESSION_FEATURES = {
+    "+": lambda text: ".v + " in text,
+    "-": lambda text: " - 1 >= " in text,
+    "*": lambda text: ".v * " in text,
+    "/": lambda text: ".v / " in text,
+    "%": lambda text: ".v % " in text,
+    "NULL arithmetic": lambda text: " - NULL" in text,
+    "<=": lambda text: " <= " in text,
+    ">=": lambda text: " >= " in text,
+    "XOR": lambda text: " XOR " in text,
+    "NOT NULL": lambda text: ".v < NULL" in text,
+    "cross-type": lambda text: " = 'x'" in text or " <> 'x'" in text,
+    "string column": lambda text: "'x' AS" in text,
+    "$k in WHERE": lambda text: "$k" in text.partition(" RETURN ")[0],
+    "$k in RETURN": lambda text: "$k AS" in text,
+    "$k in ORDER BY": lambda text: "$k" in _order_by(text),
+    "ORDER BY expression": lambda text: "(" in _order_by(text) or "." in _order_by(text),
+    "over an aggregate": lambda text: ".v AS k" in text,
+}
+"""Expression forms the grammar draws, each with a test showing it in a
+text."""
+
+
 def test_grammar_reaches_every_feature():
     """The grammar draws what the module docstring promises."""
     seen = set()
 
-    @settings(max_examples=300, deadline=None, database=None)
+    @settings(max_examples=600, deadline=None, database=None)
     @given(text=texts())
     def collect(text):
         for feature in (
@@ -310,6 +469,12 @@ def test_grammar_reaches_every_feature():
         ):
             if feature in text:
                 seen.add(feature)
+        seen.update(name for name, shown in EXPRESSION_FEATURES.items() if shown(text))
 
     collect()
-    assert len(seen) == 13, seen
+    assert len(seen) == 13 + len(EXPRESSION_FEATURES), (
+        set(EXPRESSION_FEATURES) - seen
+    )
+    # CREATE maps built from expressions, including NULL.
+    assert any("CREATE" in text and "- b.v" in text and "NULL" in text for text in WRITES)
+    assert any("{v: a.v + $k, w: NULL}" in text for text in WRITES)

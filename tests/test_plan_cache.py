@@ -415,6 +415,28 @@ def test_parameters_bind_the_same_slots_as_literals(db):
     assert db.plan_cache.misses == 2
 
 
+def test_parameters_of_a_text_whose_literals_cannot_share_are_cached(db):
+    """An un-aliased literal column names its column, so the text is
+    planned with its literals; run with ``params``, that plan is kept
+    under the text and its shape, leaving only the ``$name`` slots."""
+    for a in db.store.all_nodes():
+        db.store.set_node_property(a, db.property_key("v"), a % 3)
+    text = "MATCH (a:A) WHERE a.v = $v RETURN a.v, 1 ORDER BY a.v"
+    db.plan_cache.clear()
+    db.plan_cache.hits = db.plan_cache.misses = 0
+    for call, v in enumerate((1, 1, 2, 0)):
+        result = db.execute(text, params={"v": v})
+        assert result.columns == ["a.v", "1"]
+        rows = [tuple(row.values()) for row in result.to_list()]
+        count = sum(1 for a in a_ids(db) if a % 3 == v)
+        assert rows == [(v, 1)] * count, (call, v)
+        assert (db.plan_cache.hits, db.plan_cache.misses) == (call, 1)
+    assert len(db.plan_cache) == 1
+    # Another type class for $v is another shape: planned once more.
+    assert db.execute(text, params={"v": "x"}).to_list() == []
+    assert db.plan_cache.misses == 2
+
+
 @pytest.mark.parametrize(
     "text, params, error",
     [

@@ -8,7 +8,8 @@ against the *router*. Asserts:
   (read-your-writes through the router);
 * the final row set read through the router matches a single-node
   in-process run of the same deterministic write sequence;
-* both replicas report ``replica_lag_lsn == 0`` once the traffic stops;
+* both replicas reach the leader's durable LSN and report
+  ``replica_lag_lsn == 0`` once the traffic stops;
 * SIGTERM drains all four processes cleanly (exit 0, drain markers).
 
 Run from the repo root::
@@ -100,8 +101,15 @@ def single_node_rows():
         db.close()
 
 
-def wait_for_zero_lag(replicas, timeout_s=30.0) -> None:
+def wait_for_zero_lag(replicas, leader, timeout_s=30.0) -> None:
+    """Wait until every replica has applied the leader's durable LSN and
+    reports lag 0. A replica measures its lag against the last durable LSN
+    the leader shipped it, so right after the traffic stops it can report 0
+    while the leader's last records are still unshipped; the leader's own
+    STATUS names the LSN to reach."""
     deadline = time.monotonic() + timeout_s
+    with connect_with_backoff(leader.host, leader.port, process=leader) as client:
+        target = client.status()["durable_lsn"]
     for replica in replicas:
         with connect_with_backoff(replica.host, replica.port, process=replica) as client:
             while True:
@@ -109,12 +117,14 @@ def wait_for_zero_lag(replicas, timeout_s=30.0) -> None:
                 if (
                     status.get("replica_connected")
                     and status.get("replica_lag_lsn") == 0
+                    and status.get("replica_applied_lsn", 0) >= target
                 ):
                     break
                 if time.monotonic() >= deadline:
                     raise AssertionError(
                         f"replica {replica.host}:{replica.port} stuck at "
-                        f"lag {status.get('replica_lag_lsn')} "
+                        f"lag {status.get('replica_lag_lsn')}, leader durable "
+                        f"LSN {target} "
                         f"(status {status})"
                     )
                 time.sleep(0.05)
@@ -141,7 +151,7 @@ def main() -> int:
                     print(f"client {index} failed: {exc!r}", file=sys.stderr)
                 return 1
 
-            wait_for_zero_lag(replicas)
+            wait_for_zero_lag(replicas, leader)
 
             with connect_with_backoff(router.host, router.port) as client:
                 routed = sorted(

@@ -16,7 +16,6 @@ attribute attached.
 
 from __future__ import annotations
 
-import socket
 import time
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
@@ -64,22 +63,17 @@ class RemoteOutcome:
         cls, rows: list[dict], columns: list[str], summary: dict
     ) -> "RemoteOutcome":
         outcome = cls(rows=rows, columns=columns)
-        for name in (
-            "planning_seconds",
-            "execution_seconds",
-            "queue_seconds",
-            "total_seconds",
-            "attempts",
-            "max_intermediate_cardinality",
-            "page_cache_hits",
-            "page_cache_misses",
-            "peak_memory_bytes",
-            "spill_runs",
-            "commit_lsn",
-        ):
-            if name in summary and summary[name] is not None:
+        for name in wire.SUMMARY_FIELDS:
+            if summary.get(name) is not None:
                 setattr(outcome, name, summary[name])
         return outcome
+
+
+CONNECT_TIMEOUT_S = 10.0
+"""How long a :class:`Client` waits for the TCP connection."""
+
+CLIENT_NAME = "repro.client"
+"""The name a :class:`Client` gives in its HELLO."""
 
 
 class Client:
@@ -90,71 +84,17 @@ class Client:
         host: str,
         port: int,
         auth_token: Optional[str] = None,
-        connect_timeout_s: float = 10.0,
         io_timeout_s: Optional[float] = 120.0,
-        client_name: str = "repro.client",
     ) -> None:
-        self._sock: Optional[socket.socket] = socket.create_connection(
-            (host, port), timeout=connect_timeout_s
+        self._conn = wire.Connection.open(
+            (host, port), io_timeout_s, CONNECT_TIMEOUT_S
         )
-        self._sock.settimeout(io_timeout_s)
-        self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self._frames = wire.FrameReader()
         self._stream: Optional["StreamingResult"] = None
-        auth = {"token": auth_token} if auth_token is not None else {}
-        self._send(
-            wire.MSG_HELLO,
-            {
-                "versions": list(wire.SUPPORTED_VERSIONS),
-                "auth": auth,
-                "client": client_name,
-            },
-        )
-        fields = self._expect_success()
+        fields = self._conn.hello(CLIENT_NAME, auth_token)
         #: Negotiated protocol version and the server's banner string.
         self.protocol_version: int = fields.get("version", 0)
         self.server_info: str = fields.get("server", "")
         self.session_id = fields.get("session")
-
-    # ------------------------------------------------------------------
-    # Wire I/O
-    # ------------------------------------------------------------------
-
-    def _send(self, tag: int, fields: dict) -> None:
-        if self._sock is None:
-            raise ProtocolError("client is closed")
-        self._sock.sendall(wire.encode_frame(tag, fields))
-
-    def _send_many(self, *frames: tuple[int, dict]) -> None:
-        """Pipelined write: several request frames in one send."""
-        if self._sock is None:
-            raise ProtocolError("client is closed")
-        self._sock.sendall(
-            b"".join(wire.encode_frame(tag, fields) for tag, fields in frames)
-        )
-
-    def _recv(self) -> tuple[int, dict]:
-        if self._sock is None:
-            raise ProtocolError("client is closed")
-        while True:
-            frame = self._frames.pop()
-            if frame is not None:
-                return frame
-            data = self._sock.recv(1 << 16)
-            if not data:
-                self._frames.close()  # raises if a frame is torn
-                raise ProtocolError("connection closed by server")
-            self._frames.feed(data)
-
-    def _expect_success(self) -> dict:
-        tag, fields = self._recv()
-        if tag == wire.MSG_FAILURE:
-            wire.raise_failure(fields)
-        if tag != wire.MSG_SUCCESS:
-            raise ProtocolError(
-                f"expected SUCCESS, got {wire.MESSAGE_NAMES.get(tag, tag)}"
-            )
-        return fields
 
     def _check_no_stream(self) -> None:
         if self._stream is not None and not self._stream.closed:
@@ -209,15 +149,14 @@ class Client:
         raise AssertionError("unreachable")  # pragma: no cover
 
     def _execute_once(self, run_fields: dict) -> RemoteOutcome:
-        self._send_many(
-            (wire.MSG_RUN, run_fields), (wire.MSG_PULL, {"n": -1})
-        )
-        tag, run_reply = self._recv()
+        conn = self._conn
+        conn.send((wire.MSG_RUN, run_fields), (wire.MSG_PULL, {"n": -1}))
+        tag, run_reply = conn.recv()
         if tag == wire.MSG_FAILURE:
             # RUN failed; the pipelined PULL then fails against no open
             # result — consume that response so the session stays in sync.
             exc = wire.failure_exception(run_reply)
-            self._recv()
+            conn.recv()
             raise exc
         if tag != wire.MSG_SUCCESS:
             raise ProtocolError(
@@ -225,26 +164,14 @@ class Client:
             )
         columns = list(run_reply.get("columns") or [])
         rows: list[dict] = []
-        while True:
-            tag, fields = self._recv()
-            if tag == wire.MSG_RECORD:
-                for values in fields.get("rows", []):
-                    rows.append(dict(zip(columns, values)))
-            elif tag == wire.MSG_SUCCESS:
-                return RemoteOutcome.from_summary(rows, columns, fields)
-            elif tag == wire.MSG_FAILURE:
-                wire.raise_failure(fields)
-            else:
-                raise ProtocolError(
-                    f"unexpected {wire.MESSAGE_NAMES.get(tag, tag)} "
-                    "while streaming"
-                )
+        summary = _read_rows(conn, columns, rows)
+        return RemoteOutcome.from_summary(rows, columns, summary)
 
     def prepare(self, query: str) -> PreparedStatement:
         """Plan a query server-side; returns a reusable statement handle."""
         self._check_no_stream()
-        self._send(wire.MSG_PREPARE, {"query": query})
-        fields = self._expect_success()
+        self._conn.send((wire.MSG_PREPARE, {"query": query}))
+        fields = self._conn.expect_success()
         return PreparedStatement(
             stmt=fields["stmt"],
             query=query,
@@ -269,10 +196,10 @@ class Client:
         if credit < 1:
             raise ValueError("credit must be positive")
         self._check_no_stream()
-        self._send(
-            wire.MSG_RUN, self._run_fields(query, stmt, deadline_s, require_lsn)
+        self._conn.send(
+            (wire.MSG_RUN, self._run_fields(query, stmt, deadline_s, require_lsn))
         )
-        run_reply = self._expect_success()
+        run_reply = self._conn.expect_success()
         columns = list(run_reply.get("columns") or [])
         self._stream = StreamingResult(self, columns, credit)
         return self._stream
@@ -288,8 +215,8 @@ class Client:
         fields: dict = {}
         if announce_epoch is not None:
             fields["epoch"] = announce_epoch
-        self._send(wire.MSG_STATUS, fields)
-        return self._expect_success()
+        self._conn.send((wire.MSG_STATUS, fields))
+        return self._conn.expect_success()
 
     def promote(self) -> dict:
         """Promote the connected replica to leader (PROMOTE admin frame).
@@ -298,15 +225,15 @@ class Client:
         the persisted epoch, and flips writable. Returns the new
         ``role``/``epoch``/``promote_lsn``/``applied_lsn`` fields."""
         self._check_no_stream()
-        self._send(wire.MSG_PROMOTE, {})
-        return self._expect_success()
+        self._conn.send((wire.MSG_PROMOTE, {}))
+        return self._conn.expect_success()
 
     def repoint(self, leader: str) -> dict:
         """Re-point the connected replica's tailer at ``leader``
         (``host:port``); it resubscribes from its applied LSN."""
         self._check_no_stream()
-        self._send(wire.MSG_REPOINT, {"leader": leader})
-        return self._expect_success()
+        self._conn.send((wire.MSG_REPOINT, {"leader": leader}))
+        return self._conn.expect_success()
 
     @staticmethod
     def _run_fields(
@@ -336,32 +263,46 @@ class Client:
         """Clear server-side session state (drops any open result)."""
         if self._stream is not None:
             self._stream._abandon()
-        self._send(wire.MSG_RESET, {})
-        self._expect_success()
+        self._conn.send((wire.MSG_RESET, {}))
+        self._conn.expect_success()
 
     def close(self) -> None:
-        """Say GOODBYE and close the socket (idempotent)."""
-        sock, self._sock = self._sock, None
-        if sock is None:
+        """Say GOODBYE and close the connection (idempotent)."""
+        if self._conn.closed:
             return
         try:
-            sock.sendall(wire.encode_frame(wire.MSG_GOODBYE, {}))
+            self._conn.send((wire.MSG_GOODBYE, {}))
         except OSError:
             pass
-        try:
-            sock.close()
-        except OSError:
-            pass
+        self._conn.close()
 
     @property
     def closed(self) -> bool:
-        return self._sock is None
+        return self._conn.closed
 
     def __enter__(self) -> "Client":
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
+
+
+def _read_rows(conn: wire.Connection, columns: list[str], rows: list[dict]) -> dict:
+    """Append the rows of the RECORD frames answering a PULL to ``rows``
+    and return the closing SUCCESS fields; a FAILURE re-raises."""
+    while True:
+        tag, fields = conn.recv()
+        if tag == wire.MSG_RECORD:
+            for values in fields.get("rows", ()):
+                rows.append(dict(zip(columns, values)))
+        elif tag == wire.MSG_SUCCESS:
+            return fields
+        elif tag == wire.MSG_FAILURE:
+            wire.raise_failure(fields)
+        else:
+            raise ProtocolError(
+                f"unexpected {wire.MESSAGE_NAMES[tag]} while streaming"
+            )
 
 
 class StreamingResult:
@@ -397,35 +338,26 @@ class StreamingResult:
         return self._buffer.pop(0)
 
     def _pull_cycle(self) -> None:
-        client = self._client
-        client._send(wire.MSG_PULL, {"n": self._credit})
-        while True:
-            tag, fields = client._recv()
-            if tag == wire.MSG_RECORD:
-                for values in fields.get("rows", []):
-                    self._buffer.append(dict(zip(self.columns, values)))
-            elif tag == wire.MSG_SUCCESS:
-                if not fields.get("has_more"):
-                    self.summary = fields
-                    self._exhausted = True
-                return
-            elif tag == wire.MSG_FAILURE:
-                self._exhausted = True
-                self._finish()
-                wire.raise_failure(fields)
-            else:
-                raise ProtocolError(
-                    f"unexpected {wire.MESSAGE_NAMES.get(tag, tag)} "
-                    "while streaming"
-                )
+        conn = self._client._conn
+        conn.send((wire.MSG_PULL, {"n": self._credit}))
+        try:
+            fields = _read_rows(conn, self.columns, self._buffer)
+        except ReproError:
+            self._exhausted = True
+            self._finish()
+            raise
+        if not fields.get("has_more"):
+            self.summary = fields
+            self._exhausted = True
 
     def close(self) -> None:
         """Discard the un-pulled remainder server-side (idempotent)."""
         if self._closed:
             return
         if not self._exhausted and not self._client.closed:
-            self._client._send(wire.MSG_DISCARD, {})
-            self.summary = self._client._expect_success()
+            conn = self._client._conn
+            conn.send((wire.MSG_DISCARD, {}))
+            self.summary = conn.expect_success()
             self._exhausted = True
         self._finish()
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 from repro.errors import ReproError
 
@@ -86,11 +86,6 @@ class Parameter(Expression):
 
     def __str__(self) -> str:
         return f"${self.name if self.name is not None else self.index}"
-
-
-def bind(value, params: Sequence[object]):
-    """A plan field that may hold a :class:`Parameter`, for one execution."""
-    return params[value.index] if isinstance(value, Parameter) else value
 
 
 def has_literal_slot(expression: "Expression") -> bool:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Optional
 
 from repro.cypher import ast
 from repro.errors import CypherSemanticError
@@ -135,9 +134,15 @@ class _Analyzer:
         for expression in clause.expressions:
             if not isinstance(expression, ast.Variable):
                 raise CypherSemanticError("DELETE expects variables")
-            if expression.name not in self.scope:
+            kind = self.scope.get(expression.name)
+            if kind is None:
                 raise CypherSemanticError(
                     f"variable {expression.name!r} not defined"
+                )
+            if kind is VariableKind.VALUE:
+                raise CypherSemanticError(
+                    f"cannot DELETE {expression.name!r}: it holds a value, "
+                    "not a node or relationship"
                 )
 
     def _analyze_projection(self, clause) -> None:
@@ -179,6 +184,9 @@ class _Analyzer:
                         raise CypherSemanticError(
                             f"variable {name!r} not defined"
                         )
+                # A key that repeats a projected expression is that column.
+                if all(item.expression != expression for item in items):
+                    _check_entity_uses(expression, combined)
 
     # ------------------------------------------------------------------
 
@@ -234,6 +242,7 @@ class _Analyzer:
         for name in expression.variables():
             if name not in self.scope:
                 raise CypherSemanticError(f"variable {name!r} not defined")
+        _check_entity_uses(expression, self.scope)
 
     def _check_aggregate_nesting(
         self, expression: ast.Expression, inside_aggregate: bool = False
@@ -253,3 +262,33 @@ class _Analyzer:
         if isinstance(expression, ast.Variable):
             return self.scope.get(expression.name, VariableKind.VALUE)
         return VariableKind.VALUE
+
+
+_ENTITY_FUNCTIONS = frozenset({"id", "labels", "type"})
+
+
+def _check_entity_uses(
+    expression: ast.Expression, scope: dict[str, VariableKind]
+) -> None:
+    """Reject reading a name ``scope`` holds as a value as if it were an
+    entity: a property access, a label test, ``id()``, ``labels()`` or
+    ``type()`` of it."""
+    if isinstance(expression, (ast.PropertyAccess, ast.HasLabel)):
+        name = expression.subject
+    elif (
+        isinstance(expression, ast.FunctionCall)
+        and expression.name in _ENTITY_FUNCTIONS
+        and isinstance(expression.argument, ast.Variable)
+    ):
+        name = expression.argument.name
+    else:
+        name = None
+    if name is not None and scope.get(name) is VariableKind.VALUE:
+        raise CypherSemanticError(
+            f"{expression} reads {name!r} as a node or relationship, but it "
+            "holds a value here"
+        )
+    for attr in ("left", "right", "operand", "argument"):
+        child = getattr(expression, attr, None)
+        if isinstance(child, ast.Expression):
+            _check_entity_uses(child, scope)

@@ -25,6 +25,6 @@ rejected everywhere — a revived old leader is fenced out instead of
 forking history, then re-seeded as a replica of the new epoch.
 """
 
-from repro.replication.replica import Replica, ReplicaConfig
+from repro.replication.replica import Replica
 
-__all__ = ["Replica", "ReplicaConfig"]
+__all__ = ["Replica"]

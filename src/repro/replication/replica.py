@@ -38,12 +38,10 @@ from a shipped checkpoint (the divergent tail is discarded wholesale).
 
 from __future__ import annotations
 
-import socket
 import threading
 import time
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 from repro import wire
 from repro.db.database import GraphDatabase
@@ -52,22 +50,18 @@ from repro.durability.faults import FaultInjector, SimulatedCrashError
 from repro.errors import ProtocolError, ReplicationError, ReproError
 
 
-@dataclass(frozen=True)
-class ReplicaConfig:
-    """Tuning knobs for a :class:`Replica` tailer."""
+CLIENT_NAME = "repro-replica"
+"""The name the tailer gives in its HELLO."""
 
-    reconnect_backoff_s: float = 0.05
-    """First reconnect delay; doubles per failure up to the max."""
+RECONNECT_BACKOFF_S = 0.05
+"""First reconnect delay; doubles per failure up to the max."""
 
-    reconnect_backoff_max_s: float = 2.0
+RECONNECT_BACKOFF_MAX_S = 2.0
 
-    io_timeout_s: float = 30.0
-    """Socket timeout while waiting for leader frames. The leader
-    heartbeats every ``heartbeat_s`` (default 1s), so a healthy link never
-    gets near this."""
-
-    auth_token: Optional[str] = None
-    """Leader's auth token, when it requires one."""
+IO_TIMEOUT_S = 30.0
+"""Socket timeout while connecting and waiting for leader frames. The
+leader heartbeats every ``HEARTBEAT_S`` (1 s, :mod:`repro.server.server`),
+so a healthy link never gets near this."""
 
 
 def _epoch_field(fields: dict, key: str) -> int:
@@ -96,19 +90,17 @@ class Replica:
         self,
         data_dir: Union[str, Path],
         leader: Union[str, tuple[str, int]],
-        config: Optional[ReplicaConfig] = None,
+        auth_token: Optional[str] = None,
         injector: Optional[FaultInjector] = None,
-        on_swap: Optional[Callable[[GraphDatabase], None]] = None,
-        metrics=None,
         **open_kwargs,
     ) -> None:
         self.data_dir = Path(data_dir)
         self.leader = parse_address(leader)
         self.leader_name = f"{self.leader[0]}:{self.leader[1]}"
-        self.config = config or ReplicaConfig()
+        self.auth_token = auth_token  # the leader's, when it requires one
         self.injector = injector if injector is not None else FaultInjector()
-        self._on_swap = on_swap
-        self._metrics = metrics
+        self._on_swap = None
+        self._metrics = None
         self._open_kwargs = dict(open_kwargs)
         self.db = GraphDatabase.open(
             self.data_dir, fault_injector=self.injector, **self._open_kwargs
@@ -119,13 +111,12 @@ class Replica:
         self._connected = False
         self._reconnects = 0
         self._snapshots_installed = 0
-        self._records_applied = 0
         self._last_error: Optional[str] = None
         self.crashed = False
         self._stop = threading.Event()
         self._resume = threading.Event()
         self._resume.set()
-        self._sock: Optional[socket.socket] = None
+        self._conn: Optional[wire.Connection] = None
         self._thread: Optional[threading.Thread] = None
 
     # ------------------------------------------------------------------
@@ -166,12 +157,7 @@ class Replica:
         call from any thread except the tailer itself."""
         self._stop.set()
         self._resume.set()
-        sock = self._sock
-        if sock is not None:
-            try:
-                sock.close()
-            except OSError:
-                pass
+        self._sever()
         thread = self._thread
         if (
             thread is not None
@@ -190,12 +176,13 @@ class Replica:
         self.leader = parse_address(leader)
         self.leader_name = f"{self.leader[0]}:{self.leader[1]}"
         self._count("replication.repoints")
-        sock = self._sock
-        if sock is not None:
-            try:
-                sock.close()
-            except OSError:
-                pass
+        self._sever()
+
+    def _sever(self) -> None:
+        """Close the live subscription, waking a tailer blocked on it."""
+        conn = self._conn
+        if conn is not None:
+            conn.close()
 
     def __enter__(self) -> "Replica":
         return self.start()
@@ -247,15 +234,9 @@ class Replica:
             if self._applied >= lsn:
                 return True
             applied = self._applied
-        if self.crashed:
-            reason = "replica crashed"
-        elif self._stop.is_set():
-            reason = "replica stopped"
-        else:
-            reason = f"timed out after {timeout_s:.1f}s"
         raise ReplicationError(
-            f"replica did not apply LSN {lsn} ({reason}; applied "
-            f"{applied}, connected={self._connected}"
+            f"replica did not apply LSN {lsn} ({self._gave_up(timeout_s)}; "
+            f"applied {applied}, connected={self._connected}"
             f"{self._last_error_suffix()})"
         )
 
@@ -267,19 +248,20 @@ class Replica:
         deadline = time.monotonic() + timeout_s
         while not self._connected:
             if time.monotonic() >= deadline or self._stop.is_set() or self.crashed:
-                if self.crashed:
-                    reason = "replica crashed"
-                elif self._stop.is_set():
-                    reason = "replica stopped"
-                else:
-                    reason = f"timed out after {timeout_s:.1f}s"
                 raise ReplicationError(
-                    f"replica failed to connect to leader "
-                    f"{self.leader_name} ({reason}"
-                    f"{self._last_error_suffix()})"
+                    f"replica failed to connect to leader {self.leader_name} "
+                    f"({self._gave_up(timeout_s)}{self._last_error_suffix()})"
                 )
             time.sleep(0.005)
         return True
+
+    def _gave_up(self, timeout_s: float) -> str:
+        """Why a wait ended unsatisfied."""
+        if self.crashed:
+            return "replica crashed"
+        if self._stop.is_set():
+            return "replica stopped"
+        return f"timed out after {timeout_s:.1f}s"
 
     def _last_error_suffix(self) -> str:
         return f"; last error: {self._last_error}" if self._last_error else ""
@@ -302,7 +284,7 @@ class Replica:
             self._metrics.counter(name).inc(amount)
 
     def _tail_loop(self) -> None:
-        backoff = self.config.reconnect_backoff_s
+        backoff = RECONNECT_BACKOFF_S
         first_attempt = True
         while not self._stop.is_set():
             if not first_attempt:
@@ -310,11 +292,11 @@ class Replica:
                 self._count("replication.reconnects")
                 if self._stop.wait(backoff):
                     return
-                backoff = min(backoff * 2, self.config.reconnect_backoff_max_s)
+                backoff = min(backoff * 2, RECONNECT_BACKOFF_MAX_S)
             first_attempt = False
             try:
                 self._tail_once()
-                backoff = self.config.reconnect_backoff_s
+                backoff = RECONNECT_BACKOFF_S
             except SimulatedCrashError:
                 # The fault injector killed this replica "process": stop
                 # doing I/O entirely; the test re-opens the directory.
@@ -328,27 +310,22 @@ class Replica:
                 self._connected = False
 
     def _tail_once(self) -> None:
-        sock = socket.create_connection(
-            self.leader, timeout=self.config.io_timeout_s
-        )
-        self._sock = sock
-        reader = wire.FrameReader()
+        conn = wire.Connection.open(self.leader, IO_TIMEOUT_S)
+        # Published before the HELLO so a stop or repoint can still
+        # interrupt a stuck handshake.
+        self._conn = conn
         try:
-            sock.settimeout(self.config.io_timeout_s)
-            hello: dict = {"versions": [wire.PROTOCOL_VERSION], "client": "repro-replica"}
-            if self.config.auth_token is not None:
-                hello["auth"] = {"token": self.config.auth_token}
-            self._send(sock, wire.MSG_HELLO, hello)
-            self._expect_success(self._recv(sock, reader))
+            conn.hello(CLIENT_NAME, self.auth_token)
             # Kill-point for the failover matrix: a surviving replica
             # dying just before it resubscribes to the (new) leader.
             self.injector.reach("promote.before_resubscribe")
-            self._send(
-                sock,
-                wire.MSG_SUBSCRIBE,
-                {"from_lsn": self.applied_lsn, "epoch": self.db.durability.epoch},
+            conn.send(
+                (
+                    wire.MSG_SUBSCRIBE,
+                    {"from_lsn": self.applied_lsn, "epoch": self.db.durability.epoch},
+                )
             )
-            fields = self._expect_success(self._recv(sock, reader))
+            fields = conn.expect_success()
             leader_epoch = _epoch_field(fields, "epoch")
             if leader_epoch and leader_epoch < self.db.durability.epoch:
                 # Fenced old leader: refuse its history and reconnect
@@ -360,16 +337,16 @@ class Replica:
                     f"{self.db.durability.epoch}"
                 )
             if fields.get("mode") == "snapshot":
-                self._receive_snapshot(sock, reader)
+                self._receive_snapshot(conn)
             if leader_epoch:
                 self.db.durability.adopt_epoch(
                     leader_epoch, _epoch_field(fields, "promote_lsn")
                 )
             self._connected = True
             while not self._stop.is_set():
-                tag, fields = self._recv(sock, reader)
+                tag, fields = conn.recv()
                 if tag == wire.MSG_WAL_SEGMENT:
-                    self._apply_segment(sock, fields)
+                    self._apply_segment(conn, fields)
                 elif tag == wire.MSG_FAILURE:
                     wire.raise_failure(fields)
                 else:
@@ -379,48 +356,16 @@ class Replica:
                     )
         finally:
             self._connected = False
-            self._sock = None
-            try:
-                sock.close()
-            except OSError:
-                pass
-
-    # -- frame I/O ------------------------------------------------------
-
-    @staticmethod
-    def _send(sock: socket.socket, tag: int, fields: dict) -> None:
-        sock.sendall(wire.encode_frame(tag, fields))
-
-    @staticmethod
-    def _recv(sock: socket.socket, reader: wire.FrameReader) -> tuple[int, dict]:
-        while True:
-            frame = reader.pop()
-            if frame is not None:
-                return frame
-            data = sock.recv(1 << 16)
-            if not data:
-                reader.close()  # raises if mid-frame (torn stream)
-                raise ProtocolError("leader closed the connection")
-            reader.feed(data)
-
-    @staticmethod
-    def _expect_success(frame: tuple[int, dict]) -> dict:
-        tag, fields = frame
-        if tag == wire.MSG_FAILURE:
-            wire.raise_failure(fields)
-        if tag != wire.MSG_SUCCESS:
-            raise ProtocolError(
-                f"expected SUCCESS, got {wire.MESSAGE_NAMES[tag]}"
-            )
-        return fields
+            self._conn = None
+            conn.close()
 
     # -- snapshot catch-up ---------------------------------------------
 
-    def _receive_snapshot(self, sock: socket.socket, reader: wire.FrameReader) -> None:
+    def _receive_snapshot(self, conn: wire.Connection) -> None:
         """Receive checkpoint files, install them, swap the database."""
         files: dict[str, bytearray] = {}
         while True:
-            tag, fields = self._recv(sock, reader)
+            tag, fields = conn.recv()
             if tag == wire.MSG_SNAPSHOT_FILE:
                 name = fields.get("name")
                 data = fields.get("data")
@@ -458,7 +403,7 @@ class Replica:
 
     # -- record application --------------------------------------------
 
-    def _apply_segment(self, sock: socket.socket, fields: dict) -> None:
+    def _apply_segment(self, conn: wire.Connection, fields: dict) -> None:
         records = fields.get("records")
         if records is None:
             records = []
@@ -494,7 +439,6 @@ class Replica:
                 engine.injector.reach("replica.apply.mid_batch")
             if engine.apply_replicated(payload) is not None:
                 applied_any = True
-                self._records_applied += 1
                 self._count("replication.records_applied")
         if applied_any:
             # Fsync before acknowledging: the ACKed LSN must survive a
@@ -505,6 +449,6 @@ class Replica:
             self._applied = max(self._applied, engine.applied_lsn())
             applied = self._applied
             self._cond.notify_all()
-        self._send(sock, wire.MSG_WAL_ACK, {"applied_lsn": applied})
+        conn.send((wire.MSG_WAL_ACK, {"applied_lsn": applied}))
         if applied_any:
             engine.maybe_checkpoint()

@@ -42,7 +42,6 @@ rejoin — their divergent tail must not serve reads on the new timeline.
 
 from __future__ import annotations
 
-import hmac
 import socket
 import threading
 from dataclasses import dataclass
@@ -65,6 +64,24 @@ from repro.service.metrics import MetricsRegistry
 
 _BANNER = "pathindex-repro-router/1"
 
+CLIENT_NAME = "repro.router"
+"""The name the router gives in its HELLO to a backend."""
+
+EVICTION_FAILURES = 3
+"""Consecutive failed health polls before a replica is evicted."""
+
+CONNECT_TIMEOUT_S = 5.0
+"""How long the router waits for a backend's TCP connection."""
+
+IO_TIMEOUT_S = 120.0
+"""Socket timeout on client sessions and their backend connections."""
+
+HEALTH_IO_TIMEOUT_S = 5.0
+"""Socket timeout on the health poller's STATUS connections."""
+
+HANDSHAKE_TIMEOUT_S = 5.0
+"""How long a fresh client connection may take to send HELLO."""
+
 
 @dataclass(frozen=True)
 class RouterConfig:
@@ -85,9 +102,6 @@ class RouterConfig:
     behind the leader's durable watermark are evicted from read rotation
     until they catch back up."""
 
-    eviction_failures: int = 3
-    """Consecutive failed health polls before a replica is evicted."""
-
     write_retries: int = 4
     """Extra attempts for a write relay after an unambiguous failure
     (connect refused, send failed, or a structured rejection from a
@@ -98,9 +112,6 @@ class RouterConfig:
     """First write-relay retry delay; doubles per attempt up to 1s."""
 
     health_interval_s: float = 0.2
-    connect_timeout_s: float = 5.0
-    io_timeout_s: float = 120.0
-    handshake_timeout_s: float = 5.0
 
 
 class _BackendState:
@@ -137,59 +148,13 @@ class _BackendState:
         }
 
 
-class _Backend:
-    """One blocking protocol connection to a leader or replica."""
-
-    def __init__(
-        self,
-        address: tuple[str, int],
-        auth_token: Optional[str],
-        connect_timeout_s: float,
-        io_timeout_s: float,
-    ) -> None:
-        self.address = address
-        self.sock = socket.create_connection(address, timeout=connect_timeout_s)
-        self.sock.settimeout(io_timeout_s)
-        self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self.reader = wire.FrameReader()
-        hello: dict = {
-            "versions": list(wire.SUPPORTED_VERSIONS),
-            "client": "repro.router",
-        }
-        if auth_token is not None:
-            hello["auth"] = {"token": auth_token}
-        self.send(wire.MSG_HELLO, hello)
-        self.expect_success()
-
-    def send(self, tag: int, fields: dict) -> None:
-        self.sock.sendall(wire.encode_frame(tag, fields))
-
-    def recv(self) -> tuple[int, dict]:
-        while True:
-            frame = self.reader.pop()
-            if frame is not None:
-                return frame
-            data = self.sock.recv(1 << 16)
-            if not data:
-                self.reader.close()
-                raise ProtocolError("backend closed the connection")
-            self.reader.feed(data)
-
-    def expect_success(self) -> dict:
-        tag, fields = self.recv()
-        if tag == wire.MSG_FAILURE:
-            wire.raise_failure(fields)
-        if tag != wire.MSG_SUCCESS:
-            raise ProtocolError(
-                f"expected SUCCESS, got {wire.MESSAGE_NAMES.get(tag, tag)}"
-            )
-        return fields
-
-    def close(self) -> None:
-        try:
-            self.sock.close()
-        except OSError:
-            pass
+def _connect(
+    address: tuple[str, int], auth_token: Optional[str], io_timeout_s: float
+) -> wire.Connection:
+    """A backend connection past its HELLO."""
+    conn = wire.Connection.open(address, io_timeout_s, CONNECT_TIMEOUT_S)
+    conn.hello(CLIENT_NAME, auth_token)
+    return conn
 
 
 class Router:
@@ -212,7 +177,7 @@ class Router:
         self._classify_cache: dict[str, Optional[bool]] = {}
         self._sessions: dict[int, "_Session"] = {}
         self._next_session = 1
-        self._health_backends: dict[tuple[str, int], _Backend] = {}
+        self._health_backends: dict[tuple[str, int], wire.Connection] = {}
         self._listener: Optional[socket.socket] = None
         self._stop = threading.Event()
         self._threads: list[threading.Thread] = []
@@ -229,9 +194,6 @@ class Router:
     def write_target(self) -> _BackendState:
         """The backend writes are currently pointed at."""
         return self._write_target
-
-    def write_target_address(self) -> tuple[str, int]:
-        return self._write_target.address
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -268,7 +230,7 @@ class Router:
         with self._lock:
             sessions = list(self._sessions.values())
         for session in sessions:
-            session.close()
+            session.conn.close()
         for thread in self._threads:
             thread.join(timeout=10)
         self._threads.clear()
@@ -293,7 +255,7 @@ class Router:
             if listener is None:
                 return
             try:
-                conn, _addr = listener.accept()
+                sock, _addr = listener.accept()
             except socket.timeout:
                 continue
             except OSError:
@@ -301,7 +263,7 @@ class Router:
             with self._lock:
                 session_id = self._next_session
                 self._next_session += 1
-            session = _Session(self, conn, session_id)
+            session = _Session(self, wire.Connection(sock), session_id)
             with self._lock:
                 self._sessions[session_id] = session
             self.metrics.counter("router.sessions").inc()
@@ -327,17 +289,14 @@ class Router:
         backend = self._health_backends.get(state.address)
         try:
             if backend is None:
-                backend = _Backend(
-                    state.address,
-                    config.backend_auth_token,
-                    config.connect_timeout_s,
-                    min(config.io_timeout_s, 5.0),
+                backend = _connect(
+                    state.address, config.backend_auth_token, HEALTH_IO_TIMEOUT_S
                 )
                 self._health_backends[state.address] = backend
             # Gossip the highest epoch we have observed: a stale leader
             # hearing of a newer one fences itself server-side, so it
             # rejects writes even from clients that bypass the router.
-            backend.send(wire.MSG_STATUS, {"epoch": self.highest_epoch})
+            backend.send((wire.MSG_STATUS, {"epoch": self.highest_epoch}))
             fields = backend.expect_success()
         except (ReproError, OSError, ValueError):
             self._health_backends.pop(state.address, None)
@@ -346,7 +305,7 @@ class Router:
             state.failures += 1
             state.alive = False
             state.polled = True
-            if not state.evicted and state.failures >= config.eviction_failures:
+            if not state.evicted and state.failures >= EVICTION_FAILURES:
                 state.evicted = True
                 self.metrics.counter("router.evictions").inc()
             return
@@ -470,18 +429,18 @@ class Router:
 class _Session:
     """One client connection: handshake, then proxy request by request."""
 
-    def __init__(self, router: Router, sock: socket.socket, session_id: int) -> None:
+    def __init__(
+        self, router: Router, conn: wire.Connection, session_id: int
+    ) -> None:
         self.router = router
         self.config = router.config
         self.metrics = router.metrics
         self.session_id = session_id
-        self.sock = sock
-        self.reader = wire.FrameReader()
-        self._closed = False
+        self.conn = conn
         # Per-session state
         self.token = 0  # read-your-writes: highest commit_lsn seen
-        self._backends: dict[tuple[str, int], _Backend] = {}
-        self._open: Optional[_Backend] = None  # backend holding an open result
+        self._backends: dict[tuple[str, int], wire.Connection] = {}
+        self._open: Optional[tuple[str, int]] = None  # backend holding a result
         self._open_is_write = False
         self._statements: dict[int, tuple[str, Optional[bool]]] = {}
         self._next_statement = 1
@@ -489,59 +448,33 @@ class _Session:
     # -- plumbing -------------------------------------------------------
 
     def _send(self, tag: int, fields: dict) -> None:
-        self.sock.sendall(wire.encode_frame(tag, fields))
+        self.conn.send((tag, fields))
 
     def _send_failure(self, exc: BaseException) -> None:
         self._send(wire.MSG_FAILURE, wire.failure_fields(exc))
 
-    def _recv(self) -> Optional[tuple[int, dict]]:
-        while True:
-            frame = self.reader.pop()
-            if frame is not None:
-                return frame
-            data = self.sock.recv(1 << 16)
-            if not data:
-                return None
-            self.reader.feed(data)
-
-    def _backend(self, address: tuple[str, int]) -> _Backend:
+    def _backend(self, address: tuple[str, int]) -> wire.Connection:
         backend = self._backends.get(address)
         if backend is None:
-            backend = _Backend(
-                address,
-                self.config.backend_auth_token,
-                self.config.connect_timeout_s,
-                self.config.io_timeout_s,
-            )
+            backend = _connect(address, self.config.backend_auth_token, IO_TIMEOUT_S)
             self._backends[address] = backend
         return backend
 
-    def _drop_backend(self, backend: _Backend) -> None:
-        self._backends.pop(backend.address, None)
-        backend.close()
-        if self._open is backend:
+    def _drop_backend(self, address: tuple[str, int]) -> None:
+        backend = self._backends.pop(address, None)
+        if backend is not None:
+            backend.close()
+        if self._open == address:
             self._open = None
-
-    def close(self) -> None:
-        self._closed = True
-        try:
-            self.sock.close()
-        except OSError:
-            pass
 
     # -- main loop ------------------------------------------------------
 
     def run(self) -> None:
         try:
-            self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            self.sock.settimeout(self.config.io_timeout_s)
             if not self._handshake():
                 return
-            while not self._closed:
-                frame = self._recv()
-                if frame is None:
-                    return
-                tag, fields = frame
+            while not self.conn.closed:
+                tag, fields = self.conn.recv()
                 if tag == wire.MSG_GOODBYE:
                     return
                 self._dispatch(tag, fields)
@@ -551,53 +484,26 @@ class _Session:
             for backend in self._backends.values():
                 backend.close()
             self._backends.clear()
-            try:
-                self.sock.close()
-            except OSError:
-                pass
+            self.conn.close()
             self.router._drop_session(self.session_id)
 
     def _handshake(self) -> bool:
-        self.sock.settimeout(self.config.handshake_timeout_s)
         try:
-            frame = self._recv()
-        except (socket.timeout, ProtocolError):
+            self.conn.settimeout(HANDSHAKE_TIMEOUT_S)
+            tag, fields = self.conn.recv()
+        except (OSError, ProtocolError):
             return False
-        self.sock.settimeout(self.config.io_timeout_s)
-        if frame is None or frame[0] != wire.MSG_HELLO:
+        self.conn.settimeout(IO_TIMEOUT_S)
+        if tag != wire.MSG_HELLO:
             return False
-        fields = frame[1]
-        versions = fields.get("versions")
-        if not isinstance(versions, list):
-            versions = []
-        common = [v for v in wire.SUPPORTED_VERSIONS if v in versions]
-        if not common:
-            self._send_failure(
-                ProtocolError(
-                    f"no common protocol version (router speaks "
-                    f"{list(wire.SUPPORTED_VERSIONS)}, client offered "
-                    f"{versions})"
-                )
-            )
+        try:
+            version = wire.check_hello(fields, self.config.auth_token)
+        except (ProtocolError, AuthenticationError) as exc:
+            self._send_failure(exc)
             return False
-        expected = self.config.auth_token
-        if expected is not None:
-            auth = fields.get("auth")
-            client_token = auth.get("token") if isinstance(auth, dict) else None
-            if not isinstance(client_token, str) or not hmac.compare_digest(
-                client_token, expected
-            ):
-                self._send_failure(
-                    AuthenticationError("invalid or missing auth token")
-                )
-                return False
         self._send(
             wire.MSG_SUCCESS,
-            {
-                "version": max(common),
-                "server": _BANNER,
-                "session": self.session_id,
-            },
+            {"version": version, "server": _BANNER, "session": self.session_id},
         )
         return True
 
@@ -688,12 +594,10 @@ class _Session:
                 backend_fields["require_lsn"] = token
             try:
                 backend = self._backend(state.address)
-                backend.send(wire.MSG_RUN, backend_fields)
+                backend.send((wire.MSG_RUN, backend_fields))
                 tag, reply = backend.recv()
             except (OSError, ProtocolError):
-                backend = self._backends.get(state.address)
-                if backend is not None:
-                    self._drop_backend(backend)
+                self._drop_backend(state.address)
                 state.failures += 1
                 self.metrics.counter("router.reroutes").inc()
                 continue
@@ -707,10 +611,10 @@ class _Session:
                 self._send(tag, reply)
                 return
             if tag != wire.MSG_SUCCESS:
-                self._drop_backend(backend)
+                self._drop_backend(state.address)
                 self.metrics.counter("router.reroutes").inc()
                 continue
-            self._open = backend
+            self._open = state.address
             self._open_is_write = False
             self._send(tag, reply)
             return
@@ -739,17 +643,15 @@ class _Session:
                 if self.router._stop.wait(delay):
                     break
                 delay = min(delay * 2, 1.0)
-            address = self.router.write_target_address()
+            address = self.router.write_target.address
             sent = False
             try:
                 backend = self._backend(address)
-                backend.send(wire.MSG_RUN, run_fields)
+                backend.send((wire.MSG_RUN, run_fields))
                 sent = True
                 tag, reply = backend.recv()
             except (OSError, ProtocolError) as exc:
-                stale = self._backends.get(address)
-                if stale is not None:
-                    self._drop_backend(stale)
+                self._drop_backend(address)
                 last_error = f"{type(exc).__name__}: {exc}"
                 if sent and is_write:
                     self._send_failure(
@@ -774,7 +676,7 @@ class _Session:
                     self.metrics.counter("router.reroutes").inc()
                     continue
             if tag == wire.MSG_SUCCESS:
-                self._open = backend
+                self._open = address
                 self._open_is_write = is_write
             self._send(tag, reply)
             return
@@ -786,13 +688,15 @@ class _Session:
         )
 
     def _relay_result(self, tag: int, fields: dict) -> None:
-        backend = self._open
-        if backend is None:
-            verb = wire.MESSAGE_NAMES.get(tag, str(tag))
-            self._send_failure(ProtocolError(f"no open result to {verb}"))
+        address = self._open
+        if address is None:
+            self._send_failure(
+                ProtocolError(f"no open result to {wire.MESSAGE_NAMES[tag]}")
+            )
             return
+        backend = self._backends[address]
         try:
-            backend.send(tag, fields)
+            backend.send((tag, fields))
             while True:
                 btag, bfields = backend.recv()
                 if btag == wire.MSG_RECORD:
@@ -816,7 +720,7 @@ class _Session:
             # The backend died mid-stream; the rows it already sent cannot
             # be unsent, so the session fails loudly rather than silently
             # truncating a result.
-            self._drop_backend(backend)
+            self._drop_backend(address)
             self._send_failure(
                 ServiceShutdownError("backend connection lost mid-result")
             )
@@ -840,15 +744,13 @@ class _Session:
                 if self.router._stop.wait(delay):
                     break
                 delay = min(delay * 2, 1.0)
-            address = self.router.write_target_address()
+            address = self.router.write_target.address
             try:
                 backend = self._backend(address)
-                backend.send(wire.MSG_PREPARE, {"query": query})
+                backend.send((wire.MSG_PREPARE, {"query": query}))
                 tag, reply = backend.recv()
             except (OSError, ProtocolError) as exc:
-                stale = self._backends.get(address)
-                if stale is not None:
-                    self._drop_backend(stale)
+                self._drop_backend(address)
                 last_error = f"{type(exc).__name__}: {exc}"
                 tag = None
                 continue
@@ -873,12 +775,13 @@ class _Session:
         self._send(wire.MSG_SUCCESS, out)
 
     def _on_reset(self) -> None:
-        backend = self._open
+        address = self._open
         self._open = None
-        if backend is not None:
+        if address is not None:
             try:
-                backend.send(wire.MSG_RESET, {})
+                backend = self._backends[address]
+                backend.send((wire.MSG_RESET, {}))
                 backend.expect_success()
             except (ReproError, OSError):
-                self._drop_backend(backend)
+                self._drop_backend(address)
         self._send(wire.MSG_SUCCESS, {})

@@ -25,7 +25,7 @@ import sys
 from typing import Optional
 
 from repro import GraphDatabase
-from repro.replication import Replica, ReplicaConfig
+from repro.replication import Replica
 from repro.server.server import Server, ServerConfig
 from repro.service import QueryService, ServiceConfig
 
@@ -121,9 +121,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         replica = Replica(
             args.data,
             args.replica_of,
-            config=ReplicaConfig(
-                auth_token=args.leader_auth_token or args.auth_token
-            ),
+            auth_token=args.leader_auth_token or args.auth_token,
         )
         db = replica.db
     elif args.data:

@@ -18,7 +18,7 @@ back as structured FAILURE frames (:func:`repro.wire.failure_fields`).
 Result rows stream in bounded chunks under **credit-based backpressure**:
 a PULL grants credit for ``n`` rows, the server sends at most that many
 (in ``chunk_rows``-sized RECORD frames, each followed by a socket drain
-bounded by ``write_buffer_high_bytes``), then parks the rest of the
+bounded by ``WRITE_BUFFER_HIGH_BYTES``), then parks the rest of the
 materialized, memory-governed result until the client asks again. A
 credit-exhausted pause is counted in ``server.backpressure_stalls``; a
 socket-buffer-full pause in ``server.drain_stalls``. A slow client
@@ -33,10 +33,8 @@ rows/bytes streamed, stalls, disconnect cancels, protocol errors.
 from __future__ import annotations
 
 import asyncio
-import hmac
 import threading
 import time
-import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
@@ -64,6 +62,38 @@ SNAPSHOT_CHUNK_BYTES = 4 << 20
 """Checkpoint files ship in chunks of at most this many bytes per
 SNAPSHOT_FILE frame (well under the wire's MAX_FRAME_BYTES)."""
 
+HANDSHAKE_TIMEOUT_S = 10.0
+"""How long a fresh connection may take to send HELLO."""
+
+REQUEST_QUEUE_FRAMES = 64
+"""Pipelined requests buffered per session before the read loop stops
+reading (TCP backpressure onto the client)."""
+
+WRITE_BUFFER_HIGH_BYTES = 1 << 16
+"""Transport write-buffer high-water mark; streaming pauses (and counts a
+``server.drain_stalls``) whenever the socket buffer exceeds it."""
+
+SHIP_POLL_S = 0.02
+"""Leader-side shipping: how often an idle subscriber session polls the
+log for newly durable records."""
+
+SHIP_BATCH_RECORDS = 256
+"""At most this many records per WAL_SEGMENT frame."""
+
+SHIP_BATCH_BYTES = 1 << 20
+"""Flush a WAL_SEGMENT frame once its records reach this many bytes."""
+
+SHIP_UNACKED_HIGH_BYTES = 4 << 20
+"""Backpressure high-water mark: a subscriber with more than this many
+shipped-but-unacknowledged bytes in flight is not sent more segments until
+WAL_ACKs drain the window (a stalled replica cannot make the leader buffer
+unboundedly)."""
+
+HEARTBEAT_S = 1.0
+"""Ship an empty WAL_SEGMENT (heartbeat, carrying ``durable_lsn``) when
+nothing was sent for this long; replicas answer with a WAL_ACK carrying
+their applied LSN, which feeds the leader's lag accounting."""
+
 
 @dataclass(frozen=True)
 class ServerConfig:
@@ -83,17 +113,6 @@ class ServerConfig:
     chunk_rows: int = 64
     """Rows per RECORD frame while streaming a result."""
 
-    handshake_timeout_s: float = 10.0
-    """How long a fresh connection may take to send HELLO."""
-
-    request_queue_frames: int = 64
-    """Pipelined requests buffered per session before the read loop stops
-    reading (TCP backpressure onto the client)."""
-
-    write_buffer_high_bytes: int = 1 << 16
-    """Transport write-buffer high-water mark; streaming pauses (and counts
-    a ``server.drain_stalls``) whenever the socket buffer exceeds it."""
-
     drain_timeout_s: float = 10.0
     """Graceful-drain budget: on :meth:`Server.drain`, busy sessions get
     this long to finish their current request/stream before their queries
@@ -111,27 +130,6 @@ class ServerConfig:
     SUBSCRIBE is refused (no chaining). The role is dynamic state on
     :class:`Server` — a ``PROMOTE`` flips it to leader in place."""
 
-    ship_poll_s: float = 0.02
-    """Leader-side shipping: how often an idle subscriber session polls the
-    log for newly durable records."""
-
-    ship_batch_records: int = 256
-    """At most this many records per WAL_SEGMENT frame."""
-
-    ship_batch_bytes: int = 1 << 20
-    """Flush a WAL_SEGMENT frame once its records reach this many bytes."""
-
-    ship_unacked_high_bytes: int = 4 << 20
-    """Backpressure high-water mark: a subscriber with more than this many
-    shipped-but-unacknowledged bytes in flight is not sent more segments
-    until WAL_ACKs drain the window (a stalled replica cannot make the
-    leader buffer unboundedly)."""
-
-    heartbeat_s: float = 1.0
-    """Ship an empty WAL_SEGMENT (heartbeat, carrying ``durable_lsn``) when
-    nothing was sent for this long; replicas answer with a WAL_ACK carrying
-    their applied LSN, which feeds the leader's lag accounting."""
-
     require_lsn_wait_s: float = 5.0
     """How long a RUN carrying ``require_lsn`` may wait for this server to
     apply/publish that LSN before failing with
@@ -140,8 +138,6 @@ class ServerConfig:
     def __post_init__(self) -> None:
         if self.chunk_rows < 1:
             raise ValueError("chunk_rows must be positive")
-        if self.request_queue_frames < 1:
-            raise ValueError("request_queue_frames must be positive")
         if self.wait_threads < 1:
             raise ValueError("wait_threads must be positive")
 
@@ -195,10 +191,6 @@ class Server:
         self.address = sock.getsockname()[:2]
         return self.address
 
-    async def serve_forever(self) -> None:
-        assert self._server is not None, "call start() first"
-        await self._server.serve_forever()
-
     @property
     def sessions_open(self) -> int:
         return len(self._sessions)
@@ -221,6 +213,15 @@ class Server:
             if self.fenced_by is None:
                 self.metrics.counter("server.fenced").inc()
             self.fenced_by = epoch
+
+    def superseded(self, advice: str = "") -> StaleEpochError:
+        """The refusal a fenced leader answers with."""
+        return StaleEpochError(
+            f"this leader (epoch {self.epoch}) has been superseded by epoch "
+            f"{self.fenced_by}{advice}",
+            epoch=self.epoch,
+            current_epoch=self.fenced_by,
+        )
 
     def promote(self) -> int:
         """Flip this replica into the new leader (blocking; runs in a
@@ -351,21 +352,9 @@ class _OpenResult:
 
     def summary(self) -> dict:
         outcome = self.outcome
-        return {
-            "has_more": False,
-            "rows_total": outcome.row_count,
-            "planning_seconds": outcome.planning_seconds,
-            "execution_seconds": outcome.execution_seconds,
-            "queue_seconds": outcome.queue_seconds,
-            "total_seconds": outcome.total_seconds,
-            "attempts": outcome.attempts,
-            "max_intermediate_cardinality": outcome.max_intermediate_cardinality,
-            "page_cache_hits": outcome.page_cache_hits,
-            "page_cache_misses": outcome.page_cache_misses,
-            "peak_memory_bytes": outcome.peak_memory_bytes,
-            "spill_runs": outcome.spill_runs,
-            "commit_lsn": outcome.commit_lsn,
-        }
+        summary = {name: getattr(outcome, name) for name in wire.SUMMARY_FIELDS}
+        summary.update(has_more=False, rows_total=outcome.row_count)
+        return summary
 
 
 class _Session:
@@ -384,9 +373,7 @@ class _Session:
         self.metrics = server.metrics
         self._reader = reader
         self._writer = writer
-        self._requests: asyncio.Queue = asyncio.Queue(
-            maxsize=self.config.request_queue_frames
-        )
+        self._requests: asyncio.Queue = asyncio.Queue(maxsize=REQUEST_QUEUE_FRAMES)
         self._statements: dict[int, str] = {}
         self._next_statement = 1
         self._result: Optional[_OpenResult] = None
@@ -395,9 +382,7 @@ class _Session:
         self._disconnected = False
         transport = writer.transport
         if transport is not None:
-            transport.set_write_buffer_limits(
-                high=self.config.write_buffer_high_bytes
-            )
+            transport.set_write_buffer_limits(high=WRITE_BUFFER_HIGH_BYTES)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -461,28 +446,13 @@ class _Session:
 
     async def _read_frame(self) -> Optional[tuple[int, dict]]:
         """One decoded frame, or None on clean EOF."""
-        try:
-            header = await self._reader.readexactly(wire.FRAME_HEADER.size)
-        except asyncio.IncompleteReadError as exc:
-            if exc.partial:
-                raise ProtocolError(
-                    "connection closed mid-frame header"
-                ) from exc
+        frame = await read_frame(self._reader)
+        if frame is None:
             return None
-        length, crc = wire.FRAME_HEADER.unpack(header)
-        if length == 0 or length > wire.MAX_FRAME_BYTES:
-            raise ProtocolError(f"implausible frame length {length}")
-        try:
-            payload = await self._reader.readexactly(length)
-        except asyncio.IncompleteReadError as exc:
-            raise ProtocolError("connection closed mid-frame") from exc
-        if zlib.crc32(payload) != crc:
-            raise ProtocolError("frame CRC mismatch")
+        tag, fields, size = frame
         self.metrics.counter("server.frames_in").inc()
-        self.metrics.counter("server.bytes_in").inc(
-            wire.FRAME_HEADER.size + length
-        )
-        return wire.decode_payload(payload)
+        self.metrics.counter("server.bytes_in").inc(size)
+        return tag, fields
 
     async def _read_loop(self) -> None:
         """Parse frames as they arrive; notices disconnects immediately and
@@ -505,7 +475,8 @@ class _Session:
         self._cancel_inflight()
         await self._requests.put(_EOF)
 
-    async def _send(self, tag: int, fields: dict) -> None:
+    async def _send(self, tag: int, fields: dict) -> int:
+        """Write one frame and drain; its size in bytes."""
         # Control frames are small; drain-stall accounting only matters on
         # the credit-based PULL stream (see _on_pull), which is where the
         # write buffer can actually fill.
@@ -514,6 +485,7 @@ class _Session:
         self.metrics.counter("server.frames_out").inc()
         self.metrics.counter("server.bytes_out").inc(len(data))
         await self._writer.drain()
+        return len(data)
 
     async def _send_failure(self, exc: BaseException) -> None:
         self.metrics.counter("server.failures_sent").inc()
@@ -529,7 +501,7 @@ class _Session:
     async def _handshake(self) -> bool:
         try:
             frame = await asyncio.wait_for(
-                self._read_frame(), timeout=self.config.handshake_timeout_s
+                self._read_frame(), timeout=HANDSHAKE_TIMEOUT_S
             )
         except (asyncio.TimeoutError, ProtocolError, ConnectionError):
             self.metrics.counter("server.handshakes_failed").inc()
@@ -541,37 +513,19 @@ class _Session:
                     ProtocolError("first message must be HELLO")
                 )
             return False
-        fields = frame[1]
-        versions = fields.get("versions")
-        if not isinstance(versions, list):
-            versions = []
-        common = [v for v in wire.SUPPORTED_VERSIONS if v in versions]
-        if not common:
-            self.metrics.counter("server.handshakes_failed").inc()
-            await self._send_failure(
-                ProtocolError(
-                    f"no common protocol version (server speaks "
-                    f"{list(wire.SUPPORTED_VERSIONS)}, client offered "
-                    f"{versions})"
-                )
-            )
+        try:
+            version = wire.check_hello(frame[1], self.config.auth_token)
+        except (ProtocolError, AuthenticationError) as exc:
+            rejected = isinstance(exc, AuthenticationError)
+            self.metrics.counter(
+                "server.auth_rejections" if rejected else "server.handshakes_failed"
+            ).inc()
+            await self._send_failure(exc)
             return False
-        expected = self.config.auth_token
-        if expected is not None:
-            auth = fields.get("auth")
-            token = auth.get("token") if isinstance(auth, dict) else None
-            if not isinstance(token, str) or not hmac.compare_digest(
-                token, expected
-            ):
-                self.metrics.counter("server.auth_rejections").inc()
-                await self._send_failure(
-                    AuthenticationError("invalid or missing auth token")
-                )
-                return False
         await self._send(
             wire.MSG_SUCCESS,
             {
-                "version": max(common),
+                "version": version,
                 "server": _server_banner(),
                 "session": self.session_id,
                 "role": self.server.role,
@@ -667,10 +621,7 @@ class _Session:
             # write. The prepare goes through the plan cache, so the
             # classification costs a lookup on the steady state.
             try:
-                cached = await loop.run_in_executor(
-                    self.server._executor,
-                    lambda: self.server.service.db.prepare(query),
-                )
+                cached = await self._prepare(query)
             except ReproError as exc:
                 await self._send_failure(exc)
                 return
@@ -688,13 +639,7 @@ class _Session:
             if cached.analyzed.is_write and fenced_by is not None:
                 self.metrics.counter("server.fenced_write_rejections").inc()
                 await self._send_failure(
-                    StaleEpochError(
-                        f"this leader (epoch {server.epoch}) has been "
-                        f"superseded by epoch {fenced_by} — writes belong "
-                        "to the promoted leader",
-                        epoch=server.epoch,
-                        current_epoch=fenced_by,
-                    )
+                    server.superseded(" — writes belong to the promoted leader")
                 )
                 return
         if require_lsn:
@@ -746,12 +691,8 @@ class _Session:
         if not isinstance(query, str) or not query:
             await self._send_failure(ProtocolError("PREPARE needs a 'query'"))
             return
-        loop = asyncio.get_running_loop()
         try:
-            cached = await loop.run_in_executor(
-                self.server._executor,
-                lambda: self.server.service.db.prepare(query),
-            )
+            cached = await self._prepare(query)
         except ReproError as exc:
             await self._send_failure(exc)
             return
@@ -766,6 +707,13 @@ class _Session:
                 "columns": cached.columns,
                 "is_write": cached.analyzed.is_write,
             },
+        )
+
+    async def _prepare(self, query: str):
+        """``db.prepare(query)`` in a wait thread; the plan cache answers
+        a text it has seen."""
+        return await asyncio.get_running_loop().run_in_executor(
+            self.server._executor, self.server.service.db.prepare, query
         )
 
     async def _on_pull(self, fields: dict) -> None:
@@ -795,8 +743,7 @@ class _Session:
             transport = self._writer.transport
             if (
                 transport is not None
-                and transport.get_write_buffer_size()
-                > self.config.write_buffer_high_bytes
+                and transport.get_write_buffer_size() > WRITE_BUFFER_HIGH_BYTES
             ):
                 self.metrics.counter("server.drain_stalls").inc()
             await self._writer.drain()
@@ -944,13 +891,7 @@ class _Session:
             server.fence(sub_epoch)
         if server.fenced_by is not None:
             await self._send_failure(
-                StaleEpochError(
-                    f"this leader (epoch {engine.epoch}) has been "
-                    f"superseded by epoch {server.fenced_by} — subscribe "
-                    "to the promoted leader",
-                    epoch=engine.epoch,
-                    current_epoch=server.fenced_by,
-                )
+                server.superseded(" — subscribe to the promoted leader")
             )
             return
         sub = {
@@ -1041,14 +982,7 @@ class _Session:
             if self.server.fenced_by is not None:
                 # Fenced mid-stream: stop feeding subscribers our stale
                 # timeline; they resubscribe to the promoted leader.
-                await self._send_failure(
-                    StaleEpochError(
-                        f"this leader (epoch {engine.epoch}) has been "
-                        f"superseded by epoch {self.server.fenced_by}",
-                        epoch=engine.epoch,
-                        current_epoch=self.server.fenced_by,
-                    )
-                )
+                await self._send_failure(self.server.superseded())
                 return
             # A crashed (fault-injected) leader is a dead process: it must
             # not keep heartbeating subscribers that reconnect to it.
@@ -1072,11 +1006,11 @@ class _Session:
                 checkpoint_id = position["checkpoint_id"]
                 offset = 0
             if sum(size for _seq, size in sub["in_flight"]) >= (
-                self.config.ship_unacked_high_bytes
+                SHIP_UNACKED_HIGH_BYTES
             ):
                 # Backpressure: wait for WAL_ACKs before shipping more.
                 self.metrics.counter("replication.backpressure_stalls").inc()
-                await asyncio.sleep(self.config.ship_poll_s)
+                await asyncio.sleep(SHIP_POLL_S)
                 continue
             frames, offset = await loop.run_in_executor(
                 executor, iter_tail_frames, position["wal_path"], offset
@@ -1100,10 +1034,7 @@ class _Session:
                 batch.append(payload)
                 batch_last = seq
                 batch_bytes += len(payload)
-                if (
-                    len(batch) >= self.config.ship_batch_records
-                    or batch_bytes >= self.config.ship_batch_bytes
-                ):
+                if len(batch) >= SHIP_BATCH_RECORDS or batch_bytes >= SHIP_BATCH_BYTES:
                     await self._send_segment(
                         engine, sub, batch, batch_first, batch_last, position
                     )
@@ -1119,7 +1050,7 @@ class _Session:
             if sent_any:
                 last_activity = loop.time()
                 continue
-            if loop.time() - last_activity >= self.config.heartbeat_s:
+            if loop.time() - last_activity >= HEARTBEAT_S:
                 # Idle heartbeat: carries the durable watermark so the
                 # replica can report its lag even with no traffic.
                 await self._send(
@@ -1133,7 +1064,7 @@ class _Session:
                     },
                 )
                 last_activity = loop.time()
-            await asyncio.sleep(self.config.ship_poll_s)
+            await asyncio.sleep(SHIP_POLL_S)
 
     async def _send_segment(
         self,
@@ -1183,16 +1114,11 @@ class _Session:
             chunk = data[offset : offset + SNAPSHOT_CHUNK_BYTES]
             offset += len(chunk)
             eof = offset >= len(data)
-            frame = wire.encode_frame(
-                wire.MSG_SNAPSHOT_FILE,
-                {"name": name, "data": chunk, "eof": eof},
+            size = await self._send(
+                wire.MSG_SNAPSHOT_FILE, {"name": name, "data": chunk, "eof": eof}
             )
-            self._writer.write(frame)
-            self.metrics.counter("server.frames_out").inc()
-            self.metrics.counter("server.bytes_out").inc(len(frame))
-            self.metrics.counter("replication.bytes_shipped").inc(len(frame))
-            sub["bytes_shipped"] += len(frame)
-            await self._writer.drain()
+            self.metrics.counter("replication.bytes_shipped").inc(size)
+            sub["bytes_shipped"] += size
             if eof:
                 return
 
@@ -1243,6 +1169,27 @@ class _Session:
         except asyncio.QueueFull:
             # Pathological pipelining; drop the connection instead.
             self._writer.close()
+
+
+async def read_frame(
+    reader: asyncio.StreamReader,
+) -> Optional[tuple[int, dict, int]]:
+    """The next frame off ``reader`` as ``(tag, fields, frame bytes)``, or
+    None on a clean EOF between frames; the header and payload checks are
+    :mod:`repro.wire`'s own."""
+    try:
+        header = await reader.readexactly(wire.FRAME_HEADER.size)
+    except asyncio.IncompleteReadError as exc:
+        if exc.partial:
+            raise ProtocolError("connection closed mid-frame header") from exc
+        return None
+    length, crc = wire.parse_header(header)
+    try:
+        payload = await reader.readexactly(length)
+    except asyncio.IncompleteReadError as exc:
+        raise ProtocolError("connection closed mid-frame") from exc
+    tag, fields = wire.decode_checked(payload, crc)
+    return tag, fields, wire.FRAME_HEADER.size + length
 
 
 def _server_banner() -> str:

@@ -65,6 +65,9 @@ _VERSION_GC_WRITE_INTERVAL = 64
 service reclaims version chains no live snapshot can reach (checkpoints
 also vacuum, so this only bounds growth between checkpoints)."""
 
+_RETRY_BACKOFF_CAP_S = 0.25
+"""Upper bound on a single write-retry backoff sleep."""
+
 _GRANT_WAIT_S = 5.0
 """How long a deadline-less query waits at dispatch for a memory grant
 before it is shed with backpressure (queries with a deadline wait at most
@@ -91,18 +94,6 @@ class ServiceConfig:
     retry_backoff_s: float = 0.01
     """Initial backoff before the first retry; doubles per attempt."""
 
-    retry_backoff_cap_s: float = 0.25
-    """Upper bound on a single backoff sleep."""
-
-    checkpoint_interval_s: Optional[float] = None
-    """Background-checkpoint period for durable databases. When set (and
-    the database was opened with ``GraphDatabase.open``), a checkpointer
-    thread periodically compacts the write-ahead log into a snapshot; the
-    engine serializes with writers on the store's write lock while reads
-    continue against their MVCC snapshots. ``None`` leaves checkpointing
-    to the engine's own record/byte thresholds and explicit :meth:`~repro.\
-db.database.GraphDatabase.checkpoint` calls."""
-
     memory_grant_bytes: Optional[int] = None
     """Admission grant reserved from the database's memory pool before a
     query is dispatched to a worker (also its spill threshold). ``None``
@@ -121,8 +112,6 @@ db.database.GraphDatabase.checkpoint` calls."""
             raise ValueError("max_concurrency must be positive")
         if self.max_pending < 1:
             raise ValueError("max_pending must be positive")
-        if self.checkpoint_interval_s is not None and self.checkpoint_interval_s <= 0:
-            raise ValueError("checkpoint_interval_s must be positive")
         if self.memory_grant_bytes is not None and self.memory_grant_bytes <= 0:
             raise ValueError("memory_grant_bytes must be positive")
         if self.max_query_seconds is not None and self.max_query_seconds <= 0:
@@ -272,18 +261,6 @@ class QueryService:
         ]
         for worker in self._workers:
             worker.start()
-        # Background checkpointer for durable databases: the engine takes
-        # the store's write lock itself, so writers pause while the
-        # snapshot is cut and snapshot readers continue unimpeded.
-        self._checkpoint_stop = threading.Event()
-        self._checkpointer: Optional[threading.Thread] = None
-        if db.durability is not None and self.config.checkpoint_interval_s:
-            self._checkpointer = threading.Thread(
-                target=self._checkpoint_loop,
-                name="query-service-checkpointer",
-                daemon=True,
-            )
-            self._checkpointer.start()
         # Slow-query watchdog: cancels queries running past the ceiling.
         self._watchdog_stop = threading.Event()
         self._watchdog: Optional[threading.Thread] = None
@@ -400,13 +377,10 @@ class QueryService:
         if first:
             self.db.plan_cache.unsubscribe(self._plan_cache_event)
             self.db.memory_pool.unbind_metrics(self.metrics)
-            self._checkpoint_stop.set()
             self._watchdog_stop.set()
         if wait:
             for worker in self._workers:
                 worker.join()
-            if self._checkpointer is not None:
-                self._checkpointer.join()
             if self._watchdog is not None:
                 self._watchdog.join()
             # Workers are drained; any spill file still on disk is an
@@ -480,28 +454,6 @@ class QueryService:
 
     def _plan_cache_event(self, event: str) -> None:
         self.metrics.counter(f"plan_cache.{event}").inc()
-
-    # ------------------------------------------------------------------
-    # Background checkpointing
-    # ------------------------------------------------------------------
-
-    def _checkpoint_loop(self) -> None:
-        interval = self.config.checkpoint_interval_s
-        assert interval is not None
-        while not self._checkpoint_stop.wait(interval):
-            try:
-                started = time.perf_counter()
-                # The engine serializes with writers on the store's write
-                # lock; reads continue against their snapshots throughout.
-                self.db.durability.checkpoint()
-                self.metrics.counter("durability.checkpoints").inc()
-                self.metrics.histogram("durability.checkpoint_seconds").observe(
-                    time.perf_counter() - started
-                )
-            except BaseException:  # noqa: BLE001 - incl. simulated crashes
-                # A crashed engine performs no further I/O; stop trying.
-                self.metrics.counter("durability.checkpoint_failures").inc()
-                return
 
     # ------------------------------------------------------------------
     # Slow-query watchdog
@@ -779,7 +731,7 @@ class QueryService:
         """Exponential backoff, truncated by the query's deadline."""
         delay = min(
             self.config.retry_backoff_s * (2 ** (attempt - 1)),
-            self.config.retry_backoff_cap_s,
+            _RETRY_BACKOFF_CAP_S,
         )
         remaining = token.remaining()
         if remaining is not None:

@@ -57,10 +57,17 @@ server processes them strictly in order and answers in order. ``FAILURE``
 frames are structured errors: ``{"code": exception class name, "message",
 "retryable"}``; :func:`raise_failure` re-raises the matching
 :mod:`repro.errors` class on the client.
+
+Every blocking peer — :class:`repro.client.Client`, the router towards its
+clients and its backends, the replica's tailer — talks through one
+:class:`Connection`; :func:`check_hello` is the one version and token check
+of the accepting side (the asyncio server and the router).
 """
 
 from __future__ import annotations
 
+import hmac
+import socket
 import struct
 import zlib
 from typing import Any, Optional
@@ -68,6 +75,7 @@ from typing import Any, Optional
 from repro import errors
 from repro.durability.encoding import read_value, write_value
 from repro.errors import (
+    AuthenticationError,
     DurabilityError,
     LeaderUnavailableError,
     MemoryLimitExceeded,
@@ -80,11 +88,9 @@ from repro.errors import (
     TransactionError,
 )
 
-PROTOCOL_VERSION = 1
-"""The protocol revision this build speaks (HELLO negotiates the highest
-version common to both ends)."""
-
 SUPPORTED_VERSIONS = (1,)
+"""The protocol revisions this build speaks (HELLO negotiates the highest
+version common to both ends)."""
 
 MAX_FRAME_BYTES = 16 << 20
 """Upper bound on one frame's payload; larger lengths are rejected before
@@ -92,6 +98,22 @@ any allocation so a corrupt or hostile header cannot balloon memory."""
 
 FRAME_HEADER = struct.Struct("<II")
 """Payload length + CRC32 of the payload, matching the WAL's record framing."""
+
+SUMMARY_FIELDS = (
+    "planning_seconds",
+    "execution_seconds",
+    "queue_seconds",
+    "total_seconds",
+    "attempts",
+    "max_intermediate_cardinality",
+    "page_cache_hits",
+    "page_cache_misses",
+    "peak_memory_bytes",
+    "spill_runs",
+    "commit_lsn",
+)
+"""The query statistics a result's closing SUCCESS carries, named as on
+:class:`repro.service.QueryOutcome` and :class:`repro.client.RemoteOutcome`."""
 
 # Client → server ----------------------------------------------------------
 MSG_HELLO = 0x01
@@ -134,24 +156,6 @@ MESSAGE_NAMES = {
     MSG_SNAPSHOT_FILE: "SNAPSHOT_FILE",
     MSG_FAILURE: "FAILURE",
 }
-
-REQUEST_TAGS = frozenset(
-    (
-        MSG_HELLO,
-        MSG_GOODBYE,
-        MSG_RESET,
-        MSG_STATUS,
-        MSG_PREPARE,
-        MSG_RUN,
-        MSG_PULL,
-        MSG_DISCARD,
-        MSG_SUBSCRIBE,
-        MSG_WAL_ACK,
-        MSG_PROMOTE,
-        MSG_REPOINT,
-    )
-)
-
 
 # ---------------------------------------------------------------------------
 # Encoding
@@ -213,8 +217,24 @@ def wire_value(value: Any) -> Any:
     return str(value)
 
 
+def parse_header(header: bytes) -> tuple[int, int]:
+    """A frame header's ``(payload length, crc)``; an implausible length is
+    rejected before any allocation."""
+    length, crc = FRAME_HEADER.unpack_from(header, 0)
+    if length == 0 or length > MAX_FRAME_BYTES:
+        raise ProtocolError(f"implausible frame length {length}")
+    return length, crc
+
+
+def decode_checked(payload: bytes, crc: int) -> tuple[int, dict]:
+    """Decode one payload into ``(tag, fields)`` after checking its CRC."""
+    if zlib.crc32(payload) != crc:
+        raise ProtocolError("frame CRC mismatch")
+    return decode_payload(payload)
+
+
 # ---------------------------------------------------------------------------
-# Incremental decoding (the blocking client; also exercised by tests)
+# Incremental decoding
 # ---------------------------------------------------------------------------
 
 
@@ -226,17 +246,11 @@ class FrameReader:
     with a partial frame still buffered.
     """
 
-    def __init__(self, max_frame_bytes: int = MAX_FRAME_BYTES) -> None:
+    def __init__(self) -> None:
         self._buffer = bytearray()
-        self._max = max_frame_bytes
-        self._closed = False
 
     def feed(self, data: bytes) -> None:
         self._buffer.extend(data)
-
-    @property
-    def buffered_bytes(self) -> int:
-        return len(self._buffer)
 
     def pop(self) -> Optional[tuple[int, dict]]:
         """The next complete ``(tag, fields)`` message, or None if more
@@ -244,24 +258,148 @@ class FrameReader:
         header_size = FRAME_HEADER.size
         if len(self._buffer) < header_size:
             return None
-        length, crc = FRAME_HEADER.unpack_from(self._buffer, 0)
-        if length == 0 or length > self._max:
-            raise ProtocolError(f"implausible frame length {length}")
+        length, crc = parse_header(self._buffer)
         if len(self._buffer) < header_size + length:
             return None
         payload = bytes(self._buffer[header_size : header_size + length])
-        if zlib.crc32(payload) != crc:
-            raise ProtocolError("frame CRC mismatch")
         del self._buffer[: header_size + length]
-        return decode_payload(payload)
+        return decode_checked(payload, crc)
 
     def close(self) -> None:
         """Signal EOF; a partially buffered frame means a torn stream."""
-        self._closed = True
         if self._buffer:
             raise ProtocolError(
                 f"connection closed mid-frame ({len(self._buffer)} bytes buffered)"
             )
+
+
+# ---------------------------------------------------------------------------
+# The blocking endpoint
+# ---------------------------------------------------------------------------
+
+
+def check_hello(fields: dict, auth_token: Optional[str]) -> int:
+    """The protocol version a HELLO's ``fields`` negotiate: the highest of
+    :data:`SUPPORTED_VERSIONS` the peer offers.
+
+    Raises :class:`ProtocolError` when there is no common version and, when
+    ``auth_token`` is set, :class:`AuthenticationError` unless the HELLO
+    carries that token (compared in constant time)."""
+    versions = fields.get("versions")
+    if not isinstance(versions, list):
+        versions = []
+    common = [version for version in SUPPORTED_VERSIONS if version in versions]
+    if not common:
+        raise ProtocolError(
+            f"no common protocol version (this end speaks "
+            f"{list(SUPPORTED_VERSIONS)}, the peer offered {versions})"
+        )
+    if auth_token is not None:
+        auth = fields.get("auth")
+        token = auth.get("token") if isinstance(auth, dict) else None
+        if not isinstance(token, str) or not hmac.compare_digest(token, auth_token):
+            raise AuthenticationError("invalid or missing auth token")
+    return max(common)
+
+
+class Connection:
+    """One blocking protocol endpoint over a connected TCP socket.
+
+    Every blocking peer talks through one: the client, the router (towards
+    its clients and its backends), the replica's tailer. :meth:`close` is
+    idempotent and may be called from another thread to wake a blocked
+    :meth:`recv`, which then fails.
+    """
+
+    def __init__(self, sock: socket.socket) -> None:
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self._sock: Optional[socket.socket] = sock
+        self._frames = FrameReader()
+
+    @classmethod
+    def open(
+        cls,
+        address: tuple[str, int],
+        io_timeout_s: Optional[float],
+        connect_timeout_s: Optional[float] = None,
+    ) -> "Connection":
+        """Connect to ``address`` (within ``connect_timeout_s``, by default
+        the I/O timeout); every later send and recv times out after
+        ``io_timeout_s`` (None blocks)."""
+        sock = socket.create_connection(
+            address,
+            timeout=io_timeout_s if connect_timeout_s is None else connect_timeout_s,
+        )
+        sock.settimeout(io_timeout_s)
+        return cls(sock)
+
+    @property
+    def closed(self) -> bool:
+        return self._sock is None
+
+    def _live(self) -> socket.socket:
+        sock = self._sock
+        if sock is None:
+            raise ProtocolError("connection is closed")
+        return sock
+
+    def settimeout(self, seconds: Optional[float]) -> None:
+        self._live().settimeout(seconds)
+
+    def send(self, *frames: tuple[int, dict]) -> None:
+        """Write ``(tag, fields)`` frames in one ``sendall`` (pipelining)."""
+        self._live().sendall(
+            b"".join([encode_frame(tag, fields) for tag, fields in frames])
+        )
+
+    def recv(self) -> tuple[int, dict]:
+        """The next ``(tag, fields)`` message; EOF raises :class:`ProtocolError`."""
+        sock = self._live()
+        frames = self._frames
+        while True:
+            frame = frames.pop()
+            if frame is not None:
+                return frame
+            data = sock.recv(1 << 16)
+            if not data:
+                frames.close()  # raises if a frame is torn
+                raise ProtocolError("connection closed by peer")
+            frames.feed(data)
+
+    def expect_success(self) -> dict:
+        """The next message's fields when it is SUCCESS; a FAILURE re-raises
+        as its :mod:`repro.errors` class."""
+        tag, fields = self.recv()
+        if tag == MSG_FAILURE:
+            raise_failure(fields)
+        if tag != MSG_SUCCESS:
+            raise ProtocolError(f"expected SUCCESS, got {MESSAGE_NAMES[tag]}")
+        return fields
+
+    def hello(self, client: str, auth_token: Optional[str] = None) -> dict:
+        """Start the session: offer :data:`SUPPORTED_VERSIONS` (and the
+        token) and return the SUCCESS fields. The connection is closed when
+        the HELLO fails, so a refused peer leaks no socket."""
+        fields: dict = {"versions": list(SUPPORTED_VERSIONS), "client": client}
+        if auth_token is not None:
+            fields["auth"] = {"token": auth_token}
+        try:
+            self.send((MSG_HELLO, fields))
+            return self.expect_success()
+        except BaseException:
+            self.close()
+            raise
+
+    def close(self) -> None:
+        """Shut the socket down and close it (idempotent)."""
+        sock, self._sock = self._sock, None
+        if sock is None:
+            return
+        try:
+            sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass  # never connected, or the peer is already gone
+        sock.close()
 
 
 # ---------------------------------------------------------------------------

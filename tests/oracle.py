@@ -253,6 +253,8 @@ class _Env:
             subject = record[expr.subject]
             if subject is None:
                 return None
+            if not isinstance(subject, Node):
+                raise OracleError(f"label of a non-node {subject!r}")
             return expr.label in self.graph.nodes[subject.id][0]
         if isinstance(expr, ast.Comparison):
             return _compare(
@@ -316,6 +318,9 @@ class _Env:
     def _function(self, name: str, value):
         if value is None:
             return None
+        if name in ("id", "type", "labels"):
+            if not isinstance(value, (Node, Rel)):
+                raise OracleError(f"{name}() of a non-entity {value!r}")
         if name == "id":
             return value.id
         if name == "type":
@@ -688,6 +693,8 @@ def _delete(env: _Env, clause: ast.DeleteClause, records: list[dict]) -> None:
             value = env.eval(expr, record)
             if value is None:
                 continue
+            if not isinstance(value, (Node, Rel)):
+                raise OracleError(f"cannot delete a non-entity {value!r}")
             if isinstance(value, Rel):
                 graph.rels.pop(value.id, None)
                 continue

@@ -2,9 +2,13 @@
 
 import pytest
 
+from repro import GraphDatabase
 from repro.cypher import analyze, ast, parse
 from repro.cypher.semantics import VariableKind
 from repro.errors import CypherSemanticError
+
+from tests import oracle
+from tests.engines import agree
 
 
 def analyzed(text):
@@ -102,3 +106,53 @@ def test_delete_requires_bound_variable():
 def test_where_label_predicate_allowed():
     result = analyzed("MATCH (a)-->(b) WHERE a:Person AND a.x <> b.x RETURN a")
     assert result.variable_kinds["a"] is VariableKind.NODE
+
+
+# A name re-bound to a value by WITH (or, for ORDER BY, by RETURN) is no
+# longer a node: reading it as one is rejected rather than taking the value
+# as a node id.
+VALUE_READ_AS_ENTITY = [
+    "MATCH (a:A) WITH a.v - 5 AS a RETURN a.v AS x",
+    "MATCH (a:A) RETURN a.v - 5 AS a ORDER BY a.v",
+    "MATCH (a:A) WITH a.v AS a RETURN id(a) AS x",
+    "MATCH (a:A) WITH a.v AS a RETURN size(labels(a)) AS x",
+    "MATCH (a:A)-[r]->(b) WITH r.w AS r RETURN type(r) AS t",
+    "MATCH (a:A) WITH a.v AS a WHERE a:A RETURN a",
+    "MATCH (a:A) WITH a.v AS a WHERE a.v > 1 RETURN a",
+    "MATCH (a:A) WITH a.v AS a DELETE a",
+]
+
+VALUES_KEEP_WORKING = [
+    "MATCH (a:A) RETURN id(a) AS a",
+    "MATCH (a:A) RETURN id(a) AS a ORDER BY a",
+    "MATCH (a:A) RETURN id(a) AS a ORDER BY id(a)",
+    "MATCH (a:A) WITH a.v AS a RETURN a ORDER BY a",
+    "MATCH (a:A) WITH a.v - 5 AS a RETURN a AS x ORDER BY x",
+    "MATCH (a:A) WITH a.v AS a RETURN a + 1 AS b, count(a) AS c ORDER BY b",
+    "MATCH (a:A) WITH a, a.v AS v RETURN v, a.v AS w ORDER BY a.v",
+    "MATCH (a:A)-[r]->(b) RETURN type(r) AS r, id(b) AS b ORDER BY r, b",
+]
+
+
+def _value_graph():
+    db = GraphDatabase()
+    for v in (5, 7, 1):
+        db.execute(f"CREATE (:A {{v: {v}}})").consume()
+    db.execute("MATCH (a:A) WHERE a.v = 5 CREATE (a)-[:X {w: 2}]->(:B)").consume()
+    return db
+
+
+@pytest.mark.parametrize("text", VALUE_READ_AS_ENTITY)
+def test_value_read_as_entity_rejected(text):
+    db = _value_graph()
+    with pytest.raises(CypherSemanticError, match="holds a value"):
+        analyze(parse(text))
+    with pytest.raises(CypherSemanticError):
+        db.execute(text).to_list()
+    with pytest.raises(oracle.OracleError):
+        oracle.run(oracle.snapshot(db), text)
+
+
+@pytest.mark.parametrize("text", VALUES_KEEP_WORKING)
+def test_values_keep_working(text):
+    assert agree(_value_graph(), text)

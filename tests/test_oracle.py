@@ -7,16 +7,21 @@ to three relationships in every direction, repeated variables (cycles), a
 second comma-separated pattern, ``id()`` equalities, label and property
 predicates, a second part through WITH (carrying nodes and relationships,
 or aggregating), then a RETURN that projects, aggregates or de-duplicates,
-with ORDER BY over every column and SKIP/LIMIT. Expressions cover
+with ORDER BY over every column and SKIP/LIMIT. Patterns are drawn along
+the graph from one witness row, with labels, types and directions it meets,
+so that most texts have rows (``test_grammar_meets_rows``). Expressions cover
 arithmetic on ints and NULL (divisors 1-3), every comparison, XOR and NOT
 on NULL, string literals compared across types, ``$k`` in WHERE, RETURN
 and ORDER BY, ORDER BY on an expression, and an expression over an
-aggregate; a second grammar nests them over every pair of nodes, so
+aggregate; most RETURNs also apply every ordering comparison, ``/`` and
+``%`` to operands over the part's nodes; a second grammar nests them over every pair of nodes, so
 each meets rows. Each text runs under the default plan, without path indexes,
 and under every ``forced(index)`` hint that embeds, at the default output
 chunk size and at 7; writes, some building CREATE maps from expressions,
 run on a fresh copy of the graph per plan.
 """
+
+from typing import Optional
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -62,7 +67,7 @@ def specs(draw):
         value = draw(st.one_of(st.none(), st.integers(0, 3)))
         nodes.append((labels, {} if value is None else {"v": value}))
     rels = []
-    for _ in range(draw(st.integers(min_value=0, max_value=10))):
+    for _ in range(draw(st.integers(min_value=size, max_value=12))):
         start = draw(st.integers(0, size - 1))
         # Loops and parallel relationships come up often on few nodes.
         end = draw(st.integers(0, size - 1))
@@ -86,85 +91,138 @@ def loaded(spec):
 # ----------------------------------------------------------------------
 
 class _Scope:
-    """The variables in scope in one part: carried ones and those its
-    MATCH introduces, drawn from the part's own name pools."""
+    """The variables in scope in one part — carried ones and those its
+    MATCH introduces, drawn from the part's own name pools — with the graph
+    node or relationship each binds in one witness row: patterns are drawn
+    along the graph from there, so that most of them match."""
 
-    def __init__(self, node_pool, rel_pool, nodes=(), rels=()) -> None:
+    def __init__(self, spec, node_pool, rel_pool, nodes=None, rels=None) -> None:
+        self.spec = spec
         self.node_pool, self.rel_pool = iter(node_pool), iter(rel_pool)
-        self.nodes, self.rels = list(nodes), list(rels)
+        self.nodes: dict[str, int] = dict(nodes or {})
+        self.rels: dict[str, Optional[int]] = dict(rels or {})
+        self.used: set[int] = set()  # relationships of the current MATCH
 
-    def node(self, draw, reuse: bool = True) -> str:
-        if reuse and self.nodes and draw(st.integers(0, 3)) == 0:
-            return draw(st.sampled_from(self.nodes))
+    def node(self, draw, at: int) -> tuple[str, bool]:
+        """A name for graph node ``at`` and whether it is bound already:
+        now and then a name bound to ``at`` before (a cycle)."""
+        bound = [name for name, node in self.nodes.items() if node == at]
+        if bound and draw(st.integers(0, 3)) == 0:
+            return draw(st.sampled_from(bound)), True
         name = next(self.node_pool)
-        self.nodes.append(name)
-        return name
+        self.nodes[name] = at
+        return name, False
 
-    def rel(self, draw) -> str:
+    def rel(self, draw, index: Optional[int]) -> str:
         if not draw(st.integers(0, 4)):
             return ""  # anonymous
         name = next(self.rel_pool)
-        self.rels.append(name)
+        self.rels[name] = index
         return name
 
+    def step(self, draw, at: int) -> tuple[Optional[int], Optional[bool], int]:
+        """A relationship of the witness node ``at`` not yet used in this
+        MATCH, whether it leaves ``at``, and its other end; when there is
+        none, no relationship and a random node."""
+        choices = [
+            (index, start == at, end if start == at else start)
+            for index, (start, end, _kind, _props) in enumerate(self.spec.rels)
+            if at in (start, end) and index not in self.used
+        ]
+        if choices:
+            index, out, other = draw(st.sampled_from(choices))
+            self.used.add(index)
+            return index, out, other
+        return None, None, draw(st.integers(0, len(self.spec.nodes) - 1))
 
-def _node_text(draw, name):
-    labels = draw(st.sampled_from(["", "", ":A", ":B", ":A:B"]))
-    props = draw(st.sampled_from(["", "", "", " {v: 1}"]))
-    return f"({name}{labels}{props})"
+
+def _node_text(draw, scope, name, bound):
+    """A node pattern with labels and properties its witness node has; a
+    bound node is rarely constrained again."""
+    if bound and draw(st.integers(0, 3)):
+        return f"({name})"
+    labels, props = scope.spec.nodes[scope.nodes[name]]
+    met = [""] + [f":{label}" for label in labels] + [":A:B"] * (len(labels) == 2)
+    text = draw(st.sampled_from(met))
+    if props.get("v") == 1 and draw(st.booleans()):
+        text += " {v: 1}"
+    return f"({name}{text})"
 
 
-def _arrow(draw, body):
-    return draw(st.sampled_from([f"-{body}->", f"<-{body}-", f"-{body}-"]))
+def _arrow(draw, body, out=None):
+    """``body`` between two nodes: undirected, or in the direction the
+    walked relationship runs (``out`` None: any)."""
+    if out is None:
+        return draw(st.sampled_from([f"-{body}->", f"<-{body}-", f"-{body}-"]))
+    return draw(st.sampled_from([f"-{body}-", f"-{body}->" if out else f"<-{body}-"] * 2))
 
 
-def _pattern(draw, scope, first, length, fixed_rel=None):
-    """A chain from node ``first`` over ``length`` relationships; a
-    relationship carried through WITH is matched again by name first."""
-    text = _node_text(draw, first)
+def _pattern(draw, scope, first, bound, length, fixed_rel=None):
+    """A chain from node ``first`` over ``length`` relationships, walked
+    along the graph from ``first``'s witness node; a relationship carried
+    through WITH is matched again by name first."""
+    text = _node_text(draw, scope, first, bound)
+    at = scope.nodes[first]
     for step in range(length):
-        if fixed_rel is not None and step == 0:
-            body = f"[{fixed_rel}]"
+        index = scope.rels.get(fixed_rel) if step == 0 else None
+        if index is not None:
+            start, end = scope.spec.rels[index][:2]
+            out, other = start == at, end if start == at else start
+            scope.used.add(index)
+            arrow = _arrow(draw, f"[{fixed_rel}]", out)
+        elif fixed_rel is not None and step == 0:
+            other = draw(st.integers(0, len(scope.spec.nodes) - 1))
+            arrow = _arrow(draw, f"[{fixed_rel}]")
         else:
-            body = f"[{scope.rel(draw)}{draw(st.sampled_from(['', ':X', ':Y', ':X', ':X|Y']))}]"
-        text += _arrow(draw, body) + _node_text(draw, scope.node(draw))
+            index, out, other = scope.step(draw, at)
+            types = ["", ":X", ":Y", ":X|Y"]
+            if index is not None:
+                kind = scope.spec.rels[index][2]
+                types = ["", f":{kind}", f":{kind}", ":X|Y"]
+            body = f"[{scope.rel(draw, index)}{draw(st.sampled_from(types))}]"
+            arrow = _arrow(draw, body, out)
+        name, name_bound = scope.node(draw, other)
+        text += arrow + _node_text(draw, scope, name, name_bound)
+        at = other
     return text
 
 
 def _predicate(draw, nodes, rels):
     node = draw(st.sampled_from(nodes))
+    other = draw(st.sampled_from([name for name in nodes if name != node] or nodes))
     options = [
-        f"{node}.v < {draw(st.integers(0, 3))}",
+        f"{node}.v < {draw(st.integers(1, 4))}",
         f"{node}.v = {draw(st.integers(0, 3))}",
-        f"id({node}) = {draw(st.integers(0, 6))}",
-        f"{draw(st.integers(0, 6))} = id({node})",
+        f"id({node}) = {draw(st.integers(0, 4))}",
+        f"{draw(st.integers(0, 4))} = id({node})",
         f"{node}:B",
         f"NOT {node}:A",
         f"({node}.v = 1 OR {node}.v = 2)",
-        f"{node} <> {draw(st.sampled_from(nodes))}",
+        f"{node} <> {other}",
         f"{node}.v = {draw(st.sampled_from(nodes))}.v",
         f"{node}.v + {draw(st.integers(0, 3))} <= {draw(st.integers(0, 6))}",
         f"{node}.v * {draw(st.integers(0, 2))} - 1 >= {draw(st.integers(-1, 3))}",
         f"{node}.v % {draw(st.integers(1, 3))} = {draw(st.integers(0, 2))}",
         f"{node}.v / {draw(st.integers(1, 3))} > 0",
         f"({node}.v >= 2 XOR {node}:B)",
-        f"NOT ({node}.v <= 1 XOR {node}.v = NULL)",
-        f"{node}.v {draw(st.sampled_from(['=', '<>']))} 'x'",
+        f"NOT ({node}.v <= 1 XOR {other}.v = 2)",
+        f"{node}.v <> 'x'",
         f"{node}.v {draw(st.sampled_from(['<=', '>=']))} $k",
     ]
     if rels:
         rel = draw(st.sampled_from(rels))
+        other_rel = draw(st.sampled_from([name for name in rels if name != rel] or rels))
         options += [
             f"type({rel}) = 'X'",
             f"{rel}.w > 0",
-            f"{rel} <> {draw(st.sampled_from(rels))}",
-            f"id({rel}) = {draw(st.integers(0, 9))}",
+            f"{rel} <> {other_rel}",
+            f"id({rel}) = {draw(st.integers(0, 11))}",
         ]
     return draw(st.sampled_from(options))
 
 
 def _where(draw, nodes, rels):
-    count = draw(st.integers(0, 2))
+    count = draw(st.sampled_from([0, 0, 0, 0, 1, 1, 2]))
     if not count:
         return ""
     return " WHERE " + " AND ".join(_predicate(draw, nodes, rels) for _ in range(count))
@@ -172,22 +230,30 @@ def _where(draw, nodes, rels):
 
 def _match(draw, scope):
     """A MATCH clause over ``scope``; it starts from a carried node when
-    there is one."""
-    first = draw(st.sampled_from(scope.nodes)) if scope.nodes else scope.node(draw)
-    fixed = draw(st.sampled_from(scope.rels)) if scope.rels and draw(st.booleans()) else None
-    text = "MATCH " + _pattern(draw, scope, first, draw(st.integers(1, 3)), fixed)
+    there is one, and a carried relationship from one of its ends."""
+    scope.used = {index for index in scope.rels.values() if index is not None}
+    fixed = draw(st.sampled_from(list(scope.rels))) if scope.rels and draw(st.booleans()) else None
+    ends = scope.spec.rels[scope.rels[fixed]][:2] if scope.rels.get(fixed) is not None else ()
+    starts = [name for name, at in scope.nodes.items() if at in ends] or list(scope.nodes)
+    if starts:
+        first, bound = draw(st.sampled_from(starts)), True
+    else:
+        first, bound = scope.node(draw, draw(st.integers(0, len(scope.spec.nodes) - 1)))
+    length = draw(st.sampled_from([1, 1, 2, 2, 3]))
+    text = "MATCH " + _pattern(draw, scope, first, bound, length, fixed)
     if draw(st.integers(0, 3)) == 0:
-        text += ", " + _pattern(draw, scope, draw(st.sampled_from(scope.nodes)), 1)
-    return text + _where(draw, scope.nodes, scope.rels)
+        text += ", " + _pattern(draw, scope, draw(st.sampled_from(list(scope.nodes))), True, 1)
+    return text + _where(draw, list(scope.nodes), list(scope.rels))
 
 
 @st.composite
-def texts(draw):
-    scope = _Scope("abcdef", "rstu")
+def texts(draw, spec):
+    """A read text over the graph ``spec``."""
+    scope = _Scope(spec, "abcdef", "rstu")
     text = _match(draw, scope)
     if draw(st.booleans()):
-        nodes = draw(st.lists(st.sampled_from(scope.nodes), min_size=1, unique=True))
-        rels = draw(st.lists(st.sampled_from(scope.rels), unique=True)) if scope.rels else []
+        nodes = draw(st.lists(st.sampled_from(list(scope.nodes)), min_size=1, unique=True))
+        rels = draw(st.lists(st.sampled_from(list(scope.rels)), unique=True)) if scope.rels else []
         if draw(st.integers(0, 2)) == 0:
             nodes, rels = nodes[:1], []
             # The count, or an expression over it and the grouping node.
@@ -198,9 +264,22 @@ def texts(draw):
             text += f" WITH {distinct}" + ", ".join(nodes + rels)
             if draw(st.booleans()):
                 text += _where(draw, nodes, rels)
-        scope = _Scope("ghijkl", "vwxy", nodes, rels)
+        scope = _Scope(
+            spec,
+            "ghijkl",
+            "vwxy",
+            {name: scope.nodes[name] for name in nodes},
+            {name: scope.rels[name] for name in rels},
+        )
         text += " " + _match(draw, scope)
-    return text + _return(draw, scope.nodes, scope.rels)
+    return text + _return(draw, list(scope.nodes), list(scope.rels))
+
+
+@st.composite
+def cases(draw):
+    """A graph and a read text drawn along it."""
+    spec = draw(specs())
+    return spec, draw(texts(spec))
 
 
 def _return(draw, nodes, rels):
@@ -220,6 +299,8 @@ def _return(draw, nodes, rels):
                         f"size(labels({node}))",
                         f"{node}.v * $k",
                         f"{node}.v % 2",
+                        f"id({node}) % 3",
+                        f"id({node}) <= 2",
                         f"{node}.v - NULL",
                         f"{node}.v / 2 + 1",
                         f"{node}.v <= 1 XOR {node}:B",
@@ -235,6 +316,16 @@ def _return(draw, nodes, rels):
     if rels:
         for rel in draw(st.lists(st.sampled_from(rels), max_size=2, unique=True)):
             add(draw(st.sampled_from([rel, f"type({rel})", f"{rel}.w"])), f"r_{rel}")
+    if draw(st.integers(0, 3)):
+        # Every ordering comparison and the integer division and modulo
+        # applied to operands over the part's nodes, so that each operator
+        # meets the rows of a pattern.
+        left, right = _number(draw, nodes, 1), _number(draw, nodes, 1)
+        for index, op in enumerate(("<", "<=", ">", ">=")):
+            add(f"{left} {op} {right}", f"c{index}")
+        divisor = draw(st.integers(1, 3))
+        add(f"{left} / {divisor}", "q")
+        add(f"{left} % {divisor}", "m")
     if draw(st.integers(0, 2)) == 0:
         node = draw(st.sampled_from(nodes))
         add(
@@ -387,8 +478,9 @@ def _run_everywhere(db, text, params):
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
-@given(spec=specs(), text=texts(), k=PARAMS)
-def test_reads_agree_with_the_oracle(spec, text, k):
+@given(case=cases(), k=PARAMS)
+def test_reads_agree_with_the_oracle(case, k):
+    spec, text = case
     db, graph = loaded(spec)
     params = used(text, k)
     answer = oracle.run(graph, text, params)
@@ -456,13 +548,37 @@ EXPRESSION_FEATURES = {
 text."""
 
 
+def test_grammar_meets_rows():
+    """At least half of the drawn (graph, text) pairs have a non-empty
+    answer, so that drawn projections, ORDER BY keys and aggregates meet
+    values rather than checking empty answers."""
+    drawn = []
+
+    @settings(
+        max_examples=200,
+        deadline=None,
+        database=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    )
+    @given(case=cases(), k=PARAMS)
+    def collect(case, k):
+        spec, text = case
+        graph = oracle.load(GraphDatabase(), spec)
+        drawn.append(bool(oracle.run(graph, text, used(text, k)).rows))
+
+    collect()
+    assert sum(drawn) >= len(drawn) / 2, f"{sum(drawn)} of {len(drawn)} have rows"
+
+
 def test_grammar_reaches_every_feature():
     """The grammar draws what the module docstring promises."""
     seen = set()
 
     @settings(max_examples=600, deadline=None, database=None)
-    @given(text=texts())
-    def collect(text):
+    @given(case=cases())
+    def collect(case):
+        text = case[1]
         for feature in (
             "<-", "]-(", "WITH", "count(", "ORDER BY", "LIMIT", "SKIP",
             "id(", "DISTINCT", ", (", "{v: 1}", ":A:B", "|Y",

@@ -18,7 +18,9 @@ Three layers of guarantees under test:
   re-admitted once caught up.
 """
 
+import socket
 import tempfile
+import threading
 import time
 from contextlib import contextmanager
 from pathlib import Path
@@ -29,6 +31,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import (
+    AuthenticationError,
     FaultInjector,
     GraphDatabase,
     QueryService,
@@ -275,6 +278,41 @@ def test_replica_converges_under_random_interleaving(ops):
 # ---------------------------------------------------------------------------
 # Replica semantics: write rejection, require_lsn, status
 # ---------------------------------------------------------------------------
+
+
+def test_replica_hello_offers_every_supported_version(tmp_path, monkeypatch):
+    """The tailer's HELLO is the shared one: every supported version, and
+    the leader's token."""
+    monkeypatch.setattr(wire, "SUPPORTED_VERSIONS", (1, 2))
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(30)
+    hellos = []
+
+    def refusing_leader():
+        sock, _addr = listener.accept()
+        conn = wire.Connection(sock)
+        try:
+            hellos.append(conn.recv())
+            conn.send(
+                (wire.MSG_FAILURE, wire.failure_fields(AuthenticationError("no")))
+            )
+        finally:
+            conn.close()
+
+    thread = threading.Thread(target=refusing_leader, daemon=True)
+    thread.start()
+    host, port = listener.getsockname()
+    rep = Replica(tmp_path / "rep", f"{host}:{port}", auth_token="t0k")
+    rep.start()
+    try:
+        thread.join(timeout=30)
+    finally:
+        rep.stop()
+        listener.close()
+    [(tag, fields)] = hellos
+    assert tag == wire.MSG_HELLO
+    assert fields["versions"] == [1, 2]
+    assert fields["auth"] == {"token": "t0k"}
 
 
 def test_replica_rejects_writes_naming_the_leader(tmp_path):

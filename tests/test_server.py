@@ -9,10 +9,12 @@ commit LSNs over the wire, graceful drain, and the shell's ``:connect``
 remote mode.
 """
 
+import gc
 import io
 import socket
 import threading
 import time
+import warnings
 from contextlib import contextmanager
 
 import pytest
@@ -30,6 +32,7 @@ from repro import (
 )
 from repro.client import Client
 from repro.datasets import CorrelatedConfig, generate_correlated
+from repro.router import Router, RouterConfig
 from repro.server import BackgroundServer, ServerConfig
 from repro.shell import Shell
 
@@ -61,42 +64,21 @@ def counters(service):
     return service.metrics_snapshot()["counters"]
 
 
-class RawConn:
-    """A bare socket speaking raw frames — for protocol-level tests the
+def raw_conn(address):
+    """A bare connection speaking raw frames — for protocol-level tests the
     high-level Client would refuse to produce."""
+    return wire.Connection.open(address, io_timeout_s=30)
 
-    def __init__(self, address):
-        self.sock = socket.create_connection(address, timeout=10)
-        self.sock.settimeout(30)
-        self.reader = wire.FrameReader()
 
-    def send(self, *frames):
-        self.sock.sendall(
-            b"".join(wire.encode_frame(tag, fields) for tag, fields in frames)
+def raw_hello(raw, versions=(1,), auth=None):
+    """Send a HELLO as given and return the reply, whatever it is."""
+    raw.send(
+        (
+            wire.MSG_HELLO,
+            {"versions": list(versions), "auth": auth or {}, "client": "raw"},
         )
-
-    def recv(self):
-        while True:
-            frame = self.reader.pop()
-            if frame is not None:
-                return frame
-            data = self.sock.recv(65536)
-            if not data:
-                self.reader.close()
-                raise ProtocolError("server closed the connection")
-            self.reader.feed(data)
-
-    def hello(self, versions=(1,), auth=None):
-        self.send(
-            (
-                wire.MSG_HELLO,
-                {"versions": list(versions), "auth": auth or {}, "client": "raw"},
-            )
-        )
-        return self.recv()
-
-    def close(self):
-        self.sock.close()
+    )
+    return raw.recv()
 
 
 # ----------------------------------------------------------------------
@@ -118,8 +100,8 @@ def test_handshake_version_and_banner():
 def test_version_negotiation_rejects_strangers():
     db = GraphDatabase()
     with running_server(db) as (server, service):
-        raw = RawConn(server.address)
-        tag, fields = raw.hello(versions=(99,))
+        raw = raw_conn(server.address)
+        tag, fields = raw_hello(raw, versions=(99,))
         raw.close()
         assert tag == wire.MSG_FAILURE
         assert fields["code"] == "ProtocolError"
@@ -136,7 +118,7 @@ def test_version_negotiation_rejects_strangers():
 def test_first_message_must_be_hello():
     db = GraphDatabase()
     with running_server(db) as (server, service):
-        raw = RawConn(server.address)
+        raw = raw_conn(server.address)
         raw.send((wire.MSG_RUN, {"query": "MATCH (n) RETURN n"}))
         tag, fields = raw.recv()
         raw.close()
@@ -156,6 +138,51 @@ def test_auth_token_enforced():
         with Client(host, port, auth_token="s3cret") as client:
             assert client.execute("MATCH (n) RETURN n").rows == []
         assert counters(service)["server.auth_rejections"] == 2
+
+
+def socket_leaks(action):
+    """The ``ResourceWarning``s of sockets left unclosed by ``action()``."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        action()
+        gc.collect()
+    return [
+        str(warning.message)
+        for warning in caught
+        if issubclass(warning.category, ResourceWarning)
+        and "socket" in str(warning.message)
+    ]
+
+
+def test_rejected_client_closes_its_socket():
+    db = GraphDatabase()
+    config = ServerConfig(port=0, auth_token="s3cret")
+    with running_server(db, server_config=config) as (server, service):
+        host, port = server.address
+
+        def rejected():
+            try:
+                Client(host, port, auth_token="wrong")
+            except AuthenticationError:
+                pass
+            else:
+                raise AssertionError("the wrong token was accepted")
+
+        assert socket_leaks(rejected) == []
+
+
+def test_rejected_router_health_poll_closes_its_socket():
+    db = GraphDatabase()
+    config = ServerConfig(port=0, auth_token="s3cret")
+    with running_server(db, server_config=config) as (server, service):
+        host, port = server.address
+        router = Router(
+            RouterConfig(leader=f"{host}:{port}", backend_auth_token="wrong")
+        )
+        leader = router.backends[0]
+        assert socket_leaks(lambda: router._poll_backend(leader)) == []
+        assert leader.failures == 1 and not leader.alive
+        assert counters(service)["server.auth_rejections"] == 1
 
 
 # ----------------------------------------------------------------------
@@ -221,8 +248,8 @@ def test_pipelined_requests_answered_in_order():
     for i in range(5):
         db.create_node(["P"], {"i": i})
     with running_server(db) as (server, service):
-        raw = RawConn(server.address)
-        tag, _ = raw.hello()
+        raw = raw_conn(server.address)
+        tag, _ = raw_hello(raw)
         assert tag == wire.MSG_SUCCESS
         # Two full query conversations written back-to-back in one send.
         raw.send(
@@ -247,8 +274,8 @@ def test_run_with_open_result_is_refused():
     db = GraphDatabase()
     db.create_node(["P"], {"i": 1})
     with running_server(db) as (server, service):
-        raw = RawConn(server.address)
-        raw.hello()
+        raw = raw_conn(server.address)
+        raw_hello(raw)
         raw.send((wire.MSG_RUN, {"query": "MATCH (n:P) RETURN n.i AS i"}))
         assert raw.recv()[0] == wire.MSG_SUCCESS
         raw.send((wire.MSG_RUN, {"query": "MATCH (n:P) RETURN n.i AS i"}))
@@ -426,8 +453,8 @@ def test_disconnect_cancels_in_flight_query():
     for i in range(400):
         db.create_node(["P"], {"i": i})
     with running_server(db) as (server, service):
-        raw = RawConn(server.address)
-        assert raw.hello()[0] == wire.MSG_SUCCESS
+        raw = raw_conn(server.address)
+        assert raw_hello(raw)[0] == wire.MSG_SUCCESS
         raw.send((wire.MSG_RUN, {"query": CROSS_QUERY}))
         deadline = time.monotonic() + 30
         while (

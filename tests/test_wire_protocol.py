@@ -3,8 +3,7 @@ value round-trips, and a corruption matrix — flipping any single byte of a
 frame must surface as a clean ``ProtocolError``, never a mis-decoded message
 (mirrors the WAL framing tests in ``tests/test_durability_log.py``)."""
 
-import struct
-import zlib
+import asyncio
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +11,7 @@ from hypothesis import strategies as st
 
 from repro import errors, wire
 from repro.errors import (
+    AuthenticationError,
     CypherSyntaxError,
     MemoryLimitExceeded,
     ProtocolError,
@@ -20,6 +20,7 @@ from repro.errors import (
     ServiceError,
     ServiceOverloadedError,
 )
+from repro.server.server import read_frame
 
 # Representative fields for every message type the protocol defines.
 ALL_FRAMES = [
@@ -37,16 +38,36 @@ ALL_FRAMES = [
 ]
 
 
-def decode_stream(data: bytes) -> list:
+def frame_reader_frames(data: bytes, out: list) -> None:
+    """Decode ``data`` then EOF through the blocking peers' FrameReader,
+    appending each message to ``out``."""
     reader = wire.FrameReader()
     reader.feed(data)
-    messages = []
-    while True:
-        frame = reader.pop()
-        if frame is None:
-            break
-        messages.append(frame)
+    while (frame := reader.pop()) is not None:
+        out.append(frame)
     reader.close()
+
+
+def server_frames(data: bytes, out: list) -> None:
+    """The same through the asyncio server's frame reader."""
+
+    async def read_all():
+        stream = asyncio.StreamReader()
+        stream.feed_data(data)
+        stream.feed_eof()
+        while (frame := await read_frame(stream)) is not None:
+            tag, fields, _size = frame
+            out.append((tag, fields))
+
+    asyncio.run(read_all())
+
+
+FRAME_READERS = [frame_reader_frames, server_frames]
+
+
+def decode_stream(data: bytes) -> list:
+    messages: list = []
+    frame_reader_frames(data, messages)
     return messages
 
 
@@ -57,9 +78,12 @@ def test_round_trip_every_message_type(tag, fields):
     assert got_fields == fields
 
 
-def test_many_frames_one_stream():
+@pytest.mark.parametrize("read", FRAME_READERS)
+def test_many_frames_one_stream(read):
     blob = b"".join(wire.encode_frame(tag, fields) for tag, fields in ALL_FRAMES)
-    assert decode_stream(blob) == ALL_FRAMES
+    got: list = []
+    read(blob, got)
+    assert got == ALL_FRAMES
 
 
 def test_byte_at_a_time_feeding():
@@ -107,10 +131,11 @@ def test_property_fields_round_trip(fields):
 # ---------------------------------------------------------------------------
 
 
-def test_every_single_byte_corruption_is_detected():
+@pytest.mark.parametrize("read", FRAME_READERS)
+def test_every_single_byte_corruption_is_detected(read):
     """Flip each byte of the second frame: the first frame must still decode
-    and the corruption must surface as ProtocolError — on pop() or, when the
-    flip inflates the declared length, on close() (torn stream)."""
+    and the corruption must surface as ProtocolError — on the frame itself
+    or, when the flip inflates the declared length, at EOF (torn stream)."""
     first = wire.encode_frame(wire.MSG_RUN, {"query": "MATCH (n) RETURN n"})
     second = wire.encode_frame(
         wire.MSG_SUCCESS, {"columns": ["n"], "has_more": True, "x": [1, 2, 3]}
@@ -118,24 +143,18 @@ def test_every_single_byte_corruption_is_detected():
     for index in range(len(second)):
         corrupted = bytearray(first + second)
         corrupted[len(first) + index] ^= 0xFF
-        reader = wire.FrameReader()
-        reader.feed(bytes(corrupted))
-        assert reader.pop() == (wire.MSG_RUN, {"query": "MATCH (n) RETURN n"})
+        got: list = []
         with pytest.raises(ProtocolError):
-            while reader.pop() is not None:
-                pass
-            reader.close()
+            read(bytes(corrupted), got)
+        assert got == [(wire.MSG_RUN, {"query": "MATCH (n) RETURN n"})]
 
 
-def test_truncation_at_every_cut_is_detected():
+@pytest.mark.parametrize("read", FRAME_READERS)
+def test_truncation_at_every_cut_is_detected(read):
     frame = wire.encode_frame(wire.MSG_RECORD, {"rows": [[1, 2], ["a", "b"]]})
     for cut in range(1, len(frame)):
-        reader = wire.FrameReader()
-        reader.feed(frame[:cut])
         with pytest.raises(ProtocolError):
-            while reader.pop() is not None:
-                pass
-            reader.close()
+            read(frame[:cut], [])
 
 
 def test_oversize_length_rejected_before_allocation():
@@ -203,6 +222,49 @@ def test_wire_value_degrades_exotic_types_to_str():
         {"k": "exotic!"},
     ]
     assert wire.wire_value(b"\x01") == b"\x01"
+
+
+# ---------------------------------------------------------------------------
+# HELLO
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "fields,auth_token,outcome",
+    [
+        ({"versions": [1]}, None, 1),
+        ({"versions": [7, 1, 3]}, None, 1),
+        ({"versions": [1], "auth": {"token": "t"}}, "t", 1),
+        ({"versions": [1], "auth": {"token": "t"}}, None, 1),
+        ({"versions": [99]}, None, ProtocolError),
+        ({"versions": []}, None, ProtocolError),
+        ({"versions": "1"}, None, ProtocolError),
+        ({}, None, ProtocolError),
+        ({"versions": [99], "auth": {"token": "t"}}, "t", ProtocolError),
+        ({"versions": [1]}, "t", AuthenticationError),
+        ({"versions": [1], "auth": {}}, "t", AuthenticationError),
+        ({"versions": [1], "auth": "t"}, "t", AuthenticationError),
+        ({"versions": [1], "auth": {"token": 7}}, "t", AuthenticationError),
+        ({"versions": [1], "auth": {"token": b"t"}}, "t", AuthenticationError),
+        ({"versions": [1], "auth": {"token": "wrong"}}, "t", AuthenticationError),
+        ({"versions": [1], "auth": {"token": "t "}}, "t", AuthenticationError),
+        ({"versions": [1], "auth": {"token": ""}}, "t", AuthenticationError),
+    ],
+)
+def test_check_hello(fields, auth_token, outcome):
+    """No common version is a ProtocolError; a missing, non-string or wrong
+    token an AuthenticationError; otherwise the highest common version."""
+    if isinstance(outcome, int):
+        assert wire.check_hello(fields, auth_token) == outcome
+    else:
+        with pytest.raises(outcome):
+            wire.check_hello(fields, auth_token)
+
+
+def test_check_hello_picks_the_highest_common_version(monkeypatch):
+    monkeypatch.setattr(wire, "SUPPORTED_VERSIONS", (1, 2, 3))
+    assert wire.check_hello({"versions": [2, 1, 5]}, None) == 2
+    assert wire.check_hello({"versions": [3, 2]}, None) == 3
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,9 @@ class Result:
         self._rows = rows
         self.columns = list(columns)
         self.profile = profile
+        # Generated with the plan's code: one dict per column tuple, keyed
+        # by the plan's columns in order.
+        self._dicts = profile.dicts
         self._submitted_at = submitted_at
         self._extra_seconds = extra_seconds
         self._first_at: Optional[float] = None
@@ -59,7 +62,7 @@ class Result:
             self._first_at = now
         self._last_at = now
         self._count += 1
-        return dict(zip(self.columns, row))
+        return self._dicts((row,))[0]
 
     def close(self) -> None:
         """Stop reading: the rows still to come are dropped, which releases
@@ -82,8 +85,7 @@ class Result:
     def to_list(self) -> list[dict[str, object]]:
         """The rows still to come, drained in bulk: no per-row clock read."""
         out = self._first()
-        columns = self.columns
-        rest = [dict(zip(columns, row)) for row in self._rows]
+        rest = self._dicts(self._rows)
         self._count += len(rest)
         self._exhaust()
         return out + rest

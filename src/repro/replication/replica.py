@@ -204,6 +204,17 @@ class Replica:
         return self._connected
 
     def status_fields(self) -> dict:
+        """The replica's STATUS fields.
+
+        ``replica_lag_lsn`` is ``leader_durable_lsn − replica_applied_lsn``,
+        where ``leader_durable_lsn`` is the ``durable_lsn`` the leader last
+        shipped, in a WAL segment or a heartbeat — not the leader's durable
+        LSN now. While the leader holds durable records it has not shipped
+        yet, the lag can read 0 for up to ``repro.server.HEARTBEAT_S``;
+        compare ``replica_applied_lsn`` with the leader's own STATUS
+        (``durable_lsn``) for the lag at one instant, as the router does
+        with the leader's applied LSN.
+        """
         with self._cond:
             applied = self._applied
             durable = self._leader_durable

@@ -38,6 +38,10 @@ sent is ambiguous (it may have applied) and surfaces immediately so the
 client can read-back before retrying. Replicas still on a lower epoch
 than the highest observed are evicted from read rotation until they
 rejoin — their divergent tail must not serve reads on the new timeline.
+
+A backend refusing the router's ``backend_auth_token`` fails the request
+with a structured :class:`~repro.errors.AuthenticationError` naming it
+(``router.backend_refusals``); the client's session stays open.
 """
 
 from __future__ import annotations
@@ -454,9 +458,25 @@ class _Session:
         self._send(wire.MSG_FAILURE, wire.failure_fields(exc))
 
     def _backend(self, address: tuple[str, int]) -> wire.Connection:
+        """The session's connection to ``address``, opened on first use.
+
+        A backend refusing the router's ``backend_auth_token`` raises
+        :class:`AuthenticationError` naming it (counted as
+        ``router.backend_refusals``): a configuration fault, not a lost
+        connection, so no caller retries it; :meth:`run` answers the
+        request with it and the session goes on."""
         backend = self._backends.get(address)
         if backend is None:
-            backend = _connect(address, self.config.backend_auth_token, IO_TIMEOUT_S)
+            try:
+                backend = _connect(
+                    address, self.config.backend_auth_token, IO_TIMEOUT_S
+                )
+            except AuthenticationError as exc:
+                self.metrics.counter("router.backend_refusals").inc()
+                raise AuthenticationError(
+                    f"backend {address[0]}:{address[1]} refused the router's "
+                    f"credentials: {exc}"
+                ) from exc
             self._backends[address] = backend
         return backend
 
@@ -477,7 +497,13 @@ class _Session:
                 tag, fields = self.conn.recv()
                 if tag == wire.MSG_GOODBYE:
                     return
-                self._dispatch(tag, fields)
+                try:
+                    self._dispatch(tag, fields)
+                except AuthenticationError as exc:
+                    # Only a backend refusing the router raises it past the
+                    # handshake (see _backend): the request fails, not the
+                    # session.
+                    self._send_failure(exc)
         except (OSError, ProtocolError):
             pass
         finally:

@@ -1,7 +1,8 @@
 """Compiled (data-centric codegen) execution mode.
 
 ``compile_query`` turns a planned query into a :class:`CompiledQuery`: one
-exec-compiled Python pipeline function per read part, two per update part
+exec-compiled Python pipeline function per read part, two per update part,
+and, compiled with the final part's, the builder of the result's dicts
 (see :mod:`repro.runtime.compiled.codegen`). Every plan-node type has a
 producer, so every plan compiles. The artifact is kept on the plan itself
 (see ``repro.runtime.executor.ARTIFACT``), so it shares the plan's
@@ -11,7 +12,7 @@ invalidation (statistics drift, index set changes, eviction).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from repro.planner.plans import LogicalPlan, pattern_half
 from repro.runtime.compiled.codegen import (
@@ -45,7 +46,9 @@ class CompiledPart:
     update part's ``fn`` is its pattern half and ``boundary`` the function
     consuming its written rows; ``creates`` holds, per update action,
     ``create(row, params)`` returning its property map's values in key
-    order (None: the action has no map).
+    order (None: the action has no map). The final part's function (an
+    update part's boundary) comes with ``dicts(tuples)``, which turns its
+    column tuples into the result's dicts; it is None on any other.
     """
 
     fn: object
@@ -53,6 +56,7 @@ class CompiledPart:
     plans: list[LogicalPlan]
     boundary: Optional["CompiledPart"] = None
     creates: tuple = ()
+    dicts: Optional[Callable] = None
 
 
 @dataclass
@@ -99,6 +103,7 @@ def _compile(
         creates=tuple(
             namespace.get(f"_create{position}") for position in range(len(updates))
         ),
+        dicts=namespace.get("_dicts"),
     )
 
 

@@ -180,6 +180,9 @@ class PartCompiler:
         self.env: dict[str, object] = {"_W": layout.width}
         self._names = itertools.count()
         self.plans: list[LogicalPlan] = []
+        # The entry local behind each tuple of locals an index entry was
+        # unpacked into (see :func:`_unpack_entry`).
+        self.entries: dict[tuple[str, ...], str] = {}
         self._plan_index: dict[int, int] = {}
         for node in _walk(plan, seam if stream else None):
             if id(node) not in self._plan_index:
@@ -642,7 +645,7 @@ def _p_node_hash_join(comp: PartCompiler, plan: PlanNodeHashJoin, consume) -> No
         emit_consume_merged(merged)
 
 
-def _tuple_code(items: list[str]) -> str:
+def _tuple_code(items: Sequence[str]) -> str:
     """Code for a tuple of the expressions ``items``."""
     return f"({items[0]},)" if len(items) == 1 else f"({', '.join(items)})"
 
@@ -807,9 +810,11 @@ def _entry_filters(comp: PartCompiler, plan) -> list[tuple[str, str]]:
 
 
 def _unpack_entry(comp: PartCompiler, entry: str, width: int) -> list[str]:
-    """Emit ``_v0, _v1, ... = entry``; returns the locals."""
+    """Emit ``_v0, _v1, ... = entry``; returns the locals. A sink whose
+    column tuple is these locals in order appends ``entry`` itself."""
     values = [comp.fresh("v") for _ in range(width)]
     comp.emit(f"{', '.join(values)}{',' if width == 1 else ''} = {entry}")
+    comp.entries[tuple(values)] = entry
     return values
 
 
@@ -1282,9 +1287,11 @@ def generate_part_source(
 
     Returns ``(source, env, plans)``. The function yields morsels of full
     slot rows, or, given the final part's ``columns``, of tuples holding
-    those columns in order. For each of ``updates`` (an update part's
-    actions) with a property map the source also defines
-    ``_create{i}(row, params)``, returning the map's values.
+    those columns in order; the source then also defines
+    ``_dicts(tuples)``, the list of those tuples as dicts keyed by the
+    columns. For each of ``updates`` (an update part's actions) with a
+    property map the source also defines ``_create{i}(row, params)``,
+    returning the map's values.
     """
     comp = PartCompiler(
         plan,
@@ -1300,7 +1307,11 @@ def generate_part_source(
         if columns is None:
             comp.emit(f"_append({comp.materialize(scope)})")
         else:
-            comp.emit(f"_append({_key_tuple(comp, scope, columns)})")
+            values = tuple(comp.ref(scope, name) for name in columns)
+            # An index entry that already is the column tuple goes out as
+            # it is (``RETURN *`` over a path-index scan).
+            entry = comp.entries.get(values) or _tuple_code(values)
+            comp.emit(f"_append({entry})")
         comp.emit("if len(_out) >= _M:")
         with comp.block():
             comp.emit("yield _out")
@@ -1321,6 +1332,9 @@ def generate_part_source(
                 f"def _create{position}(_r, _params):",
                 f"    return {_tuple_code(values)}",
             ]
+
+    # The final part's rows as dicts: one constant-key display per tuple.
+    dicts = [] if columns is None else _dicts_source(columns)
 
     counters = [f"_ct{i}" for i in range(len(comp.plans))]
     comp.env["_M"] = ctx.morsel_size
@@ -1349,5 +1363,17 @@ def generate_part_source(
         "    finally:",
         f"        _flush({_tuple_code(counters)})",
     ]
-    source = "\n".join(header + comp.lines + footer + creates) + "\n"
+    source = "\n".join(header + comp.lines + footer + creates + dicts) + "\n"
     return source, comp.env, comp.plans
+
+
+def _dicts_source(columns: Sequence[str]) -> list[str]:
+    """``def _dicts(_rows)``: the column tuples ``_rows`` as a list of
+    dicts, each built by a display keyed by ``columns`` in order."""
+    values = [f"_c{position}" for position in range(len(columns))]
+    keys = ", ".join(f"{name!r}: {value}" for name, value in zip(columns, values))
+    targets = ", ".join(values) + ("," if len(values) == 1 else "") or "_"
+    return [
+        "def _dicts(_rows):",
+        f"    return [{{{keys}}} for {targets} in _rows]",
+    ]

@@ -22,7 +22,7 @@ call.
 from __future__ import annotations
 
 from itertools import chain
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from repro.cypher.semantics import VariableKind
 from repro.errors import ReproError, TransactionError
@@ -146,11 +146,17 @@ class RuntimeContext:
 
 
 class ExecutionProfile:
-    """Execution statistics: per-operator row counts, memory, and plans."""
+    """Execution statistics: per-operator row counts, memory, and plans.
+
+    ``dicts(tuples)`` is the executed artifact's builder of result dicts
+    from column tuples (see :class:`~repro.runtime.compiled.CompiledPart`);
+    :meth:`Executor.execute` sets it.
+    """
 
     def __init__(self, plans: Sequence[LogicalPlan]) -> None:
         self.plans = list(plans)
         self.operators = OperatorProfile()
+        self.dicts: Optional[Callable[[Iterable[tuple]], list[dict]]] = None
 
     @property
     def max_intermediate_cardinality(self) -> int:
@@ -222,6 +228,7 @@ class Executor:
         release: bool = False,
     ) -> tuple[Iterator[tuple], ExecutionProfile]:
         """Build the iterator of the query's column tuples; lazy for reads.
+        The returned profile's ``dicts`` turns those tuples into dicts.
 
         ``initial_row`` is the first part's argument row, built with
         ``layout_of(planned_parts).argument_row(...)`` (default: nothing
@@ -272,6 +279,7 @@ class Executor:
             if final and tracker is not None:
                 morsels = _accounted(morsels, tracker, profile, release)
             rows = chain.from_iterable(morsels)
+        profile.dicts = cpart.dicts
         return rows, profile
 
     # ------------------------------------------------------------------

@@ -185,6 +185,34 @@ def test_rejected_router_health_poll_closes_its_socket():
         assert counters(service)["server.auth_rejections"] == 1
 
 
+def test_backend_refusing_the_router_fails_the_request_not_the_session(monkeypatch):
+    """A leader refusing the router's ``backend_auth_token`` answers each
+    request with a structured AuthenticationError naming the backend; the
+    client's session and the router's session thread live on."""
+    died = []
+    monkeypatch.setattr(threading, "excepthook", died.append)
+    db = GraphDatabase()
+    config = ServerConfig(port=0, auth_token="s3cret")
+    with running_server(db, server_config=config) as (server, service):
+        host, port = server.address
+        router = Router(
+            RouterConfig(leader=f"{host}:{port}", backend_auth_token="wrong")
+        )
+        try:
+            with Client(*router.start()) as client:
+                for _ in range(2):
+                    with pytest.raises(
+                        AuthenticationError, match=f"backend {host}:{port} refused"
+                    ):
+                        client.execute("CREATE (:P)")
+                assert client.status()["role"] == "router"  # still served
+        finally:
+            router.stop()
+    assert died == []
+    assert router.metrics.counter("router.backend_refusals").value == 2
+    assert db.execute("MATCH (n:P) RETURN n").to_list() == []
+
+
 # ----------------------------------------------------------------------
 # Differential: network rows == in-process rows, at every chunk size
 # ----------------------------------------------------------------------

@@ -22,11 +22,9 @@ class TreePager:
             page_cache.register_file(file_name)
         self._next_page = 0
         self._free_pages: list[int] = []
-        self._allocated = 0
 
     def allocate(self) -> int:
         """Reserve a page id for a new tree node."""
-        self._allocated += 1
         if self._free_pages:
             return self._free_pages.pop()
         page_id = self._next_page
@@ -35,7 +33,6 @@ class TreePager:
 
     def release(self, page_id: int) -> None:
         """Return a node's page to the free list (node merged away)."""
-        self._allocated -= 1
         self._free_pages.append(page_id)
 
     def touch(self, page_id: int) -> None:
@@ -47,11 +44,6 @@ class TreePager:
         """Report visits to a run of contiguous node pages (one lock trip)."""
         if self.page_cache is not None:
             self.page_cache.touch_run(self.file_name, first_page, count)
-
-    @property
-    def allocated_pages(self) -> int:
-        """Pages currently holding live tree nodes."""
-        return self._allocated
 
     @property
     def file_pages(self) -> int:

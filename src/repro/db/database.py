@@ -27,7 +27,7 @@ from repro.cypher.lexer import literal_shape
 from repro.cypher.parser import parse_shape
 from repro.db.plancache import CachedQuery, PlanCache, Planning
 from repro.db.result import Result
-from repro.errors import PathIndexError, ReproError
+from repro.errors import ReproError
 from repro.pathindex.index import PathIndex
 from repro.pathindex.initialization import InitializationStats, initialize_index
 from repro.pathindex.maintenance import QUERY_BASED, PathIndexMaintainer
@@ -489,15 +489,9 @@ class GraphDatabase:
         pattern: Union[str, PathPattern],
         populate: bool = True,
         hints: Optional[PlannerHints] = None,
-        partial: bool = False,
     ) -> InitializationStats:
         """Register a path index and (by default) initialize it from the
-        existing data (Algorithm 2).
-
-        ``partial=True`` creates a §4.1 partially materialized index: it
-        starts empty, fills itself per queried seek prefix, and is offered
-        to the planner only through PathIndexPrefixSeek.
-        """
+        existing data (Algorithm 2)."""
         if isinstance(pattern, str):
             pattern = PathPattern.parse(pattern)
         # DDL is a writer: it serializes behind transactions on the store
@@ -507,14 +501,12 @@ class GraphDatabase:
         # from then on commits maintain it through versioned overlay
         # deltas instead of mutating the shared tree.
         with self.store.mvcc.exclusive_writer():
-            index = self.indexes.create(name, pattern, partial=partial)
+            index = self.indexes.create(name, pattern)
             index.created_lsn = PENDING
             self._index_set_changed()
             if self.durability is not None:
-                self.durability.log_ddl(
-                    "create_index", name, str(pattern), partial, populate
-                )
-            if populate and not partial:
+                self.durability.log_ddl("create_index", name, str(pattern), populate)
+            if populate:
                 tracker = self.memory_pool.tracker(
                     label=f"index build: {name}",
                     spill_manager=self.spill_manager,
@@ -577,17 +569,7 @@ class GraphDatabase:
                 index.pattern, hints=PlannerHints(use_path_indexes=False)
             )
         )
-        if index.supports_full_scan:
-            return expected == set(index.scan())
-        # A partial index must hold exactly the occurrences of its
-        # materialized start nodes — no more, no less.
-        from repro.pathindex.partial import PartialPathIndex
-
-        assert isinstance(index, PartialPathIndex)
-        covered = {
-            entry for entry in expected if index.is_materialized(entry[0])
-        }
-        return covered == set(index.scan_materialized())
+        return expected == set(index.scan())
 
     # ------------------------------------------------------------------
     # Cache control and sizing (§6.3 methodology)

@@ -34,6 +34,7 @@ from pathlib import Path
 from typing import Callable, Optional, Union
 
 from repro.db.database import GraphDatabase
+from repro.durability.operations import partial_index_refused
 from repro.errors import StorageError
 from repro.pathindex.pattern import PathPattern
 from repro.storage.records import (
@@ -152,22 +153,15 @@ def write_snapshot_state(
         ),
     )
     progress("groups.jsonl")
-    specs = []
-    for index in db.indexes:
-        spec = {"name": index.name, "pattern": str(index.pattern)}
-        if not index.supports_full_scan:
-            spec["partial"] = True
-            spec["materialized_starts"] = index.materialized_starts()
-        specs.append(spec)
+    specs = [
+        {"name": index.name, "pattern": str(index.pattern)} for index in db.indexes
+    ]
     (path / "indexes.json").write_text(json.dumps(specs))
     progress("indexes.json")
     for index in db.indexes:
-        entries = (
-            index.scan() if index.supports_full_scan else index.scan_materialized()
-        )
         _write_jsonl(
             path / f"index_{index.name}.jsonl",
-            (list(entry) for entry in entries),
+            (list(entry) for entry in index.scan()),
         )
         progress(f"index_{index.name}.jsonl")
 
@@ -221,12 +215,9 @@ def read_snapshot_state(db: GraphDatabase, path: Path) -> None:
     )
     store.rebuild_derived_state()
     for spec in json.loads((path / "indexes.json").read_text()):
-        partial = bool(spec.get("partial"))
-        index = db.indexes.create(
-            spec["name"], PathPattern.parse(spec["pattern"]), partial=partial
-        )
-        if partial:
-            index.restore_materialized_starts(spec.get("materialized_starts", []))
+        if spec.get("partial"):
+            raise partial_index_refused(spec["name"])
+        index = db.indexes.create(spec["name"], PathPattern.parse(spec["pattern"]))
         for entry in _read_jsonl(path / f"index_{spec['name']}.jsonl"):
             index.add(tuple(entry))
         # Entries above went straight to the tree (unsealed); seal at the

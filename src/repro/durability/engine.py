@@ -361,7 +361,6 @@ class DurabilityEngine:
         kind: str,
         name: str,
         pattern: str,
-        partial: bool = False,
         populate: bool = True,
     ) -> None:
         """Log a path-index create/drop (replayed by re-running the DDL)."""
@@ -371,7 +370,7 @@ class DurabilityEngine:
         with self._lock:
             seq = max(self._seq, self.db.store.mvcc.published) + 1
             self._append(
-                encode_ddl_record(seq, kind, name, pattern, partial, populate), seq
+                encode_ddl_record(seq, kind, name, pattern, populate), seq
             )
         if not self._defer(seq):
             self.sync(seq)

@@ -115,14 +115,6 @@ class FaultInjector:
         with self._lock:
             self._armed[point] = hits
 
-    def disarm(self, point: str) -> None:
-        with self._lock:
-            self._armed.pop(point, None)
-
-    def is_armed(self, point: str) -> bool:
-        with self._lock:
-            return point in self._armed or self.crashed
-
     def will_fire(self, point: str) -> bool:
         """True when the next :meth:`reach` of ``point`` would crash."""
         with self._lock:

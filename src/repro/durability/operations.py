@@ -116,10 +116,20 @@ def encode_commit_record(
 
 
 def encode_ddl_record(
-    seq: int, kind: str, name: str, pattern: str, partial: bool, populate: bool
+    seq: int, kind: str, name: str, pattern: str, populate: bool
 ) -> bytes:
+    # The fifth field once flagged a partially materialized index; it stays
+    # (always False) so the record layout and its bytes do not change.
     return bytes([REC_DDL]) + encode_value(
-        [seq, kind, name, pattern, partial, populate]
+        [seq, kind, name, pattern, False, populate]
+    )
+
+
+def partial_index_refused(name: str) -> DurabilityError:
+    """The error for a stored index marked partially materialized."""
+    return DurabilityError(
+        f"path index {name!r} is stored as partially materialized; "
+        "partial path indexes were removed and cannot be restored"
     )
 
 
@@ -186,8 +196,6 @@ def apply_commit_record(db: "GraphDatabase", body: list) -> None:
     for change, index_name, entry in index_changes:
         index = db.indexes.get(index_name)
         if change == CHANGE_ADD:
-            # Partial indexes filter additions to materialized starts
-            # themselves, exactly as live maintenance did.
             index.add(tuple(entry))
         elif change == CHANGE_REMOVE:
             index.remove(tuple(entry))
@@ -198,8 +206,10 @@ def apply_commit_record(db: "GraphDatabase", body: list) -> None:
 def apply_ddl_record(db: "GraphDatabase", body: list) -> None:
     """Replay one index DDL record (create re-runs Algorithm 2)."""
     _seq, kind, name, pattern, partial, populate = body
+    if partial:
+        raise partial_index_refused(name)
     if kind == "create_index":
-        db.create_path_index(name, pattern, populate=populate, partial=partial)
+        db.create_path_index(name, pattern, populate=populate)
     elif kind == "drop_index":
         db.drop_path_index(name)
     else:

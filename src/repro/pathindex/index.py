@@ -30,9 +30,6 @@ from repro.storage.versions import PENDING, VersionClock
 class PathIndex:
     """B+-tree-backed index over one path pattern."""
 
-    supports_full_scan = True
-    """Fully materialized indexes serve PathIndexScan; partial ones do not."""
-
     def __init__(
         self,
         name: str,
@@ -230,10 +227,6 @@ class PathIndex:
         if not self._deltas:
             return self.tree.scan_prefix(prefix)
         return self.seeker(prefix)(prefix_range(prefix, self.pattern.key_width)[0])
-
-    def prepare_prefix(self, prefix: Sequence[int], store) -> None:
-        """Hook invoked before a prefix seek; partial indexes materialize the
-        bound start node here. Fully materialized indexes need nothing."""
 
     def seeker(
         self, prefix: Sequence[int] = ()

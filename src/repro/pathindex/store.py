@@ -39,13 +39,9 @@ class PathIndexStore:
     # Lifecycle
     # ------------------------------------------------------------------
 
-    def create(
-        self, name: str, pattern: PathPattern, partial: bool = False
-    ) -> PathIndex:
+    def create(self, name: str, pattern: PathPattern) -> PathIndex:
         """Register a new, empty index (initialization is separate).
 
-        ``partial=True`` creates a §4.1 partially materialized index that
-        fills itself lazily per seek prefix and never serves full scans.
         The index starts *unsealed* — writes go straight to its tree and
         it is visible from LSN 0; ``GraphDatabase.create_path_index`` seals
         it after population so commit-time maintenance becomes versioned
@@ -53,14 +49,7 @@ class PathIndexStore:
         """
         if name in self._indexes:
             raise PathIndexError(f"path index {name!r} already exists")
-        if partial:
-            from repro.pathindex.partial import PartialPathIndex
-
-            index: PathIndex = PartialPathIndex(
-                name, pattern, self._page_cache, clock=self._clock
-            )
-        else:
-            index = PathIndex(name, pattern, self._page_cache, clock=self._clock)
+        index = PathIndex(name, pattern, self._page_cache, clock=self._clock)
         self._indexes = {**self._indexes, name: index}
         return index
 
@@ -154,7 +143,6 @@ class PathIndexStore:
             pattern = index.pattern
             if (
                 self._visible(index)
-                and index.supports_full_scan
                 and pattern.length == 1
                 and pattern.labels == (None, None)
                 and pattern.relationships[0].forward

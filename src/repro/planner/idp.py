@@ -70,7 +70,7 @@ class IDPSolver:
             # enter the table pre-solved.
             self._consider(self.factory.with_filters(anchor))
         for match in self.matches:
-            if len(match.rel_names) > 1 and self._scannable(match):
+            if len(match.rel_names) > 1:
                 self._consider(self.factory.path_index_scan(match))
         goal = frozenset(rels)
         for size in range(2, len(rels) + 1):
@@ -110,7 +110,7 @@ class IDPSolver:
                     self._consider(plan)
             self._consider_type_scan(rel)
         for match in self.matches:
-            if len(match.rel_names) == 1 and self._scannable(match):
+            if len(match.rel_names) == 1:
                 self._consider(self.factory.path_index_scan(match))
 
     def _consider_type_scan(self, rel) -> None:
@@ -161,13 +161,6 @@ class IDPSolver:
                     new_plans.append(candidate)
         for plan in new_plans:
             self._consider(plan)
-
-    def _scannable(self, match: IndexMatch) -> bool:
-        """Partially materialized indexes (§4.1) never serve full scans;
-        they are offered through PathIndexPrefixSeek only."""
-        if self.index_store is None:
-            return False
-        return self.index_store.get(match.index_name).supports_full_scan
 
     # ------------------------------------------------------------------
 

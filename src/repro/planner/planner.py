@@ -130,11 +130,6 @@ class Planner:
         index_name, rel_order = hints.index_seed_chain
         if self.index_store is None or index_name not in self.index_store:
             raise PlannerError(f"index seed {index_name!r} is not registered")
-        if not self.index_store.get(index_name).supports_full_scan:
-            raise PlannerError(
-                f"index {index_name!r} is partially materialized and cannot "
-                "seed a scan-based plan"
-            )
         matches = find_index_matches(
             part.query_graph, self.index_store.patterns(), [index_name]
         )

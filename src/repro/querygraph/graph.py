@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable
 
 from repro.cypher import ast
 
@@ -90,9 +90,6 @@ class QueryGraph:
             for rel in self.relationships.values()
             if node_name in (rel.start, rel.end)
         ]
-
-    def all_variables(self) -> set[str]:
-        return set(self.nodes) | set(self.relationships) | set(self.arguments)
 
     def connected_components(self) -> list["QueryGraph"]:
         """Split into connected components (each planned separately, §2.2).

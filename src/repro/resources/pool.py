@@ -422,17 +422,6 @@ class MemoryTracker:
             del current
             operators.record_memory(key, peak, spills, desc)
 
-    def per_operator(self) -> dict:
-        """``description -> (peak_bytes, spill_runs)`` for displays."""
-        out: dict = {}
-        for _key, (_cur, peak, spills, desc) in self._per_op.items():
-            prev = out.get(desc)
-            if prev is not None:
-                peak = max(peak, prev[0])
-                spills += prev[1]
-            out[desc] = (peak, spills)
-        return out
-
     def close(self) -> None:
         """Release every charge, the grant, and the spill files (idempotent)."""
         if self.closed:

@@ -992,9 +992,7 @@ def _p_path_index_prefix_seek(
 ) -> None:
     ctx = comp.ctx
     index = ctx.index_store.get(plan.index_name)
-    prepare = comp.add_env("prep", index.prepare_prefix)
     scan_prefix = comp.add_env("ipfx", index.scan_prefix)
-    store = comp.add_env("store", ctx.store)
     prefix_vars = plan.entry_vars[: plan.prefix_length]
     plan_env = comp.add_env("pl", plan)
     groups = comp.fresh("gr")
@@ -1021,7 +1019,6 @@ def _p_path_index_prefix_seek(
     entry, parent = comp.fresh("en"), comp.fresh("pr")
     comp.emit(f"for {prefix}, {rows} in {groups}.items():")
     with comp.block():
-        comp.emit(f"{prepare}({prefix}, {store})")
         comp.emit(f"for {entry} in {scan_prefix}({prefix}):")
         with comp.block():
             values = _unpack_entry(comp, entry, len(plan.entry_vars))

@@ -210,7 +210,3 @@ class PageCache:
     @property
     def resident_pages(self) -> int:
         return self._resident_total
-
-    def resident_pages_of(self, file_name: str) -> int:
-        state = self._files.get(file_name)
-        return len(state.resident) if state is not None else 0

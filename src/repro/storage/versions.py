@@ -28,7 +28,7 @@ from __future__ import annotations
 import itertools
 import threading
 import time
-from typing import Callable, Iterator, Optional
+from typing import Iterator, Optional
 
 PENDING = float("inf")
 """Version stamp for not-yet-committed versions.
@@ -46,16 +46,13 @@ class Snapshot:
     Acquired from :meth:`VersionClock.acquire` (usually via
     ``GraphDatabase.snapshot()``) and released with
     :meth:`VersionClock.release`; while live it also pins version GC.
-    ``partial_cache`` holds per-snapshot materializations for partial path
-    indexes so snapshot readers never touch the shared B+ trees.
     """
 
-    __slots__ = ("lsn", "token", "partial_cache")
+    __slots__ = ("lsn", "token")
 
     def __init__(self, lsn: int, token: int) -> None:
         self.lsn = lsn
         self.token = token
-        self.partial_cache: dict = {}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Snapshot(lsn={self.lsn})"
@@ -140,10 +137,6 @@ class VersionClock:
 
     def live_count(self) -> int:
         return len(self._live)
-
-    def min_live_lsn(self) -> Optional[int]:
-        live = list(self._live.values())
-        return min(live) if live else None
 
     def gc_cutoff(self) -> int:
         """Versions strictly older than this LSN can never be read again."""

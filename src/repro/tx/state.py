@@ -53,18 +53,6 @@ class TransactionState:
     # from the pending lists at commit). Consumed by repro.durability.
     redo_log: list[tuple] = field(default_factory=list)
 
-    def is_read_only(self) -> bool:
-        return not (
-            self.created_nodes
-            or self.created_relationships
-            or self.added_labels
-            or self.deleted_relationships
-            or self.removed_labels
-            or self.deleted_nodes
-            or self.undo_log
-            or self.redo_log
-        )
-
     def pending_deleted_rel_ids(self) -> set[int]:
         return {pending.rel_id for pending in self.deleted_relationships}
 

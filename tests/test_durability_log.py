@@ -110,7 +110,7 @@ def test_commit_record_round_trip():
 
 
 def test_ddl_record_round_trip():
-    payload = encode_ddl_record(3, "create_index", "k", "(:P)-[:K]->(:P)", False, True)
+    payload = encode_ddl_record(3, "create_index", "k", "(:P)-[:K]->(:P)", True)
     record_type, body = decode_record(payload)
     assert record_type != REC_COMMIT
     assert body == [3, "create_index", "k", "(:P)-[:K]->(:P)", False, True]

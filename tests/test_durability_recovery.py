@@ -9,6 +9,8 @@ relationships), planner statistics, path-index contents, and the results of
 paper-shaped pattern queries.
 """
 
+import json
+
 import pytest
 
 from repro import FaultInjector, GraphDatabase, SimulatedCrashError
@@ -19,7 +21,12 @@ from repro.durability import (
     REPLICATION_KILL_POINTS,
     SPILL_KILL_POINTS,
     WAL_KILL_POINTS,
+    WriteAheadLog,
+    scan_records,
 )
+from repro.durability.encoding import encode_value
+from repro.durability.operations import REC_DDL, decode_record, record_seq
+from repro.errors import DurabilityError
 
 
 # ---------------------------------------------------------------------------
@@ -66,11 +73,7 @@ def fingerprint(db):
         tuple(sorted(stats.rels_by_start_label_type.items())),
         tuple(sorted(stats.rels_by_type_end_label.items())),
     )
-    indexes = {
-        index.name: tuple(sorted(index.scan()))
-        for index in db.indexes
-        if index.supports_full_scan
-    }
+    indexes = {index.name: tuple(sorted(index.scan())) for index in db.indexes}
     queries = tuple(
         tuple(
             sorted(
@@ -318,26 +321,61 @@ def test_recovered_indexes_match_algorithm_one_output(tmp_path):
     recovered.close()
 
 
-def test_recovery_with_partial_index(tmp_path):
-    """Partial (§4.1) indexes recover their checkpointed materialized
-    starts plus the logged deltas for those starts; lazy materialization
-    itself is cache-filling, not logged — it refills on demand."""
+def test_recovery_replays_index_deltas_after_checkpoint(tmp_path):
+    """An index created and checkpointed before two committed writes (one
+    adding, one removing entries) recovers the checkpointed tree plus the
+    logged deltas of the log suffix."""
     directory = tmp_path / "data"
     db = GraphDatabase.open(directory)
     nodes = build_base(db)
-    db.create_path_index("pk", "(:P)-[:K]->()", partial=True)
-    # Materialize one start; the checkpoint persists the materialized set,
-    # the subsequent commit's index deltas land in the log suffix.
-    db.path_index("pk").prepare_prefix((nodes[0],), db.store)
+    db.create_path_index("pk", "(:P)-[:K]->()")
     db.checkpoint()
     crashing_write(db, nodes, "create")
-    crashing_write(db, nodes, "delete")  # removes a materialized entry
-    live = sorted(db.path_index("pk").scan_materialized())
+    crashing_write(db, nodes, "delete")
+    live = sorted(db.path_index("pk").scan())
     db.close()
     recovered = GraphDatabase.open(directory)
-    assert sorted(recovered.path_index("pk").scan_materialized()) == live
+    assert sorted(recovered.path_index("pk").scan()) == live
     assert recovered.verify_index("pk")
     recovered.close()
+
+
+def test_wal_ddl_record_of_a_partial_index_is_refused(tmp_path):
+    """A DDL record whose fifth field marks the index partially
+    materialized names an index kind that no longer exists: recovery
+    refuses it instead of building something else under its name."""
+    directory = tmp_path / "data"
+    db = GraphDatabase.open(directory)
+    build_base(db)
+    db.close()
+    (wal_path,) = directory.glob("wal-*.log")
+    payloads, _ = scan_records(wal_path)
+    seq = record_seq(decode_record(payloads[-1])[1]) + 1
+    payload = bytes([REC_DDL]) + encode_value(
+        [seq, "create_index", "pk", "(:P)-[:K]->()", True, True]
+    )
+    wal = WriteAheadLog(wal_path)
+    wal.append(payload)
+    wal.fsync()
+    wal.close()
+    with pytest.raises(DurabilityError, match="'pk'.*partial path indexes"):
+        GraphDatabase.open(directory)
+
+
+def test_checkpoint_spec_of_a_partial_index_is_refused(tmp_path):
+    """Likewise for a checkpoint whose ``indexes.json`` marks an index
+    partial: opening the directory raises instead of restoring it."""
+    directory = tmp_path / "data"
+    db = GraphDatabase.open(directory)
+    build_base(db)
+    db.checkpoint()
+    db.close()
+    (specs_path,) = directory.glob("checkpoint-*/indexes.json")
+    specs = json.loads(specs_path.read_text())
+    specs[0]["partial"] = True
+    specs_path.write_text(json.dumps(specs))
+    with pytest.raises(DurabilityError, match="'k'.*partial path indexes"):
+        GraphDatabase.open(directory)
 
 
 def test_crashed_engine_refuses_further_io(tmp_path):

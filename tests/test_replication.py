@@ -86,11 +86,7 @@ def fingerprint(db):
         nodes,
         rels,
         (stats.node_count, stats.relationship_count),
-        {
-            index.name: tuple(sorted(index.scan()))
-            for index in db.indexes
-            if index.supports_full_scan
-        },
+        {index.name: tuple(sorted(index.scan())) for index in db.indexes},
     )
 
 
